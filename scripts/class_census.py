@@ -15,32 +15,27 @@ import csv
 import sys
 from fractions import Fraction
 
-from siegel3 import forms
+from siegel3 import cli
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--det-bound", type=str, default="10")
+    ap.add_argument("--det-bound", type=Fraction, default="10")
     ap.add_argument("--out", default="-")
     args = ap.parse_args()
 
-    bound = Fraction(args.det_bound)
-    rows = []
-    for f in forms.reduced_classes(bound):
-        d = f.det()
-        rows.append({
-            "t1": f.t1, "t2": f.t2, "t3": f.t3,
-            "b12": f.b12, "b13": f.b13, "b23": f.b23,
-            "det_num": d.numerator, "det_den": d.denominator,
-            "eps": forms.automorphism_count(f),
-            "diag_product_over_det": float(Fraction(f.t1 * f.t2 * f.t3) / d),
-        })
+    bound = args.det_bound
+    rows = cli.class_rows(bound)
+    for r in rows:
+        d = Fraction(r["det_num"], r["det_den"])
+        r["diag_product_over_det"] = float(Fraction(r["t1"] * r["t2"] * r["t3"]) / d)
     print("%d classes with det <= %s" % (len(rows), bound))
-    worst = max(r["diag_product_over_det"] for r in rows)
-    print("max t1 t2 t3 / det over the census: %g" % worst)
+    if rows:
+        worst = max(r["diag_product_over_det"] for r in rows)
+        print("max t1 t2 t3 / det over the census: %g" % worst)
 
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+    writer = csv.DictWriter(out, fieldnames=cli.CLASS_FIELDS + ("diag_product_over_det",))
     writer.writeheader()
     writer.writerows(rows)
     if out is not sys.stdout:

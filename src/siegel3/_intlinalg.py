@@ -38,6 +38,28 @@ def det3(a):
     )
 
 
+def cross3(a, b):
+    """Cross product of two integer 3-vectors, as a tuple."""
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def bilinear3(g, v, w):
+    """The value v . g . w of a 3x3 matrix on two 3-vectors."""
+    return sum(v[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
+
+
+def canonical_sign(v):
+    """v or -v, whichever has a positive first nonzero entry."""
+    for x in v:
+        if x:
+            return v if x > 0 else tuple(-y for y in v)
+    return v
+
+
 def adj3(a):
     """Adjugate of a 3x3 matrix, so that a @ adj3(a) == det3(a) * I."""
     c = [[0] * 3 for _ in range(3)]
@@ -224,22 +246,9 @@ def solve_right_inverse(mat):
 def unimodular_matrices_entrybound(max_entry):
     """All U in GL3(Z) with every entry in [-max_entry, max_entry]."""
     rng = range(-max_entry, max_entry + 1)
-    vecs = [(x, y, z) for x in rng for y in rng for z in rng if (x, y, z) != (0, 0, 0)]
-    out = []
-    for v1 in vecs:
-        for v2 in vecs:
-            cx = v1[1] * v2[2] - v1[2] * v2[1]
-            cy = v1[2] * v2[0] - v1[0] * v2[2]
-            cz = v1[0] * v2[1] - v1[1] * v2[0]
-            if cx == cy == cz == 0:
-                continue
-            for v3 in vecs:
-                d = cx * v3[0] + cy * v3[1] + cz * v3[2]
-                if d == 1 or d == -1:
-                    out.append([[v1[0], v2[0], v3[0]],
-                                [v1[1], v2[1], v3[1]],
-                                [v1[2], v2[2], v3[2]]])
-    return out
+    return _unimodular_from_columns(
+        [(x, y, z) for x in rng for y in rng for z in rng if (x, y, z) != (0, 0, 0)]
+    )
 
 
 def unimodular_matrices_colnorm(max_norm2):
@@ -248,19 +257,20 @@ def unimodular_matrices_colnorm(max_norm2):
     Deterministic lexicographic order over (col1, col2, col3).
     """
     r = int(max_norm2**0.5)
-    vecs = []
-    for x in range(-r, r + 1):
-        for y in range(-r, r + 1):
-            for z in range(-r, r + 1):
-                if 0 < x * x + y * y + z * z <= max_norm2:
-                    vecs.append((x, y, z))
+    rng = range(-r, r + 1)
+    return _unimodular_from_columns(
+        [(x, y, z) for x in rng for y in rng for z in rng
+         if 0 < x * x + y * y + z * z <= max_norm2]
+    )
+
+
+def _unimodular_from_columns(vecs):
+    """All U with det = +-1 and columns from ``vecs``, ordered by (col1, col2, col3)
+    as positions in ``vecs``."""
     out = []
     for v1 in vecs:
         for v2 in vecs:
-            # quick rank-2 test via cross product
-            cx = v1[1] * v2[2] - v1[2] * v2[1]
-            cy = v1[2] * v2[0] - v1[0] * v2[2]
-            cz = v1[0] * v2[1] - v1[1] * v2[0]
+            cx, cy, cz = cross3(v1, v2)
             if cx == cy == cz == 0:
                 continue
             for v3 in vecs:

@@ -47,15 +47,32 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def criterion_1(seed=DEFAULT_SEED):
-    res = CriterionResult(1, "power-function inversion identity", False, 0.0)
-    t0 = time.time()
+def inversion_worst_gap(samples, seed):
+    """Worst power-inversion gap over seeded random points and exponents."""
     rng = _rng(seed)
     worst = 0.0
-    for _ in range(1000):
+    for _ in range(samples):
         z = mx.random_siegel(rng, min_im=0.5)
         e = tuple(rng.uniform(-3, 3, 3) + 1j * rng.uniform(-3, 3, 3))
         worst = max(worst, branch.power_inversion_gap(e, z))
+    return worst
+
+
+def cone_integral_gaps(samples, seed):
+    """Cone-integral gaps at two exponent triples per seeded random point."""
+    rng = _rng(seed)
+    gaps = []
+    for _ in range(samples):
+        z = mx.random_siegel(rng, min_im=1.0)
+        for swu in ((1.5, 1.0, 2.0), (2.0, 1.5, 3.0)):
+            gaps.append(sf.cone_integral_gap(swu, z))
+    return gaps
+
+
+def criterion_1(seed=DEFAULT_SEED):
+    res = CriterionResult(1, "power-function inversion identity", False, 0.0)
+    t0 = time.time()
+    worst = inversion_worst_gap(1000, seed)
     res.add("1000 samples gap <= 1e-10", worst <= 1e-10, "worst gap %.3g" % worst)
     res.add("runtime < 10 s", time.time() - t0 < 10.0)
     return res.finish(t0)
@@ -64,12 +81,7 @@ def criterion_1(seed=DEFAULT_SEED):
 def criterion_2(seed=DEFAULT_SEED):
     res = CriterionResult(2, "cone integral vs closed-form gamma factor", False, 0.0)
     t0 = time.time()
-    rng = _rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        z = mx.random_siegel(rng, min_im=1.0)
-        for swu in ((1.5, 1.0, 2.0), (2.0, 1.5, 3.0)):
-            worst = max(worst, sf.cone_integral_gap(swu, z))
+    worst = max(cone_integral_gaps(10, seed))
     res.add("20 quadrature gaps <= 1e-8", worst <= 1e-8, "worst gap %.3g" % worst)
     res.add("runtime < 60 s", time.time() - t0 < 60.0)
     return res.finish(t0)
@@ -185,9 +197,10 @@ def brute_force_flag_sum(y: forms.HalfIntegralForm, exponents, colnorm2):
     sigma = s + 2 * w + 3 * u
     seen = {}
     for g in il.unimodular_matrices_colnorm(colnorm2):
-        v = _canon(tuple(g[i][0] for i in range(3)))
-        col2 = tuple(g[i][1] for i in range(3))
-        n = _canon(_cross(v, col2))
+        # both are primitive: a unimodular column, and the cross product of
+        # two such columns (a row of the adjugate)
+        v = il.canonical_sign(tuple(g[i][0] for i in range(3)))
+        n = il.canonical_sign(il.cross3(v, tuple(g[i][1] for i in range(3))))
         key = (v, n)
         if key not in seen:
             seen[key] = g
@@ -198,26 +211,6 @@ def brute_force_flag_sum(y: forms.HalfIntegralForm, exponents, colnorm2):
         zi = 0.5j * np.array(yg.gram2(), dtype=float)
         total += phase * branch.power_p((-s, -w, -u), zi)
     return complex(total), seen
-
-
-def _canon(v):
-    from math import gcd
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    v = tuple(x // g for x in v)
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def criterion_7(seed=DEFAULT_SEED):
@@ -239,7 +232,7 @@ def criterion_7(seed=DEFAULT_SEED):
         adj2 = il.adj3(y.gram2())
         for (v, n) in sorted(cosets):
             qv = Fraction(y.value2(v), 2)
-            qn = Fraction(_form_value(adj2, n), 4)
+            qn = Fraction(il.bilinear3(adj2, n, n), 4)
             flag_total += float(qv) ** -2.0 * float(qn) ** -2.0
         gap = abs(oracle - flag_total) / abs(oracle)
         res.add("matched-coset agreement (Y=%s) <= 1e-12" % (y.key(),), gap <= 1e-12,
@@ -251,7 +244,7 @@ def criterion_7(seed=DEFAULT_SEED):
         brute_flags = {
             (v, n)
             for (v, n) in cosets
-            if Fraction(y.value2(v), 2) <= 2 and Fraction(_form_value(adj2, n), 4) <= 2
+            if Fraction(y.value2(v), 2) <= 2 and Fraction(il.bilinear3(adj2, n, n), 4) <= 2
         }
         res.add("enumerate_flags matches brute force at small bounds (Y=%s)" % (y.key(),),
                 spec_flags == brute_flags,
@@ -266,8 +259,8 @@ def criterion_7(seed=DEFAULT_SEED):
     uinv = il.inv_unimodular(u)
     ut_inv = il.mat_t(uinv)
     mapped = {
-        (_canon(tuple(sum(u[i][j] * f.v[j] for j in range(3)) for i in range(3))),
-         _canon(tuple(sum(ut_inv[i][j] * f.n[j] for j in range(3)) for i in range(3))))
+        (il.canonical_sign(tuple(sum(u[i][j] * f.v[j] for j in range(3)) for i in range(3))),
+         il.canonical_sign(tuple(sum(ut_inv[i][j] * f.n[j] for j in range(3)) for i in range(3))))
         for f in f_yu
     }
     res.add("GL3-invariance: flag sets biject exactly",
@@ -279,10 +272,6 @@ def criterion_7(seed=DEFAULT_SEED):
     res.add("GL3-invariance: values agree", gap <= 1e-12, "gap %.3g" % gap)
     res.add("runtime < 60 s", time.time() - t0 < 60.0)
     return res.finish(t0)
-
-
-def _form_value(g, v):
-    return sum(v[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
 
 
 def criterion_8(seed=DEFAULT_SEED):
@@ -471,8 +460,7 @@ def _symplectic_inverse(m):
     """Exact inverse of a symplectic integer matrix: J^-1 M^T J."""
     a, b, c, d = mx.blocks(m)
     return mx.from_blocks(
-        il.mat_t(d), [[-x for x in row] for row in il.mat_t(b)],
-        [[-x for x in row] for row in il.mat_t(c)], il.mat_t(a),
+        il.mat_t(d), il.mat_neg(il.mat_t(b)), il.mat_neg(il.mat_t(c)), il.mat_t(a),
     )
 
 

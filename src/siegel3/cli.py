@@ -8,7 +8,9 @@ as {"re": ..., "im": ...}; floats use the shortest lossless representation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
@@ -17,8 +19,7 @@ import numpy as np
 
 from . import acceptance, eisenstein as eis, fegroup as fg, forms
 from . import lipschitz as lip, series, specfun as sf, symplectic as sp
-from . import branch, matrices as mx
-from . import _intlinalg as il
+from . import branch
 from .errors import Siegel3Error
 
 USAGE_EXIT = 1
@@ -34,63 +35,89 @@ class Parser(argparse.ArgumentParser):
 
 def jsonify(obj):
     if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": jsonify(float(obj.real)), "im": jsonify(float(obj.imag))}
     if isinstance(obj, Fraction):
         return {"num": obj.numerator, "den": obj.denominator}
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        return jsonify(obj.item())
     if is_dataclass(obj) and not isinstance(obj, type):
         return jsonify(asdict(obj))
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(x) for x in obj]
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
 
-def emit(payload, fmt="json"):
+def emit(payload, fmt="json", fields=None):
+    """Print the payload; ``fields`` names the CSV columns of a row list."""
     if fmt == "csv":
         rows = payload if isinstance(payload, list) else [payload]
-        keys = list(rows[0].keys())
+        keys = list(fields or rows[0].keys())
         print(",".join(keys))
         for row in rows:
             print(",".join(str(row[k]) for k in keys))
     else:
-        print(json.dumps(jsonify(payload), sort_keys=True))
+        print(json.dumps(jsonify(payload), sort_keys=True, allow_nan=False))
 
 
-def _parse_complex(text):
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError:
-        raise SystemExit(USAGE_EXIT)
+# --- argument converters: bad input becomes a usage error at parse time ------
+
+def _arg(convert, ok, rule):
+    """argparse type that converts the text and requires ``ok`` of the value."""
+    def parse(text):
+        try:
+            val = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, rule)) from None
+        if not ok(val):
+            raise argparse.ArgumentTypeError("%r is not %s" % (text, rule))
+        return val
+    return parse
 
 
-def _parse_form(text):
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 6:
-        print("usage error: form needs t1,t2,t3,b12,b13,b23", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
-    return forms.HalfIntegralForm(*parts)
+def _int_at_least(lo):
+    return _arg(int, lambda x: x >= lo, "an integer >= %d" % lo)
 
 
-def _parse_z(text):
-    vals = [_parse_complex(x) for x in text.split(",")]
-    if len(vals) != 6:
-        print("usage error: z needs tau1,z1,z2,tau2,z3,tau3", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
-    tau1, z1, z2, tau2, z3, tau3 = vals
+_integer = _arg(int, lambda x: True, "an integer")
+_real = _arg(float, math.isfinite, "a finite number")
+_positive = _arg(float, lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_complex = _arg(lambda t: complex(t.replace(" ", "")), cmath.isfinite,
+                "a finite complex number")
+_det_bound = _arg(Fraction, lambda x: x > 0, "a rational number > 0")
+
+
+def _entries(text, item, counts, what):
+    """Comma-separated ``item`` values; their number must be one of ``counts``."""
+    vals = [item(x) for x in text.split(",")]
+    if len(vals) not in counts:
+        raise argparse.ArgumentTypeError(
+            "%s needs %s comma-separated entries" % (what, " or ".join(map(str, counts))))
+    return vals
+
+
+def _form(text):
+    return forms.HalfIntegralForm(*_entries(text, _integer, (6,), "form t1,t2,t3,b12,b13,b23"))
+
+
+def _mat3(text):
+    vals = _entries(text, _integer, (9,), "a 3x3 matrix")
+    return tuple(tuple(vals[3 * i:3 * i + 3]) for i in range(3))
+
+
+def _z(text):
+    tau1, z1, z2, tau2, z3, tau3 = _entries(text, _complex, (6,), "z tau1,z1,z2,tau2,z3,tau3")
     return np.array([[tau1, z1, z2], [z1, tau2, z3], [z2, z3, tau3]])
 
 
-def _parse_mat3(text):
-    vals = [int(x) for x in text.split(",")]
-    if len(vals) != 9:
-        print("usage error: matrix needs 9 comma-separated integers", file=sys.stderr)
-        raise SystemExit(USAGE_EXIT)
-    return tuple(tuple(vals[3 * i:3 * i + 3]) for i in range(3))
+def _y(text):
+    v = _entries(text, _real, (3, 6), "y")
+    if len(v) == 3:
+        return np.array([[v[0], v[1]], [v[1], v[2]]])
+    return np.array([[v[0], v[1], v[2]], [v[1], v[3], v[4]], [v[2], v[4], v[5]]])
 
 
 def _coeff_table(spec_text, k):
@@ -101,117 +128,122 @@ def _coeff_table(spec_text, k):
     return series.load_coefficients(spec_text)
 
 
+CLASS_FIELDS = ("t1", "t2", "t3", "b12", "b13", "b23", "det_num", "det_den", "eps")
+
+
+def class_rows(det_bound):
+    """One row of CLASS_FIELDS per reduced class with det T <= det_bound."""
+    rows = []
+    for f in forms.reduced_classes(det_bound):
+        d = f.det()
+        rows.append(dict(zip(CLASS_FIELDS, f.key() + (
+            d.numerator, d.denominator, forms.automorphism_count(f)))))
+    return rows
+
+
 def build_parser():
     p = Parser(prog="siegel3", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
+    def add(name, tol=None, **kw):
         sp_ = sub.add_parser(name, **kw)
         sp_.add_argument("--format", choices=("json", "csv"), default="json")
         sp_.add_argument("--seed", type=int, default=42)
         sp_.add_argument("--threads", type=int, default=1,
                          help="accepted for interface stability; results are "
                               "bitwise identical for any value")
-        sp_.add_argument("--tol", type=float, default=None)
+        sp_.add_argument("--tol", type=_positive, default=tol)
         sp_.add_argument("--k", type=int, default=24)
         return sp_
 
+    def exponents(c, defaults=(None, None, None)):
+        for name, default in zip(("--s", "--w", "--u"), defaults):
+            c.add_argument(name, type=_complex, required=default is None, default=default)
+
     c = add("eval-power", help="power function p_{s,w,u}(Z)")
-    c.add_argument("--s", required=True)
-    c.add_argument("--w", required=True)
-    c.add_argument("--u", required=True)
-    c.add_argument("--z", required=True, help="tau1,z1,z2,tau2,z3,tau3 (complex each)")
+    exponents(c)
+    c.add_argument("--z", type=_z, required=True, help="tau1,z1,z2,tau2,z3,tau3 (complex each)")
 
     c = add("eval-gamma3", help="closed-form degree-3 gamma factor")
-    c.add_argument("--s", required=True)
-    c.add_argument("--w", required=True)
-    c.add_argument("--u", required=True)
+    exponents(c)
 
-    c = add("verify-lemma-int", help="cone integral vs closed form on random points")
-    c.add_argument("--samples", type=int, default=10)
+    c = add("verify-lemma-int", tol=1e-8, help="cone integral vs closed form on random points")
+    c.add_argument("--samples", type=_int_at_least(1), default=10)
 
-    c = add("verify-claim1", help="power inversion identity on random points")
-    c.add_argument("--samples", type=int, default=1000)
+    c = add("verify-claim1", tol=1e-10, help="power inversion identity on random points")
+    c.add_argument("--samples", type=_int_at_least(1), default=1000)
 
-    c = add("verify-lipschitz", help="two-sided lattice summation comparison")
-    c.add_argument("--max-abs", type=int, default=8)
-    c.add_argument("--trace-bound", type=int, default=12)
-    c.add_argument("--s", default="2")
-    c.add_argument("--w", default="4")
-    c.add_argument("--u", default="5")
-    c.add_argument("--z", default=None)
+    c = add("verify-lipschitz", tol=1e-3, help="two-sided lattice summation comparison")
+    c.add_argument("--max-abs", type=_int_at_least(0), default=8)
+    c.add_argument("--trace-bound", type=_int_at_least(3), default=12)
+    exponents(c, ("2", "4", "5"))
+    c.add_argument("--z", type=_z, default=None)
     c.add_argument("--tail-correction", action="store_true")
 
-    c = add("classical-lipschitz", help="one-variable summation formula")
-    c.add_argument("--tau", required=True)
-    c.add_argument("--s", default="2")
-    c.add_argument("--bound", type=float, default=4000)
+    c = add("classical-lipschitz", tol=1e-6, help="one-variable summation formula")
+    c.add_argument("--tau", type=_complex, required=True)
+    c.add_argument("--s", type=_complex, default="2")
+    c.add_argument("--bound", type=_int_at_least(1), default=4000)
 
     c = add("reduce", help="canonical Minkowski reduction of a form")
-    c.add_argument("--form", required=True)
+    c.add_argument("--form", type=_form, required=True)
 
     c = add("classes", help="reduced class representatives up to a determinant")
-    c.add_argument("--det-bound", type=str, default="10")
+    c.add_argument("--det-bound", type=_det_bound, default="10")
 
     c = add("eps", help="automorphism count of a form")
-    c.add_argument("--form", required=True)
+    c.add_argument("--form", type=_form, required=True)
 
     c = add("eval-eisenstein", help="truncated three-variable flag series")
-    c.add_argument("--form", required=True)
-    c.add_argument("--s", required=True)
-    c.add_argument("--w", required=True)
-    c.add_argument("--u", required=True)
-    c.add_argument("--bound", type=float, default=30.0)
-    c.add_argument("--g-bound", type=float, default=None)
+    c.add_argument("--form", type=_form, required=True)
+    exponents(c)
+    c.add_argument("--bound", type=_positive, default=30.0)
+    c.add_argument("--g-bound", type=_positive, default=None)
 
     c = add("eval-epstein", help="truncated Epstein zeta")
-    c.add_argument("--y", required=True,
+    c.add_argument("--y", type=_y, required=True,
                    help="3 entries y11,y12,y22 (2x2) or 6 entries upper triangle (3x3)")
-    c.add_argument("--s", required=True)
-    c.add_argument("--bound", type=float, default=250000.0)
+    c.add_argument("--s", type=_complex, required=True)
+    c.add_argument("--bound", type=_positive, default=250000.0)
 
-    c = add("verify-zetastar", help="Bessel tail vs direct decomposition")
-    c.add_argument("--s", default="2.3")
-    c.add_argument("--tau", default="0.3+1.7j")
-    c.add_argument("--bound", type=float, default=9.0e5)
+    c = add("verify-zetastar", tol=1e-8, help="Bessel tail vs direct decomposition")
+    c.add_argument("--s", type=_complex, default="2.3")
+    c.add_argument("--tau", type=_complex, default="0.3+1.7j")
+    c.add_argument("--bound", type=_positive, default=9.0e5)
 
     c = add("fe-group", help="closure and dihedral certification of the symmetry maps")
     c.add_argument("--dot", default=None, help="write a DOT Cayley diagram here")
 
     c = add("eval-km", help="classical Koecher-Maass truncation")
     c.add_argument("--coeffs", default="ones")
-    c.add_argument("--s", required=True)
-    c.add_argument("--det-bound", type=str, default="10")
+    c.add_argument("--s", type=_complex, required=True)
+    c.add_argument("--det-bound", type=_det_bound, default="10")
 
     c = add("eval-km-twisted", help="twisted Koecher-Maass truncation")
     c.add_argument("--coeffs", default="ones")
-    c.add_argument("--s", required=True)
-    c.add_argument("--w", required=True)
-    c.add_argument("--u", required=True)
-    c.add_argument("--det-bound", type=str, default="4")
-    c.add_argument("--bound", type=float, default=20.0)
+    exponents(c)
+    c.add_argument("--det-bound", type=_det_bound, default="4")
+    c.add_argument("--bound", type=_positive, default=20.0)
 
     c = add("enum-pairs", help="canonical coprime symmetric pairs in a box")
-    c.add_argument("--max-abs", type=int, default=1)
+    c.add_argument("--max-abs", type=_int_at_least(1), default=1)
     c.add_argument("--list", action="store_true", help="include the pairs themselves")
 
     c = add("complete-pair", help="complete (C, D) to a symplectic matrix")
-    c.add_argument("--c", required=True, help="9 integers, row major")
-    c.add_argument("--d", required=True, help="9 integers, row major")
+    c.add_argument("--c", type=_mat3, required=True, help="9 integers, row major")
+    c.add_argument("--d", type=_mat3, required=True, help="9 integers, row major")
 
     c = add("eval-poincare", help="truncated Poincare series")
-    c.add_argument("--form", required=True)
-    c.add_argument("--z", required=True)
-    c.add_argument("--max-abs", type=int, default=1)
+    c.add_argument("--form", type=_form, required=True)
+    c.add_argument("--z", type=_z, required=True)
+    c.add_argument("--max-abs", type=_int_at_least(1), default=1)
 
     c = add("eval-kernel", help="truncated kernel via the Poincare representation")
-    c.add_argument("--s", required=True)
-    c.add_argument("--w", required=True)
-    c.add_argument("--u", required=True)
-    c.add_argument("--z", required=True)
-    c.add_argument("--det-bound", type=str, default="2")
-    c.add_argument("--bound", type=float, default=12.0)
-    c.add_argument("--max-abs", type=int, default=1)
+    exponents(c)
+    c.add_argument("--z", type=_z, required=True)
+    c.add_argument("--det-bound", type=_det_bound, default="2")
+    c.add_argument("--bound", type=_positive, default=12.0)
+    c.add_argument("--max-abs", type=_int_at_least(1), default=1)
 
     add("selftest", help="run the acceptance criteria")
     return p
@@ -221,132 +253,85 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except Siegel3Error as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return USAGE_EXIT
-    except (ValueError, OSError) as exc:
+    except (Siegel3Error, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return USAGE_EXIT
 
 
 def _dispatch(args):
     cmd = args.command
+    # commands that declare --s/--w/--u take them as one exponent triple
+    e = (args.s, args.w, args.u) if "u" in vars(args) else None
 
     if cmd == "eval-power":
-        z = _parse_z(args.z)
-        e = (_parse_complex(args.s), _parse_complex(args.w), _parse_complex(args.u))
-        emit({"value": branch.power_p(e, z)}, args.format)
+        emit({"value": branch.power_p(e, args.z)}, args.format)
         return 0
 
     if cmd == "eval-gamma3":
-        val = sf.gamma3(_parse_complex(args.s), _parse_complex(args.w), _parse_complex(args.u))
-        emit({"value": val}, args.format)
+        emit({"value": sf.gamma3(*e)}, args.format)
         return 0
 
     if cmd == "verify-lemma-int":
-        tol = args.tol if args.tol is not None else 1e-8
-        rng = np.random.default_rng(args.seed)
-        gaps = []
-        for _ in range(args.samples):
-            z = mx.random_siegel(rng, min_im=1.0)
-            for swu in ((1.5, 1.0, 2.0), (2.0, 1.5, 3.0)):
-                gaps.append(sf.cone_integral_gap(swu, z))
+        gaps = acceptance.cone_integral_gaps(args.samples, args.seed)
         worst = max(gaps)
-        emit({"samples": len(gaps), "worst_gap": worst, "tol": tol, "pass": worst <= tol},
-             args.format)
-        return 0 if worst <= tol else VERIFY_FAIL_EXIT
+        emit({"samples": len(gaps), "worst_gap": worst, "tol": args.tol,
+              "pass": worst <= args.tol}, args.format)
+        return 0 if worst <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "verify-claim1":
-        tol = args.tol if args.tol is not None else 1e-10
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for _ in range(args.samples):
-            z = mx.random_siegel(rng, min_im=0.5)
-            e = tuple(rng.uniform(-3, 3, 3) + 1j * rng.uniform(-3, 3, 3))
-            worst = max(worst, branch.power_inversion_gap(e, z))
-        emit({"samples": args.samples, "worst_gap": worst, "tol": tol,
-              "pass": worst <= tol}, args.format)
-        return 0 if worst <= tol else VERIFY_FAIL_EXIT
+        worst = acceptance.inversion_worst_gap(args.samples, args.seed)
+        emit({"samples": args.samples, "worst_gap": worst, "tol": args.tol,
+              "pass": worst <= args.tol}, args.format)
+        return 0 if worst <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "verify-lipschitz":
-        tol = args.tol if args.tol is not None else 1e-3
-        z = _parse_z(args.z) if args.z else np.array(
+        z = args.z if args.z is not None else np.array(
             [[0.25, 0.125, 0.0], [0.125, -0.25, 0.0], [0.0, 0.0, 0.125]]
         ) + 1j * np.eye(3)
-        e = (_parse_complex(args.s), _parse_complex(args.w), _parse_complex(args.u))
         rep = lip.lipschitz_report(e, z, args.max_abs, args.trace_bound,
                                    tail_correction=args.tail_correction)
         emit(rep, args.format)
-        return 0 if rep.relative_gap <= tol else VERIFY_FAIL_EXIT
+        return 0 if rep.relative_gap <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "classical-lipschitz":
-        rep, closed = lip.classical_lipschitz(
-            _parse_complex(args.tau), _parse_complex(args.s), int(args.bound)
-        )
+        rep, closed = lip.classical_lipschitz(args.tau, args.s, args.bound)
         payload = jsonify(rep)
         payload["closed_form"] = jsonify(closed) if closed is not None else None
         emit(payload, args.format)
-        tol = args.tol if args.tol is not None else 1e-6
-        return 0 if rep.relative_gap <= tol else VERIFY_FAIL_EXIT
+        return 0 if rep.relative_gap <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "reduce":
-        red = forms.minkowski_reduce(_parse_form(args.form))
+        red = forms.minkowski_reduce(args.form)
         emit({"form": list(red.form.key()), "reducer": [list(r) for r in red.reducer],
               "det": red.form.det()}, args.format)
         return 0
 
     if cmd == "classes":
-        bound = Fraction(args.det_bound)
-        rows = []
-        for f in forms.reduced_classes(bound):
-            d = f.det()
-            rows.append({
-                "t1": f.t1, "t2": f.t2, "t3": f.t3,
-                "b12": f.b12, "b13": f.b13, "b23": f.b23,
-                "det_num": d.numerator, "det_den": d.denominator,
-                "eps": forms.automorphism_count(f),
-            })
+        rows = class_rows(args.det_bound)
         emit(rows if args.format == "csv" else {"count": len(rows), "classes": rows},
-             args.format)
+             args.format, CLASS_FIELDS)
         return 0
 
     if cmd == "eps":
-        emit({"eps": forms.automorphism_count(_parse_form(args.form))}, args.format)
+        emit({"eps": forms.automorphism_count(args.form)}, args.format)
         return 0
 
     if cmd == "eval-eisenstein":
         g_bound = args.g_bound if args.g_bound is not None else args.bound
         spec0 = eis.TruncationSpec(q_bound=args.bound, g_bound=g_bound)
-        e = (_parse_complex(args.s), _parse_complex(args.w), _parse_complex(args.u))
-        ev = eis.selberg_E(_parse_form(args.form), e, spec0)
-        emit(ev, args.format)
+        emit(eis.selberg_E(args.form, e, spec0), args.format)
         return 0
 
     if cmd == "eval-epstein":
-        vals = [float(x) for x in args.y.split(",")]
-        if len(vals) == 3:
-            y = np.array([[vals[0], vals[1]], [vals[1], vals[2]]])
-        elif len(vals) == 6:
-            y = np.array([
-                [vals[0], vals[1], vals[2]],
-                [vals[1], vals[3], vals[4]],
-                [vals[2], vals[4], vals[5]],
-            ])
-        else:
-            print("usage error: --y needs 3 or 6 entries", file=sys.stderr)
-            return USAGE_EXIT
-        emit(eis.epstein(y, _parse_complex(args.s), args.bound), args.format)
+        emit(eis.epstein(args.y, args.s, args.bound), args.format)
         return 0
 
     if cmd == "verify-zetastar":
-        tol = args.tol if args.tol is not None else 1e-8
-        direct, recon, residual = eis.zeta_Z2_decomposition(
-            _parse_complex(args.s), _parse_complex(args.tau), args.bound
-        )
+        direct, recon, residual = eis.zeta_Z2_decomposition(args.s, args.tau, args.bound)
         emit({"direct": direct.value, "reconstructed": recon, "residual": residual,
-              "terms": direct.terms_used, "tol": tol, "pass": residual <= tol},
+              "terms": direct.terms_used, "tol": args.tol, "pass": residual <= args.tol},
              args.format)
-        return 0 if residual <= tol else VERIFY_FAIL_EXIT
+        return 0 if residual <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "fe-group":
         g = fg.generators()
@@ -369,14 +354,12 @@ def _dispatch(args):
 
     if cmd == "eval-km":
         table = _coeff_table(args.coeffs, args.k)
-        sv = series.km_classic(table, _parse_complex(args.s), Fraction(args.det_bound))
-        emit(sv, args.format)
+        emit(series.km_classic(table, args.s, args.det_bound), args.format)
         return 0
 
     if cmd == "eval-km-twisted":
         table = _coeff_table(args.coeffs, args.k)
-        e = (_parse_complex(args.s), _parse_complex(args.w), _parse_complex(args.u))
-        sv = series.km_twisted(table, e, Fraction(args.det_bound),
+        sv = series.km_twisted(table, e, args.det_bound,
                                eis.TruncationSpec(args.bound, args.bound))
         emit(sv, args.format)
         return 0
@@ -391,7 +374,7 @@ def _dispatch(args):
         return 0
 
     if cmd == "complete-pair":
-        pair = sp.canonical_pair(_parse_mat3(args.c), _parse_mat3(args.d))
+        pair = sp.canonical_pair(args.c, args.d)
         m = sp.complete_to_symplectic(pair)
         emit({"canonical_c": [list(r) for r in pair.c],
               "canonical_d": [list(r) for r in pair.d],
@@ -399,15 +382,12 @@ def _dispatch(args):
         return 0
 
     if cmd == "eval-poincare":
-        z = _parse_z(args.z)
-        val, n = sp.poincare_trunc(args.k, _parse_form(args.form), z, args.max_abs)
+        val, n = sp.poincare_trunc(args.k, args.form, args.z, args.max_abs)
         emit({"value": val, "terms_used": n}, args.format)
         return 0
 
     if cmd == "eval-kernel":
-        z = _parse_z(args.z)
-        e = (_parse_complex(args.s), _parse_complex(args.w), _parse_complex(args.u))
-        out = sp.kernel_trunc(args.k, e, z, Fraction(args.det_bound),
+        out = sp.kernel_trunc(args.k, e, args.z, args.det_bound,
                               eis.TruncationSpec(args.bound, args.bound), args.max_abs)
         emit(out, args.format)
         return 0

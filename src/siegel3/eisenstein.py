@@ -48,20 +48,13 @@ class TruncatedValue:
     warnings: list = field(default_factory=list)
 
 
-def _canonical_sign(v):
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
-
-
 def _primitive_mod_sign(gram, bound):
     """Primitive vectors mod sign with gram[v] <= bound, with their values."""
     seen = {}
     for q, v in short_vectors_gram(gram, bound):
         if il.gcd_list(v) != 1:
             continue
-        cv = _canonical_sign(v)
+        cv = il.canonical_sign(v)
         if cv not in seen:
             seen[cv] = q
     return sorted(seen.items(), key=lambda p: p[0])
@@ -72,12 +65,20 @@ def _adj_gram2(y: HalfIntegralForm):
     return il.adj3(y.gram2())
 
 
+def _flag_vectors(y: HalfIntegralForm, spec: TruncationSpec):
+    """Lines v with Y[v] <= q_bound and plane normals n with adj(Y)[n] <= g_bound.
+
+    Both lists hold (vector, value) with the doubled values (2Y)[v] and
+    adj(2Y)[n] = 4 adj(Y)[n].
+    """
+    vs = _primitive_mod_sign(y.gram2(), 2 * Fraction(spec.q_bound))
+    ns = _primitive_mod_sign(_adj_gram2(y), 4 * Fraction(spec.g_bound))
+    return vs, ns
+
+
 def enumerate_flags(y: HalfIntegralForm, spec: TruncationSpec):
     """All flags with Y[v] <= q_bound and adj(Y)[n] <= g_bound, each once."""
-    qb = 2 * Fraction(spec.q_bound)          # bound on (2Y)[v]
-    gb = 4 * Fraction(spec.g_bound)          # bound on adj(2Y)[n]
-    vs = _primitive_mod_sign(y.gram2(), qb)
-    ns = _primitive_mod_sign(_adj_gram2(y), gb)
+    vs, ns = _flag_vectors(y, spec)
     flags = []
     for v, _ in vs:
         for n, _ in ns:
@@ -94,10 +95,7 @@ def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
     still the truncated sum but carries a warning flag.
     """
     s, w, u = (complex(e) for e in exponents)
-    qb = 2 * Fraction(spec.q_bound)
-    gb = 4 * Fraction(spec.g_bound)
-    vs = _primitive_mod_sign(y.gram2(), qb)
-    ns = _primitive_mod_sign(_adj_gram2(y), gb)
+    vs, ns = _flag_vectors(y, spec)
     total = 0.0 + 0.0j
     terms = 0
     for v, qv in vs:

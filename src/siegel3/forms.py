@@ -55,8 +55,7 @@ class HalfIntegralForm:
 
     def value2(self, v):
         """(2T)[v], an even non-negative integer for definite T."""
-        g = self.gram2()
-        return sum(v[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
+        return il.bilinear3(self.gram2(), v, v)
 
     def is_positive_definite(self):
         g = self.gram2()
@@ -175,23 +174,8 @@ def short_vectors2(t, bound2):
     return short_vectors_gram(t.gram2(), bound2)
 
 
-def _canonical_sign(v):
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
-
-
-def _is_saturated_pair(v1, v2):
-    cx = v1[1] * v2[2] - v1[2] * v2[1]
-    cy = v1[2] * v2[0] - v1[0] * v2[2]
-    cz = v1[0] * v2[1] - v1[1] * v2[0]
-    return il.gcd_list([cx, cy, cz]) == 1
-
-
 def _solve_dot_one(n):
     """Integer c with n . c == 1 for primitive n (two-step extended gcd)."""
-    from math import gcd
 
     def ext_gcd(a, b):
         if b == 0:
@@ -212,24 +196,11 @@ def _complete_one(v1):
     if s[0][0] != 1:
         raise ValueError("vector is not primitive")
     uinv = il.inv_unimodular(u)
-    cols = il.mat_t(uinv)
-    first = tuple(uinv[i][0] for i in range(3))
-    if first == tuple(-x for x in v1):
-        uinv = [[-x for x in row] for row in uinv]
-        first = v1
+    if tuple(uinv[i][0] for i in range(3)) == tuple(-x for x in v1):
+        uinv = il.mat_neg(uinv)
     if tuple(uinv[i][0] for i in range(3)) != tuple(v1):
         raise AssertionError("completion failed")
     return uinv
-
-
-def _complete_pair(v1, v2):
-    """Third column c3 with det[v1 v2 c3] = 1."""
-    n = (
-        v1[1] * v2[2] - v1[2] * v2[1],
-        v1[2] * v2[0] - v1[0] * v2[2],
-        v1[0] * v2[1] - v1[1] * v2[0],
-    )
-    return _solve_dot_one(n)
 
 
 def minkowski_reduce(t):
@@ -245,7 +216,7 @@ def minkowski_reduce(t):
     r1 = min(g[0][0], g[1][1], g[2][2])
     pool1 = short_vectors2(t, r1)
     m1 = pool1[0][0]
-    v1s = sorted({_canonical_sign(v) for q, v in pool1 if q == m1})
+    v1s = sorted({il.canonical_sign(v) for q, v in pool1 if q == m1})
 
     best = None
     for v1 in v1s:
@@ -254,20 +225,22 @@ def minkowski_reduce(t):
         c3 = tuple(u0[i][2] for i in range(3))
         r2 = min(t.value2(c2), t.value2(c3))
         pool2 = [
-            (q, v) for q, v in short_vectors2(t, r2) if _is_saturated_pair(v1, v)
+            (q, v) for q, v in short_vectors2(t, r2) if il.gcd_list(il.cross3(v1, v)) == 1
         ]
         m2 = min(q for q, _ in pool2)
-        v2s = sorted({_canonical_sign(v) for q, v in pool2 if q == m2})
+        v2s = sorted({il.canonical_sign(v) for q, v in pool2 if q == m2})
         for v2 in v2s:
-            c3b = _complete_pair(v1, v2)
+            # det[v1 v2 v] = n . v, so n . c3b = 1 completes the basis
+            n = il.cross3(v1, v2)
+            c3b = _solve_dot_one(n)
             r3 = t.value2(c3b)
             pool3 = [
                 (q, v)
                 for q, v in short_vectors2(t, r3)
-                if abs(il.det3(il.mat_t([list(v1), list(v2), list(v)]))) == 1
+                if abs(n[0] * v[0] + n[1] * v[1] + n[2] * v[2]) == 1
             ]
             m3 = min(q for q, _ in pool3)
-            v3s = sorted({_canonical_sign(v) for q, v in pool3 if q == m3})
+            v3s = sorted({il.canonical_sign(v) for q, v in pool3 if q == m3})
             for v3 in v3s:
                 u = il.mat_t([list(v1), list(v2), list(v3)])
                 for e1, e2, e3 in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
@@ -294,36 +267,16 @@ def automorphism_count(t):
         cand = [v for q, v in short_vectors2(t, target) if q == target]
         cols.append(cand)
     count = 0
-    gm = g
-
-    def dot_g(a, b):
-        return sum(a[i] * gm[i][j] * b[j] for i in range(3) for j in range(3))
-
     for c1 in cols[0]:
         for c2 in cols[1]:
-            if dot_g(c1, c2) != gm[0][1]:
+            if il.bilinear3(g, c1, c2) != g[0][1]:
                 continue
             for c3 in cols[2]:
-                if dot_g(c1, c3) != gm[0][2] or dot_g(c2, c3) != gm[1][2]:
+                if il.bilinear3(g, c1, c3) != g[0][2] or il.bilinear3(g, c2, c3) != g[1][2]:
                     continue
                 if il.det3(il.mat_t([list(c1), list(c2), list(c3)])) == 1:
                     count += 1
     return count
-
-
-def enumerate_dual_lattice(max_abs):
-    """Integer symmetric matrices with entries in [-max_abs, max_abs].
-
-    Lexicographic order over (a, b, c, d, e, f) for [[a,b,c],[b,d,e],[c,e,f]].
-    """
-    rng = range(-max_abs, max_abs + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    for e in rng:
-                        for f in rng:
-                            yield ((a, b, c), (b, d, e), (c, e, f))
 
 
 def enumerate_J(trace_bound):

@@ -7,8 +7,8 @@ out as
      [z1, tau2, z3],
      [z2, z3, tau3]]
 
-Integer-exact objects (symplectic matrices, unimodular congruences) are lists
-of lists of Python ints and never touch floating point.
+Integer-exact objects (symplectic matrices) are lists of lists of Python ints
+and never touch floating point.
 """
 
 from __future__ import annotations
@@ -16,14 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import NotPositiveDefinite, SingularDenominator
+from .errors import SingularDenominator
 
 POSDEF_REL_TOL = 1e-12
-
-
-def sym3(tau1, z1, z2, tau2, z3, tau3):
-    """Assemble a symmetric 3x3 array from its six independent entries."""
-    return np.array([[tau1, z1, z2], [z1, tau2, z3], [z2, z3, tau3]])
 
 
 def leading_minors(y):
@@ -52,56 +47,6 @@ def is_siegel_point(z, rel_tol=POSDEF_REL_TOL):
     if z.shape != (3, 3) or not np.allclose(z, z.T, rtol=0, atol=1e-12 * (1 + np.abs(z).max())):
         return False
     return is_positive_definite(z.imag, rel_tol)
-
-
-def cholesky_lower(y):
-    """Lower Cholesky factor of a positive-definite 3x3 matrix.
-
-    Returns (t1, t2, t3, t4, t5, t6) with
-
-        L = [[t1, 0, 0], [t4, t2, 0], [t5, t6, t3]],   L @ L.T == y.
-    """
-    y = np.asarray(y, dtype=float)
-    if y[0, 0] <= 0:
-        raise NotPositiveDefinite("pivot 1 is not positive")
-    t1 = np.sqrt(y[0, 0])
-    t4 = y[1, 0] / t1
-    t5 = y[2, 0] / t1
-    p2 = y[1, 1] - t4 * t4
-    if p2 <= 0:
-        raise NotPositiveDefinite("pivot 2 is not positive")
-    t2 = np.sqrt(p2)
-    t6 = (y[2, 1] - t4 * t5) / t2
-    p3 = y[2, 2] - t5 * t5 - t6 * t6
-    if p3 <= 0:
-        raise NotPositiveDefinite("pivot 3 is not positive")
-    t3 = np.sqrt(p3)
-    return t1, t2, t3, t4, t5, t6
-
-
-def congruence(y, u):
-    """t(u) @ y @ u for numpy input, exact lists-of-ints passed through as such."""
-    if isinstance(y, np.ndarray) or isinstance(u, np.ndarray):
-        y = np.asarray(y)
-        u = np.asarray(u)
-        return u.T @ y @ u
-    return il.mat_mul(il.mat_t(u), il.mat_mul(y, u))
-
-
-def adjugate(y):
-    """Adjugate matrix: y @ adjugate(y) == det(y) * I, exact on exact input."""
-    if isinstance(y, np.ndarray):
-        out = np.empty_like(np.asarray(y))
-        a = np.asarray(y)
-        for i in range(3):
-            for j in range(3):
-                r = [k for k in range(3) if k != j]
-                c = [k for k in range(3) if k != i]
-                out[i, j] = (-1) ** (i + j) * (
-                    a[r[0], c[0]] * a[r[1], c[1]] - a[r[0], c[1]] * a[r[1], c[0]]
-                )
-        return out
-    return il.adj3(y)
 
 
 # --- symplectic layer (exact integers) -------------------------------------

@@ -110,9 +110,8 @@ class SeriesValue:
     warnings: list = field(default_factory=list)
 
 
-def km_classic(table: CoefficientTable, s, det_bound):
-    """sum over classes (det <= bound) of A_T / (eps_T det(T)^s)."""
-    s = complex(s)
+def _class_sum(table: CoefficientTable, det_bound, term):
+    """sum over classes (det <= bound) of (A_T / eps_T) term(T), no warnings yet."""
     classes = reduced_classes(det_bound)
     misses0 = table.misses
     total = 0.0 + 0.0j
@@ -120,46 +119,35 @@ def km_classic(table: CoefficientTable, s, det_bound):
     for t in classes:
         a = table.coefficient(t)
         eps = automorphism_count(t)
-        total += a / eps * np.exp(-s * math.log(float(t.det())))
+        total += a / eps * term(t)
         max_det = max(max_det, t.det())
-    warnings = []
-    if not s.real > 2 + table.k / 2:
-        warnings.append("outside the absolute-convergence region Re(s) > 2 + k/2")
     return SeriesValue(
         value=complex(total),
         classes_used=len(classes),
         max_det=max_det,
         misses=table.misses - misses0,
-        warnings=warnings,
     )
+
+
+def km_classic(table: CoefficientTable, s, det_bound):
+    """sum over classes (det <= bound) of A_T / (eps_T det(T)^s)."""
+    s = complex(s)
+    sv = _class_sum(table, det_bound, lambda t: np.exp(-s * math.log(float(t.det()))))
+    if not s.real > 2 + table.k / 2:
+        sv.warnings.append("outside the absolute-convergence region Re(s) > 2 + k/2")
+    return sv
 
 
 def km_twisted(table: CoefficientTable, exponents, det_bound, flag_spec: TruncationSpec):
     """sum over classes of (A_T / eps_T) E(T | s, w, u), all truncated."""
     s, w, u = (complex(e) for e in exponents)
-    classes = reduced_classes(det_bound)
-    misses0 = table.misses
-    total = 0.0 + 0.0j
-    max_det = Fraction(0)
-    for t in classes:
-        a = table.coefficient(t)
-        eps = automorphism_count(t)
-        ev = selberg_E(t, (s, w, u), flag_spec)
-        total += a / eps * ev.value
-        max_det = max(max_det, t.det())
-    warnings = []
+    sv = _class_sum(table, det_bound, lambda t: selberg_E(t, (s, w, u), flag_spec).value)
     if not (s.real > 1 and w.real > 1 and u.real > table.k / 2 + 1):
-        warnings.append(
+        sv.warnings.append(
             "outside region Re(s)>1, Re(w)>1, Re(u)>k/2+1"
             " (stricter variant requires Re(u)>k+1)"
         )
-    return SeriesValue(
-        value=complex(total),
-        classes_used=len(classes),
-        max_det=max_det,
-        misses=table.misses - misses0,
-        warnings=warnings,
-    )
+    return sv
 
 
 def lambda_completed(table: CoefficientTable, exponents, km_value, pole_tol=1e-10):

@@ -75,7 +75,10 @@ def complex_gamma(z):
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
         acc += c / (zz + i)
     t = zz + _LANCZOS_G + 0.5
-    return complex(math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * np.exp(-t) * acc)
+    try:
+        return complex(math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * np.exp(-t) * acc)
+    except OverflowError as exc:
+        raise DomainError("gamma overflows at %s" % z) from exc
 
 
 def complex_zeta(s):

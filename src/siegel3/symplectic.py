@@ -28,8 +28,10 @@ class CoprimePair:
     c: tuple  # 3x3 int rows
     d: tuple
 
-    def stacked(self):
-        return [list(self.c[i]) + list(self.d[i]) for i in range(3)]
+
+def _stacked(c, d):
+    """The n x 2n integer block [C D]."""
+    return [list(c[i]) + list(d[i]) for i in range(len(c))]
 
 
 def _det_small(sub):
@@ -62,8 +64,7 @@ def is_coprime_symmetric(c, d):
     cd_t = il.mat_mul(c, il.mat_t(d))
     if not il.mat_eq(cd_t, il.mat_t(cd_t)):
         return False
-    stacked = [list(c[i]) + list(d[i]) for i in range(len(c))]
-    return _maximal_minor_gcd(stacked) == 1
+    return _maximal_minor_gcd(_stacked(c, d)) == 1
 
 
 def canonical_pair(c, d):
@@ -71,8 +72,7 @@ def canonical_pair(c, d):
     if not is_coprime_symmetric(c, d):
         raise NotCoprimePair("pair is not coprime symmetric")
     n = len(c)
-    stacked = [list(c[i]) + list(d[i]) for i in range(n)]
-    h, _ = il.hnf_row(stacked)
+    h, _ = il.hnf_row(_stacked(c, d))
     return CoprimePair(
         c=tuple(tuple(row[:n]) for row in h),
         d=tuple(tuple(row[n:]) for row in h),
@@ -147,7 +147,7 @@ def complete_to_symplectic(pair: CoprimePair):
     c = [list(r) for r in pair.c]
     d = [list(r) for r in pair.d]
     # solve (A0 B0) @ N = I over Z for N = (D^T ; -C^T), i.e. A0 D^T - B0 C^T = I
-    n = il.mat_t(d) + [[-x for x in row] for row in il.mat_t(c)]
+    n = il.mat_t(d) + il.mat_neg(il.mat_t(c))
     try:
         y = il.solve_right_inverse(il.mat_t(n))  # (3x6) @ y(6x3) = I
     except ValueError as exc:

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from siegel3 import cli
@@ -148,6 +150,86 @@ def test_eval_poincare_and_kernel(capsys):
         "--z", "1j,0,0,1j,0,1j", "--det-bound", "1", "--bound", "6", "--max-abs", "1",
     )
     assert code == 0 and payload["classes_used"] == 3
+
+
+def test_classes_csv_empty_prints_header(capsys):
+    code, out = run(capsys, "classes", "--det-bound", "1/4", "--format", "csv")
+    assert code == 0
+    assert out == "t1,t2,t3,b12,b13,b23,det_num,det_den,eps\n"
+
+
+# the exact layers' payloads, recorded once; later changes must keep them
+GOLDEN = {
+    "reduce.out": ["reduce", "--form", "3,2,1,0,0,0"],
+    "classes_csv.out": ["classes", "--det-bound", "10", "--format", "csv"],
+    "eps.out": ["eps", "--form", "1,1,1,0,0,0"],
+    "enum_pairs_list.out": ["enum-pairs", "--max-abs", "1", "--list"],
+    "complete_pair.out": ["complete-pair", "--c", "0,0,0,0,0,0,0,0,0",
+                          "--d", "1,0,0,0,1,0,0,0,1"],
+    "fe_group.out": ["fe-group", "--k", "24"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_exact_payload_matches_golden(capsys, name):
+    code, out = run(capsys, *GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / name).read_bytes()
+
+
+Z1 = "1j,0,0,1j,0,1j"
+
+# bad input is refused by the parse layer, before any computation starts
+USAGE_ERRORS = [
+    ["eval-power", "--s", "nan", "--w", "1", "--u", "1", "--z", Z1],
+    ["eval-power", "--s", "1", "--w", "1", "--u", "1", "--z", "2j,abc,0,2j,0,2j"],
+    ["eval-gamma3", "--s", "inf", "--w", "0", "--u", "2"],
+    ["verify-claim1", "--samples", "0"],
+    ["verify-claim1", "--samples", "5", "--tol", "nan"],
+    ["verify-lemma-int", "--samples", "0"],
+    ["verify-lipschitz", "--max-abs", "-1"],
+    ["verify-lipschitz", "--trace-bound", "2"],
+    ["classical-lipschitz", "--tau", "1j", "--bound", "0"],
+    ["classical-lipschitz", "--tau", "nan+1j"],
+    ["verify-zetastar", "--bound", "0"],
+    ["eval-epstein", "--y", "1,0,1", "--s", "2", "--bound", "0"],
+    ["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "2", "--w", "2", "--u", "0",
+     "--bound", "0"],
+    ["eval-poincare", "--form", "1,1,1,0,0,0", "--z", Z1, "--max-abs", "0"],
+    ["enum-pairs", "--max-abs", "0"],
+    ["eval-kernel", "--s", "2", "--w", "4", "--u", "5", "--z", Z1, "--max-abs", "0"],
+    ["classes", "--det-bound", "0"],
+    ["eval-km", "--s", "16", "--det-bound", "0"],
+]
+
+
+REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
+    (["eval-gamma3", "--s", "200", "--w", "0", "--u", "2"], "input error:"),  # overflow
+]
+
+
+def _no_constants(name):
+    raise ValueError("non-finite JSON constant %s" % name)
+
+
+@pytest.mark.parametrize("argv,prefix", REJECTED, ids=[" ".join(a) for a, _ in REJECTED])
+def test_bad_input_is_rejected(capsys, argv, prefix):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith(prefix) and "Traceback" not in err
+    if out:
+        json.loads(out, parse_constant=_no_constants)
+
+
+def test_non_finite_values_serialize_as_strings(capsys):
+    cli.emit({"value": complex(float("nan"), float("-inf")), "x": np.float64("inf")})
+    out = capsys.readouterr().out
+    assert json.loads(out, parse_constant=_no_constants) == {
+        "value": {"re": "nan", "im": "-inf"}, "x": "inf"}
 
 
 def test_usage_error_exit_code(capsys):

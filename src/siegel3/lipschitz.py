@@ -35,11 +35,11 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     """sum over symmetric integer B with |entries| <= max_abs of
     p_{-s,-w,-u}(Z + B).
 
-    Returns (value, n_terms, tail_estimate).  Terms are accumulated in a
-    fixed lexicographic order so results are reproducible.  With
-    tail_correction (integer exponents only) the slowest truncation
-    direction, the (3,3) entry where terms decay like f^(-u) alone, is
-    completed by its exact midpoint continuum integral.
+    Returns (value, n_terms, tail_estimate), the estimate None when max_abs
+    is 0.  Terms are accumulated in a fixed lexicographic order so results
+    are reproducible.  With tail_correction (integer exponents only) the
+    slowest truncation direction, the (3,3) entry where terms decay like
+    f^(-u) alone, is completed by its exact midpoint continuum integral.
     """
     s, w, u = exponents
     z = np.asarray(z, dtype=complex)
@@ -86,9 +86,9 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
                         max_abs + 0.5,
                     )
     # crude integral-comparison estimate: boundary shell extrapolated by the
-    # dominant polynomial decay
+    # dominant polynomial decay; a one-term box has no shell to extrapolate
     p_eff = 2.0 * min(complex(s).real, 2.0) + 1.0
-    tail = shell_sum * max_abs / max(p_eff - 1.0, 1.0)
+    tail = shell_sum * max_abs / max(p_eff - 1.0, 1.0) if max_abs else None
     return complex(total), n_terms, tail
 
 

@@ -9,6 +9,7 @@ an independent cross-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -76,9 +77,13 @@ def complex_gamma(z):
         acc += c / (zz + i)
     t = zz + _LANCZOS_G + 0.5
     try:
-        return complex(math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * np.exp(-t) * acc)
+        # log space: t^(zz + 1/2) alone overflows long before Gamma does
+        val = math.sqrt(2.0 * math.pi) * cmath.exp((zz + 0.5) * cmath.log(t) - t) * acc
     except OverflowError as exc:
         raise DomainError("gamma overflows at %s" % z) from exc
+    if not cmath.isfinite(val):
+        raise DomainError("gamma overflows at %s" % z)
+    return val
 
 
 def complex_zeta(s):

@@ -11,16 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice, product
+from operator import mul
 
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import CompletionFailure, NotCoprimePair
+from .errors import CompletionFailure, DomainError, NotCoprimePair
 from .eisenstein import TruncationSpec, selberg_E
 from .forms import HalfIntegralForm, automorphism_count, congruence_form, reduced_classes
 from .matrices import from_blocks, is_symplectic, mobius
 from .specfun import complex_gamma
+
+
+# candidates per numpy symmetry test in enumerate_pairs
+_FILTER_CHUNK = 4096
+# positions (11, 22, 33, 12, 13, 23) of the entries of M0 Z paired with T's coefficients
+_ENTRY_ROWS, _ENTRY_COLS = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
 
 
 @dataclass(frozen=True)
@@ -55,24 +63,41 @@ def _maximal_minor_gcd(mat):
     return g
 
 
+def _cd_t_symmetric(c, d):
+    """C D^T == D C^T, compared entry by entry above the diagonal."""
+    n = len(c)
+    return all(sum(map(mul, c[i], d[j])) == sum(map(mul, c[j], d[i]))
+               for i in range(n) for j in range(i + 1, n))
+
+
+def _hnf_coprime(h):
+    """All elementary divisors 1, for a row HNF h of some n x 2n block [C D].
+
+    Left multiplication by GL_n(Z) keeps the gcd of the maximal minors, and
+    the minor of h on its pivot columns is the product of the pivots, so
+    pivots all 1 settle it; a zero row means rank < n, hence gcd 0.
+    """
+    pivots = [next((x for x in row if x), 0) for row in h]
+    return 0 not in pivots and (all(p == 1 for p in pivots) or _maximal_minor_gcd(h) == 1)
+
+
 def is_coprime_symmetric(c, d):
     """C D^T symmetric and [C D] with all elementary divisors 1, exactly.
 
     Works for any square size (the rank-2 analogue backs the exhaustive
     enumeration cross-check).
     """
-    cd_t = il.mat_mul(c, il.mat_t(d))
-    if not il.mat_eq(cd_t, il.mat_t(cd_t)):
-        return False
-    return _maximal_minor_gcd(_stacked(c, d)) == 1
+    return _cd_t_symmetric(c, d) and _maximal_minor_gcd(_stacked(c, d)) == 1
 
 
 def canonical_pair(c, d):
     """Left-association representative: row HNF of the stacked n x 2n block."""
-    if not is_coprime_symmetric(c, d):
+    if not _cd_t_symmetric(c, d):
         raise NotCoprimePair("pair is not coprime symmetric")
     n = len(c)
     h, _ = il.hnf_row(_stacked(c, d))
+    if not _hnf_coprime(h):
+        raise NotCoprimePair("pair is not coprime symmetric")
     return CoprimePair(
         c=tuple(tuple(row[:n]) for row in h),
         d=tuple(tuple(row[n:]) for row in h),
@@ -82,60 +107,46 @@ def canonical_pair(c, d):
 def _hnf_structures(max_abs, nrows=3):
     """All row-HNF (nrows x 2 nrows) integer matrices with bounded entries.
 
-    Yields candidates by pivot-column pattern; pivots positive, entries above
-    a pivot reduced mod the pivot, rows echeloned left to right.
+    Yields them as int64 arrays of at most _FILTER_CHUNK matrices, by
+    pivot-column pattern; pivots positive, entries above a pivot reduced mod
+    the pivot, rows echeloned left to right.
     """
     cols = 2 * nrows
     for pivots in combinations(range(cols), nrows):
-        free_positions = [
-            (i, j) for i in range(nrows) for j in range(pivots[i] + 1, cols)
-        ]
-
-        def fill(idx, current, pvals):
-            if idx == len(free_positions):
-                yield [row[:] for row in current]
-                return
-            i, j = free_positions[idx]
-            later_pivot = [p for p in range(i + 1, nrows) if pivots[p] == j]
-            if later_pivot:
-                # entry above a pivot is reduced into [0, pivot)
-                bound = range(0, min(pvals[later_pivot[0]], max_abs + 1))
-            else:
-                bound = range(-max_abs, max_abs + 1)
-            for v in bound:
-                current[i][j] = v
-                yield from fill(idx + 1, current, pvals)
-            current[i][j] = 0
-
-        def pivot_loop(pi, current, pvals):
-            if pi == nrows:
-                yield from fill(0, current, pvals)
-                return
-            for p in range(1, max_abs + 1):
-                current[pi][pivots[pi]] = p
-                pvals[pi] = p
-                yield from pivot_loop(pi + 1, current, pvals)
-            current[pi][pivots[pi]] = 0
-
-        base = [[0] * cols for _ in range(nrows)]
-        yield from pivot_loop(0, base, [0] * nrows)
+        free = [(i, j) for i in range(nrows) for j in range(pivots[i] + 1, cols)]
+        free_rows, free_cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        for pvals in product(range(1, max_abs + 1), repeat=nrows):
+            # an entry above a pivot is reduced into [0, pivot)
+            values = product(*(range(min(pvals[pivots.index(j)], max_abs + 1))
+                               if j in pivots[i + 1:] else range(-max_abs, max_abs + 1)
+                               for i, j in free))
+            while chunk := list(islice(values, _FILTER_CHUNK)):
+                h = np.zeros((len(chunk), nrows, cols), dtype=np.int64)
+                h[:, range(nrows), pivots] = pvals
+                h[:, free_rows, free_cols] = chunk
+                yield h
 
 
+@lru_cache(maxsize=4)
 def enumerate_pairs(max_abs, nrows=3):
     """All canonical coprime symmetric pairs with entries in the box.
 
     Enumerates row-HNF candidates directly (every canonical representative is
-    its own HNF), then filters symmetry and coprimality.
+    its own HNF), tests C D^T symmetric in numpy a chunk at a time, then
+    coprimality on the survivors.  Memoized per (max_abs, nrows); the result
+    is an immutable tuple sorted by (c, d).
     """
+    if max_abs < 1:
+        raise DomainError("max_abs must be >= 1, got %r" % (max_abs,))
     out = []
     for h in _hnf_structures(max_abs, nrows):
-        c = tuple(tuple(row[:nrows]) for row in h)
-        d = tuple(tuple(row[nrows:]) for row in h)
-        if not is_coprime_symmetric(c, d):
-            continue
-        out.append(CoprimePair(c=c, d=d))
+        cd_t = h[:, :, :nrows] @ h[:, :, nrows:].transpose(0, 2, 1)
+        for cand in h[(cd_t == cd_t.transpose(0, 2, 1)).all(axis=(1, 2))].tolist():
+            if _hnf_coprime(cand):
+                out.append(CoprimePair(c=tuple(tuple(row[:nrows]) for row in cand),
+                                       d=tuple(tuple(row[nrows:]) for row in cand)))
     out.sort(key=lambda p: (p.c, p.d))
-    return out
+    return tuple(out)
 
 
 def complete_to_symplectic(pair: CoprimePair):
@@ -167,36 +178,50 @@ def complete_to_symplectic(pair: CoprimePair):
     return m
 
 
+def _check_truncation(k, max_abs):
+    if k <= 6 or k % 2 or max_abs < 1:
+        raise DomainError("need even k > 6 and max_abs >= 1, got k=%r, max_abs=%r" % (k, max_abs))
+
+
+@lru_cache(maxsize=4)
+def _coset_table(pairs, z_bytes, k):
+    """The factors of P_{k,T}(Z) that do not depend on T, keyed on the pair
+    tuple, the bytes of Z and k: for the completion M0 of each pair, the
+    entries (11, 22, 33, 12, 13, 23) of M0 Z as a 6 x |pairs| array and
+    j(M0, Z)^(-k), both read-only."""
+    z = np.frombuffer(z_bytes, dtype=complex).reshape(3, 3)
+    entries = np.empty((6, len(pairs)), dtype=complex)
+    weights = np.empty(len(pairs), dtype=complex)
+    for i, pair in enumerate(pairs):
+        mz, jv = mobius(complete_to_symplectic(pair), z)
+        entries[:, i] = mz[_ENTRY_ROWS, _ENTRY_COLS]
+        weights[i] = jv ** (-k)
+    entries.flags.writeable = weights.flags.writeable = False
+    return entries, weights
+
+
 def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None):
     """Truncated weight-k Poincare sum over translation cosets.
 
     (1/2) sum over U in a GL3(Z) column-norm ball and canonical pairs {C, D}
     of e^{2 pi i tr(T[U] M0 Z)} j(M0, Z)^(-k); M0 completes {C, D}.  The
-    truncation error is not certified.
+    per-coset factors come from a table cached per (pairs, Z, k); the sum is
+    one |ball| x |pairs| array summed over the ball, then weighted by
+    j^(-k).  The truncation error is not certified.
     """
-    if k <= 6 or k % 2:
-        raise ValueError("weight must be even and > 6")
+    _check_truncation(k, max_abs)
     z = np.asarray(z, dtype=complex)
     if gl_ball is None:
         gl_ball = il.unimodular_matrices_colnorm(max_abs * max_abs)
     if pairs is None:
         pairs = enumerate_pairs(max_abs)
-    tus = [congruence_form(t, u) for u in gl_ball]
-    coeffs = np.array(
-        [[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23] for f in tus], dtype=float
-    )
-    total = 0.0 + 0.0j
-    n_terms = 0
-    for pair in pairs:
-        m0 = complete_to_symplectic(pair)
-        mz, jv = mobius(m0, z)
-        entries = np.array(
-            [mz[0, 0], mz[1, 1], mz[2, 2], mz[0, 1], mz[0, 2], mz[1, 2]]
-        )
-        tr = coeffs @ entries
-        total += jv ** (-k) * np.exp(2j * np.pi * tr).sum()
-        n_terms += coeffs.shape[0]
-    return complex(0.5 * total), n_terms
+    if not len(gl_ball) or not len(pairs):
+        raise DomainError("empty truncation: %d matrices, %d pairs" % (len(gl_ball), len(pairs)))
+    entries, weights = _coset_table(tuple(pairs), z.tobytes(), k)
+    coeffs = np.array([[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23]
+                       for f in (congruence_form(t, u) for u in gl_ball)], dtype=float)
+    per_pair = np.exp(2j * np.pi * (coeffs @ entries)).sum(axis=0)
+    return complex(0.5 * (weights * per_pair).sum()), len(gl_ball) * len(pairs)
 
 
 def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs):
@@ -206,6 +231,7 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     prefactor = (2/pi^(3/2)) (-2 pi i)^(s+2w+3u) / (Gamma(s+w+u-1)
     Gamma(w+u-1/2) Gamma(u)).
     """
+    _check_truncation(k, max_abs)
     s, w, u = (complex(e) for e in exponents)
     sigma = s + 2 * w + 3 * u
     pref = (

@@ -96,6 +96,12 @@ def test_verify_lipschitz_small(capsys):
     assert payload["relative_gap"] <= 1e-3
 
 
+def test_verify_lipschitz_one_term_has_no_tail_estimate(capsys):
+    code, payload = run_json(capsys, "verify-lipschitz", "--max-abs", "0", "--trace-bound", "3")
+    assert code == cli.VERIFY_FAIL_EXIT and payload["lhs_terms"] == 1
+    assert payload["lhs_tail_estimate"] is None
+
+
 def test_eval_eisenstein_and_epstein(capsys):
     code, payload = run_json(
         capsys, "eval-eisenstein", "--form", "1,1,1,0,0,0",
@@ -205,6 +211,10 @@ USAGE_ERRORS = [
 
 REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["eval-gamma3", "--s", "200", "--w", "0", "--u", "2"], "input error:"),  # overflow
+    # the weight is checked by the library, also when no class is summed
+    (["eval-poincare", "--k", "23", "--form", "1,1,1,0,0,0", "--z", Z1], "input error:"),
+    (["eval-kernel", "--k", "6", "--s", "2", "--w", "4", "--u", "5", "--z", Z1,
+      "--det-bound", "1/4"], "input error:"),
 ]
 
 

@@ -14,8 +14,8 @@ def _z0():
 
 def test_lhs_single_term():
     z = _z0()
-    val, n, _ = lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, 0)
-    assert n == 1
+    val, n, tail = lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, 0)
+    assert n == 1 and tail is None  # no shell to extrapolate: no estimate
     assert abs(val - branch.power_p((-2, -4, -5), z)) <= 1e-14 * abs(val)
 
 

@@ -43,6 +43,17 @@ def test_gamma_recurrence(rng):
         assert abs(g1 - z * g) / abs(g1) <= 1e-12
 
 
+def test_gamma_matches_mpmath_up_to_overflow():
+    mpmath = pytest.importorskip("mpmath")
+    for im in (0.0, 0.3, 5.0, 50.0):
+        for re in np.linspace(0.6, 171.5, 120):
+            ref = complex(mpmath.gamma(mpmath.mpc(re, im)))
+            assert abs(sf.complex_gamma(complex(re, im)) - ref) <= 5e-13 * abs(ref)
+    for z in (171.7, 172.0 + 0.3j, 200.0):  # Gamma itself overflows a double
+        with pytest.raises(DomainError):
+            sf.complex_gamma(z)
+
+
 def test_gamma_pole():
     with pytest.raises(PoleError):
         sf.complex_gamma(0.0)

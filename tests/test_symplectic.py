@@ -6,11 +6,33 @@ import pytest
 
 from siegel3 import _intlinalg as il
 from siegel3 import eisenstein as eis, forms, matrices as mx, symplectic as sp
-from siegel3.errors import NotCoprimePair
+from siegel3.errors import DomainError, NotCoprimePair
 
 I3 = il.identity(3)
 Z3 = [[0] * 3 for _ in range(3)]
 I3F = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
+# a non-diagonal point with unequal diagonal; no symplectic symmetry forces
+# P_k to vanish there (at i*I it does for k = 2 mod 4, where a relative gap
+# measures nothing)
+Z_GENERIC = (np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.05], [0.0, 0.05, 0.3]])
+             + 1j * np.array([[1.1, 0.2, 0.0], [0.2, 1.3, -0.1], [0.0, -0.1, 0.9]]))
+_COMPLETIONS = {}
+
+
+def _poincare_per_pair(k, t, z, max_abs, gl_ball=None, pairs=None):
+    """The per-pair loop that poincare_trunc's coset table replaced (oracle)."""
+    gl_ball = gl_ball or il.unimodular_matrices_colnorm(max_abs * max_abs)
+    pairs = pairs or sp.enumerate_pairs(max_abs)
+    coeffs = np.array([[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23]
+                       for f in (forms.congruence_form(t, u) for u in gl_ball)], dtype=float)
+    total = 0.0 + 0.0j
+    for pair in pairs:
+        if pair not in _COMPLETIONS:
+            _COMPLETIONS[pair] = sp.complete_to_symplectic(pair)
+        mz, jv = mx.mobius(_COMPLETIONS[pair], z)
+        entries = np.array([mz[0, 0], mz[1, 1], mz[2, 2], mz[0, 1], mz[0, 2], mz[1, 2]])
+        total += jv ** (-k) * np.exp(2j * np.pi * (coeffs @ entries)).sum()
+    return complex(0.5 * total), coeffs.shape[0] * len(pairs)
 
 
 def test_coprime_symmetric_examples():
@@ -120,6 +142,55 @@ def test_translation_closure_of_pairs():
         assert sp.is_coprime_symmetric(c, d2)
 
 
+def _pivot_two_pair():
+    # coprime symmetric, but the row HNF of [C D] has the pivot 2 in its first column
+    return [[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+def test_canonical_pair_hnf_coprimality_matches_minor_gcd(rng):
+    cases = [_pivot_two_pair(),
+             ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+             ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+             (Z3, Z3)]
+    for _ in range(60):
+        _, _, c, d = mx.blocks(mx.random_symplectic(rng, max_entry=8, max_factors=6))
+        # a left factor of determinant a keeps C D^T symmetric and multiplies
+        # the minor gcd by |a|
+        a = [[int(rng.integers(-2, 3)) for _ in range(3)] for _ in range(3)]
+        cases += [(c, d), (il.mat_mul(a, c), il.mat_mul(a, d))]
+    cases += [(il.mat_mul(u, c), il.mat_mul(u, d))
+              for u in il.unimodular_matrices_entrybound(1)[::400] for c, d in cases[:4]]
+    verdicts = set()
+    for c, d in cases:
+        coprime = sp.is_coprime_symmetric(c, d)
+        h, _ = il.hnf_row([list(c[i]) + list(d[i]) for i in range(3)])
+        pivots = [next((x for x in row if x), 0) for row in h]
+        verdicts.add((coprime, max(pivots) > 1, 0 in pivots))
+        assert sp._hnf_coprime(h) == (sp._maximal_minor_gcd(h) == 1)
+        if coprime:
+            cp = sp.canonical_pair(c, d)
+            assert [list(r) + list(s) for r, s in zip(cp.c, cp.d)] == h
+        else:
+            with pytest.raises(NotCoprimePair):
+                sp.canonical_pair(c, d)
+    # coprime with a pivot > 1, not coprime at full rank, and rank deficient
+    assert {(True, True, False), (False, True, False)} <= verdicts
+    assert any(zero_row for _, _, zero_row in verdicts)
+
+
+def test_enumerate_pairs_matches_scalar_filter():
+    for max_abs, nrows in ((1, 3), (1, 2), (2, 2)):
+        blocks = list(sp._hnf_structures(max_abs, nrows))
+        assert max(len(b) for b in blocks) <= sp._FILTER_CHUNK
+        scalar = [sp.CoprimePair(c=tuple(tuple(r[:nrows]) for r in h),
+                                 d=tuple(tuple(r[nrows:]) for r in h))
+                  for block in blocks for h in block.tolist()
+                  if sp.is_coprime_symmetric([r[:nrows] for r in h], [r[nrows:] for r in h])]
+        scalar.sort(key=lambda p: (p.c, p.d))
+        assert sp.enumerate_pairs(max_abs, nrows) == tuple(scalar)
+    assert sp.enumerate_pairs(1) is sp.enumerate_pairs(1)  # memoized
+
+
 def test_completion_examples():
     m = sp.complete_to_symplectic(sp.CoprimePair(tuple(map(tuple, Z3)),
                                                  tuple(map(tuple, I3))))
@@ -150,6 +221,40 @@ def test_poincare_dominant_coset():
     val5, _ = sp.poincare_trunc(24, I3F, 5j * np.eye(3), 1)
     ratio = abs(val5) / abs(val)
     assert abs(ratio / math.exp(-6 * math.pi) - 1) <= 1e-3
+
+
+def test_poincare_table_matches_per_pair_loop(rng):
+    t = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1)
+    points = [Z_GENERIC, mx.random_siegel(rng, min_im=0.8),
+              mx.random_siegel(rng, min_im=1.2, real_scale=0.5)]
+    ball = il.unimodular_matrices_colnorm(1)[::5]
+    pairs = sp.enumerate_pairs(1)[3::7]
+    for z in points:
+        for k in (8, 24, 30):
+            for kw in ({}, {"gl_ball": ball, "pairs": pairs}):
+                val, n = sp.poincare_trunc(k, t, z, 1, **kw)
+                ref, n_ref = _poincare_per_pair(k, t, z, 1, **kw)
+                assert n == n_ref
+                assert abs(val - ref) <= 1e-12 * abs(ref)
+                assert sp.poincare_trunc(k, t, z, 1, **kw) == (val, n)  # cache hit, bit for bit
+
+
+def test_poincare_and_kernel_reject_bad_input():
+    z = 1j * np.eye(3)
+    spec = eis.TruncationSpec(4, 4)
+    for k in (23, 6, 0):
+        with pytest.raises(DomainError):
+            sp.poincare_trunc(k, I3F, z, 1)
+        with pytest.raises(DomainError):
+            sp.kernel_trunc(k, (2.0, 4.0, 5.0), z, 0.25, spec, 1)  # no classes
+    with pytest.raises(DomainError):
+        sp.poincare_trunc(24, I3F, z, 0)
+    with pytest.raises(DomainError):
+        sp.poincare_trunc(24, I3F, z, 1, pairs=[])
+    with pytest.raises(DomainError):
+        sp.kernel_trunc(24, (2.0, 4.0, 5.0), z, 1, spec, 0)
+    with pytest.raises(DomainError):
+        sp.enumerate_pairs(0)
 
 
 def test_poincare_matched_congruence_bijection():

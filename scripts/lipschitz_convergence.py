@@ -2,7 +2,8 @@
 """Truncation study for the two-sided lattice summation identity.
 
 Sweeps the slow-side box radius and the fast-side trace bound in lockstep and
-records the relative gap, with and without the closed-form tail correction.
+records the relative gap, with and without the exact f-direction sum
+(``tail_correction=True``: the (3,3) shift is summed over all integers).
 
 Usage:
     python scripts/lipschitz_convergence.py --out lipschitz_gaps.csv

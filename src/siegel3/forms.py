@@ -279,23 +279,45 @@ def automorphism_count(t):
     return count
 
 
-def enumerate_J(trace_bound):
-    """All positive-definite half-integral forms with trace <= trace_bound."""
-    out = []
+def _diagonal_boxes(trace_bound):
+    """Diagonals t1, t2, t3 >= 1 with trace <= trace_bound in lexicographic
+    order, with the largest |b_ij| that b_ij^2 < 4 t_i t_j allows."""
     for t1 in range(1, trace_bound - 1):
         for t2 in range(1, trace_bound - t1):
             for t3 in range(1, trace_bound - t1 - t2 + 1):
-                a12 = isqrt(4 * t1 * t2 - 1)
-                a13 = isqrt(4 * t1 * t3 - 1)
-                for b12 in range(-a12, a12 + 1):
-                    for b13 in range(-a13, a13 + 1):
-                        a23 = isqrt(4 * t2 * t3 - 1)
-                        for b23 in range(-a23, a23 + 1):
-                            f = HalfIntegralForm(t1, t2, t3, b12, b13, b23)
-                            if f.is_positive_definite():
-                                out.append(f)
-    out.sort(key=HalfIntegralForm.key)
-    return out
+                yield (t1, t2, t3,
+                       isqrt(4 * t1 * t2 - 1), isqrt(4 * t1 * t3 - 1), isqrt(4 * t2 * t3 - 1))
+
+
+def _box_points(trace_bound, stop):
+    """How many candidate forms the enumeration up to trace_bound tests,
+    counted per diagonal without building them; counting ends above stop."""
+    total = 0
+    for *_, a12, a13, a23 in _diagonal_boxes(trace_bound):
+        total += (2 * a12 + 1) * (2 * a13 + 1) * (2 * a23 + 1)
+        if total > stop:
+            break
+    return total
+
+
+def _form_key_blocks(trace_bound):
+    """The positive-definite forms with trace <= trace_bound as int64 key()
+    rows, one block per diagonal, in key() order.  The box makes 2 t1 and
+    4 t1 t2 - b12^2 positive, so the exact det(2T) > 0 decides the rest."""
+    for t1, t2, t3, a12, a13, a23 in _diagonal_boxes(trace_bound):
+        b12, b13, b23 = np.ogrid[-a12:a12 + 1, -a13:a13 + 1, -a23:a23 + 1]
+        det2 = (8 * t1 * t2 * t3 + 2 * b12 * b13 * b23
+                - 2 * t1 * b23 * b23 - 2 * t2 * b13 * b13 - 2 * t3 * b12 * b12)
+        i, j, k = np.nonzero(det2 > 0)
+        yield np.column_stack([np.full(len(i), t) for t in (t1, t2, t3)]
+                              + [i - a12, j - a13, k - a23]).astype(np.int64, copy=False)
+
+
+def enumerate_J(trace_bound):
+    """All positive-definite half-integral forms with trace <= trace_bound,
+    sorted by key()."""
+    return [HalfIntegralForm(*row)
+            for keys in _form_key_blocks(trace_bound) for row in keys.tolist()]
 
 
 def reduced_classes(det_bound):

@@ -1,23 +1,38 @@
 """Both sides of the lattice summation identity for the power function.
 
 The slow side sums p_{-s,-w,-u}(Z + B) over the integer symmetric lattice
-(entries boxed by max_abs); the fast side is a prefactored sum over
-positive-definite half-integral T of p_{-w,-s,s+w+u-2}(i W T W) e(T Z),
-which converges exponentially.  Reports carry both truncations and a
-relative gap.
+(entries boxed by max_abs, the (3,3) direction optionally summed exactly);
+the fast side is a prefactored sum over positive-definite half-integral T of
+p_{-w,-s,s+w+u-2}(i W T W) e(T Z), which converges exponentially.  Reports
+carry both truncations and a relative gap.  Both sides refuse a truncation
+whose work exceeds MAX_WORK before they allocate anything.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import power_terms
-from .errors import PoleError
-from .forms import enumerate_J
+from .branch import _dets, _ipow, _is_small_int, power_terms
+from .errors import DomainError, PoleError
+from .forms import _box_points, _form_key_blocks
+from .matrices import is_siegel_point
 from .specfun import complex_gamma
+
+# Most lattice terms, or candidate forms, one side may evaluate; far above
+# max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5 forms), the largest in use.
+MAX_WORK = 10**9
+# Most terms evaluated as one array: 2 MB per complex temporary.
+_CHUNK = 1 << 17
+# Largest u for the exact f-direction sum, whose Eulerian polynomial loses
+# digits as u grows; tested to 1e-12 relative against mpmath up to here.
+EXACT_F_MAX_U = 16
+# Entry (i, j) of Z that each box axis (a, b, c, d, e, f) shifts.
+_AXES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
 
 @dataclass
 class LipschitzReport:
@@ -31,96 +46,98 @@ class LipschitzReport:
     lhs_tail_estimate: float | None = None
 
 
+def _check_work(count, what):
+    if count > MAX_WORK:
+        raise DomainError("%s needs at least %d evaluations, above the ceiling %d"
+                          % (what, count, MAX_WORK))
+
+
 def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     """sum over symmetric integer B with |entries| <= max_abs of
     p_{-s,-w,-u}(Z + B).
 
     Returns (value, n_terms, tail_estimate), the estimate None when max_abs
-    is 0.  Terms are accumulated in a fixed lexicographic order so results
-    are reproducible.  With tail_correction (integer exponents only) the
-    slowest truncation direction, the (3,3) entry where terms decay like
-    f^(-u) alone, is completed by its exact midpoint continuum integral.
+    is 0.  Each index of the leading box axes gives one block, an open grid
+    of at most _CHUNK terms over the trailing axes; the fixed order keeps
+    results reproducible.  With tail_correction, integer exponents and
+    2 <= u <= EXACT_F_MAX_U, the slowest direction, the (3,3) shift f where
+    terms decay like f^(-u) alone, is summed exactly over all integers
+    (_f_direction_sum): then only a..e are truncated, n_terms counts the
+    (2 max_abs + 1)^5 terms evaluated and the tail estimate covers the a..e
+    shell.  Otherwise every direction is truncated at max_abs.
     """
-    s, w, u = exponents
+    if max_abs < 0:
+        raise DomainError("max_abs must be >= 0, got %r" % (max_abs,))
+    s, w, u = (complex(e) for e in exponents)
+    exact_f = (tail_correction and all(map(_is_small_int, (s, w, u)))
+               and 2 <= u.real <= EXACT_F_MAX_U)
+    n, axes = 2 * max_abs + 1, 5 if exact_f else 6
+    _check_work(n**axes, "lattice sum at max_abs %d" % max_abs)
     z = np.asarray(z, dtype=complex)
+    if exact_f and not is_siegel_point(z):
+        raise DomainError("the exact f-direction sum needs Z in the Siegel upper half-space")
     side = np.arange(-max_abs, max_abs + 1)
-    d_, e_, f_ = np.meshgrid(side, side, side, indexing="ij")
-    d_, e_, f_ = d_.ravel(), e_.ravel(), f_.ravel()
-    boundary_mask = (
-        (np.abs(d_) == max_abs) | (np.abs(e_) == max_abs) | (np.abs(f_) == max_abs)
-    )
-    de_d, de_e = np.meshgrid(side, side, indexing="ij")
-    de_d, de_e = de_d.ravel(), de_e.ravel()
-    sc, wc, uc = complex(s), complex(w), complex(u)
-    correcting = tail_correction and all(
-        e.imag == 0.0 and e.real == int(e.real) for e in (sc, wc, uc)
-    ) and uc.real >= 2
-    total = 0.0 + 0.0j
-    n_terms = 0
-    shell_sum = 0.0
-    for a in side:
-        for b in side:
-            for c in side:
-                tau1 = z[0, 0] + a
-                z1 = z[0, 1] + b
-                z2 = z[0, 2] + c
-                vals = power_terms(
-                    (-s, -w, -u),
-                    tau1,
-                    z1,
-                    z2,
-                    z[1, 1] + d_,
-                    z[1, 2] + e_,
-                    z[2, 2] + f_,
-                )
-                total += vals.sum()
-                n_terms += vals.size
-                if abs(a) == max_abs or abs(b) == max_abs or abs(c) == max_abs:
-                    shell_sum += float(np.abs(vals).sum())
-                else:
-                    shell_sum += float(np.abs(vals[boundary_mask]).sum())
-                if correcting:
-                    total += _f_direction_tail(
-                        (int(np.real(s)), int(np.real(w)), int(np.real(u))),
-                        tau1, z1, z2, z[1, 1] + de_d, z[1, 2] + de_e, z[2, 2],
-                        max_abs + 0.5,
-                    )
+    lead = next(k for k in range(axes) if n ** (axes - k) <= _CHUNK)
+    # the entries of Z + B: 1-d along the leading axes, an open grid over the rest
+    cols = [z[i, j] + side for i, j in _AXES[:axes]]
+    cols[lead:] = np.ix_(*cols[lead:]) + ((z[2, 2],) if exact_f else ())
+    on_edge = (np.abs(side) == max_abs).astype(int)
+    edge = sum(np.ix_(*[on_edge] * (axes - lead))) > 0
+    total, shell_sum = 0.0 + 0.0j, 0.0
+    for idx in itertools.product(range(n), repeat=lead):
+        entries = [c[i] for c, i in zip(cols, idx)] + cols[lead:]
+        if exact_f:
+            d1, d2, d3, _ = _dets(*entries)
+            vals = (_ipow(d1, -int(s.real)) * _ipow(d2, -int(w.real))
+                    * _f_direction_sum(d2, d3, int(u.real)))
+        else:
+            vals = power_terms((-s, -w, -u), *entries)
+        total += vals.sum()
+        mags = np.abs(vals)
+        shell_sum += float(mags.sum() if on_edge[list(idx)].any() else mags[edge].sum())
     # crude integral-comparison estimate: boundary shell extrapolated by the
     # dominant polynomial decay; a one-term box has no shell to extrapolate
-    p_eff = 2.0 * min(complex(s).real, 2.0) + 1.0
+    p_eff = 2.0 * min(s.real, 2.0) + 1.0
     tail = shell_sum * max_abs / max(p_eff - 1.0, 1.0) if max_abs else None
-    return complex(total), n_terms, tail
+    return complex(total), n**axes, tail
 
 
-def _f_direction_tail(exponents, tau1, z1, z2, tau2, z3, tau3, edge):
-    """Closed-form midpoint integral of the two f-tails of the lattice sum.
+def _f_direction_sum(alpha, beta, u):
+    """Sum over all integers f of (beta + alpha f)^(-u), integer u >= 2.
 
-    For integer exponents, p_{-s,-w,-u}(Z + f E33) equals
+    For integer exponents p_{-s,-w,-u}(Z + f E33) is
     tau1^(-s) det(Z2)^(-w) (beta + alpha f)^(-u) with alpha = det(Z2) and
-    beta = det(Z); each tail integrates to a rational expression.
+    beta = det(Z); for Z in the Siegel upper half-space x = beta / alpha has
+    Im x > 0, as (-Z^(-1))_33 = -1/x does.  The one-variable summation formula
+    gives alpha^(-u) (-2 pi i)^u / (u-1)! Li_{1-u}(e(x)), and
+    Li_{1-u}(q) = q A_{u-1}(q) / (1-q)^u with the Eulerian polynomial
+    A_m(q) = sum_k A(m,k) q^k, A(m,k) = sum_j (-1)^j C(m+1,j) (k+1-j)^m.
     """
-    s, w, u = exponents
-    d1 = tau1
-    d2 = tau1 * tau2 - z1 * z1
-    beta = (
-        tau1 * tau2 * tau3
-        + 2.0 * z1 * z2 * z3
-        - tau1 * z3 * z3
-        - tau2 * z2 * z2
-        - tau3 * z1 * z1
-    )
-    alpha = d2
-    from .branch import _ipow
+    q = np.exp(2j * np.pi * (beta / alpha))
+    m = u - 1
+    eulerian = [sum((-1) ** j * math.comb(m + 1, j) * (k + 1 - j) ** m for j in range(k + 2))
+                for k in range(m)]
+    pref = (2.0 * math.pi) ** u / math.factorial(m) * (1, -1j, -1, 1j)[u % 4]
+    return _ipow(alpha, -u) * pref * q * np.polyval(eulerian[::-1], q) / _ipow(1.0 - q, u)
 
-    coeff = _ipow(d1, -s) * _ipow(d2, -w)
-    upper = _ipow(beta + alpha * edge, 1 - u) / ((u - 1) * alpha)
-    lower = -_ipow(beta - alpha * edge, 1 - u) / ((u - 1) * alpha)
-    return complex((coeff * (upper + lower)).sum())
+
+def _row_groups(blocks, rows):
+    """Consecutive row blocks joined into arrays of at least ``rows`` rows
+    (the last may be shorter)."""
+    group = []
+    for block in blocks:
+        group.append(block)
+        if sum(map(len, group)) >= rows:
+            yield np.concatenate(group)
+            group = []
+    if group:
+        yield np.concatenate(group)
 
 
 def fourier_side_rhs(exponents, z, trace_bound):
     """Prefactor times sum over T (trace <= bound) of
     p_{-w,-s,s+w+u-2}(i W T W) e^{2 pi i tr(T Z)}."""
+    _check_work(_box_points(trace_bound, MAX_WORK), "fast side at trace_bound %d" % trace_bound)
     s, w, u = (complex(e) for e in exponents)
     z = np.asarray(z, dtype=complex)
     sigma = s + 2 * w + 3 * u
@@ -135,38 +152,23 @@ def fourier_side_rhs(exponents, z, trace_bound):
         * np.exp(-0.5j * np.pi * sigma)
         / (complex_gamma(s + w + u - 1.0) * complex_gamma(w + u - 0.5) * complex_gamma(u))
     )
-    forms_list = enumerate_J(trace_bound)
-    if not forms_list:
-        return complex(0.0), 0
-    t1 = np.array([f.t1 for f in forms_list], dtype=float)
-    t2 = np.array([f.t2 for f in forms_list], dtype=float)
-    t3 = np.array([f.t3 for f in forms_list], dtype=float)
-    h12 = np.array([f.b12 for f in forms_list], dtype=float) / 2.0
-    h13 = np.array([f.b13 for f in forms_list], dtype=float) / 2.0
-    h23 = np.array([f.b23 for f in forms_list], dtype=float) / 2.0
-    # W T W reverses the coordinate order
-    pw = power_terms(
-        (-w, -s, s + w + u - 2.0),
-        1j * t3,
-        1j * h23,
-        1j * h13,
-        1j * t2,
-        1j * h12,
-        1j * t1,
-    )
-    tr_tz = (
-        t1 * z[0, 0]
-        + t2 * z[1, 1]
-        + t3 * z[2, 2]
-        + 2.0 * (h12 * z[0, 1] + h13 * z[0, 2] + h23 * z[1, 2])
-    )
-    vals = pw * np.exp(2j * np.pi * tr_tz)
-    return complex(pref * vals.sum()), len(forms_list)
+    # tr(T Z) against T's entries (t1, t2, t3, t12, t13, t23)
+    z_tr = np.array([z[0, 0], z[1, 1], z[2, 2], 2 * z[0, 1], 2 * z[0, 2], 2 * z[1, 2]])
+    total, n_forms = 0.0 + 0.0j, 0
+    for keys in _row_groups(_form_key_blocks(trace_bound), _CHUNK):
+        t = keys * (1.0, 1.0, 1.0, 0.5, 0.5, 0.5)  # (t1, t2, t3, t12, t13, t23)
+        # W T W reverses the coordinate order: entries (t3, t23, t13, t2, t12, t1)
+        pw = power_terms((-w, -s, s + w + u - 2.0), *(1j * t[:, [2, 5, 4, 1, 3, 0]].T))
+        total += (pw * np.exp(2j * np.pi * (t @ z_tr))).sum()
+        n_forms += len(keys)
+    return complex(pref * total), n_forms
 
 
 def lipschitz_report(exponents, z, max_abs, trace_bound, tail_correction=False):
-    lhs, nl, tail = lattice_sum_lhs(exponents, z, max_abs, tail_correction)
+    # the cheap fast side first, so a slow side refused by its work ceiling
+    # wastes little; each side checks its own work before it allocates
     rhs, nr = fourier_side_rhs(exponents, z, trace_bound)
+    lhs, nl, tail = lattice_sum_lhs(exponents, z, max_abs, tail_correction)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return LipschitzReport(
         lhs=lhs,

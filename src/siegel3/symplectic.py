@@ -184,6 +184,13 @@ def _check_truncation(k, max_abs):
 
 
 @lru_cache(maxsize=4)
+def _completions(pairs):
+    """One completion M0 per pair of the tuple; M0 depends on neither Z nor
+    k, so coset tables at other points and weights share it."""
+    return tuple(complete_to_symplectic(pair) for pair in pairs)
+
+
+@lru_cache(maxsize=4)
 def _coset_table(pairs, z_bytes, k):
     """The factors of P_{k,T}(Z) that do not depend on T, keyed on the pair
     tuple, the bytes of Z and k: for the completion M0 of each pair, the
@@ -192,8 +199,8 @@ def _coset_table(pairs, z_bytes, k):
     z = np.frombuffer(z_bytes, dtype=complex).reshape(3, 3)
     entries = np.empty((6, len(pairs)), dtype=complex)
     weights = np.empty(len(pairs), dtype=complex)
-    for i, pair in enumerate(pairs):
-        mz, jv = mobius(complete_to_symplectic(pair), z)
+    for i, m0 in enumerate(_completions(pairs)):
+        mz, jv = mobius(m0, z)
         entries[:, i] = mz[_ENTRY_ROWS, _ENTRY_COLS]
         weights[i] = jv ** (-k)
     entries.flags.writeable = weights.flags.writeable = False

@@ -215,6 +215,12 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["eval-poincare", "--k", "23", "--form", "1,1,1,0,0,0", "--z", Z1], "input error:"),
     (["eval-kernel", "--k", "6", "--s", "2", "--w", "4", "--u", "5", "--z", Z1,
       "--det-bound", "1/4"], "input error:"),
+    # work above the ceiling is refused before anything is allocated
+    (["verify-lipschitz", "--max-abs", "40"], "input error:"),
+    (["verify-lipschitz", "--max-abs", "1", "--trace-bound", "100"], "input error:"),
+    # the exact f-direction sum needs Im Z > 0 (det Z_2 vanishes here)
+    (["verify-lipschitz", "--max-abs", "1", "--z=-1j,0,0,1j,0,1j", "--tail-correction"],
+     "input error:"),
 ]
 
 

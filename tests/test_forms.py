@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import given, strategies as st
 
@@ -54,6 +55,34 @@ def test_enumerate_J_unit_diagonal_brute_force():
                     expected.append(forms.HalfIntegralForm(1, 1, 1, b12, b13, b23))
     got = [f for f in forms.enumerate_J(3) if (f.t1, f.t2, f.t3) == (1, 1, 1)]
     assert sorted(expected, key=forms.HalfIntegralForm.key) == got
+
+
+def _old_enumerate_J(trace_bound):
+    """The nested loop that the array enumerator replaced (oracle)."""
+    out = []
+    for t1 in range(1, trace_bound - 1):
+        for t2 in range(1, trace_bound - t1):
+            for t3 in range(1, trace_bound - t1 - t2 + 1):
+                a12 = isqrt(4 * t1 * t2 - 1)
+                a13 = isqrt(4 * t1 * t3 - 1)
+                a23 = isqrt(4 * t2 * t3 - 1)
+                for b12 in range(-a12, a12 + 1):
+                    for b13 in range(-a13, a13 + 1):
+                        for b23 in range(-a23, a23 + 1):
+                            f = forms.HalfIntegralForm(t1, t2, t3, b12, b13, b23)
+                            if f.is_positive_definite():
+                                out.append(f)
+    out.sort(key=forms.HalfIntegralForm.key)
+    return out
+
+
+def test_array_enumerator_matches_nested_loop():
+    for tb in range(10):
+        keys = [tuple(row) for block in forms._form_key_blocks(tb) for row in block.tolist()]
+        assert keys == [f.key() for f in _old_enumerate_J(tb)]
+    out = forms.enumerate_J(6)
+    assert all(type(f) is forms.HalfIntegralForm for f in out)
+    assert [f.key() for f in out] == [f.key() for f in _old_enumerate_J(6)]
 
 
 def test_short_vectors_match_naive_box():

@@ -1,8 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
+import pytest
 
 from siegel3 import branch, forms, lipschitz as lip
+from siegel3.errors import DomainError
 
 PI2_OVER_SINH2 = -0.0739998067544724274033469636317  # -pi^2 / sinh(pi)^2
 
@@ -10,6 +13,100 @@ PI2_OVER_SINH2 = -0.0739998067544724274033469636317  # -pi^2 / sinh(pi)^2
 def _z0():
     x0 = np.array([[0.25, 0.125, 0.0], [0.125, -0.25, 0.0], [0.0, 0.0, 0.125]])
     return x0 + 1j * np.eye(3)
+
+
+def _bare_sum_per_abc(exponents, z, max_abs):
+    """The per-(a, b, c) loop that the box chunks replaced (oracle): one
+    power_terms call over (d, e, f) per (a, b, c), and the shell estimate."""
+    s, w, u = exponents
+    side = np.arange(-max_abs, max_abs + 1)
+    d_, e_, f_ = (x.ravel() for x in np.meshgrid(side, side, side, indexing="ij"))
+    boundary = (np.abs(d_) == max_abs) | (np.abs(e_) == max_abs) | (np.abs(f_) == max_abs)
+    total, n_terms, shell_sum = 0.0 + 0.0j, 0, 0.0
+    for a in side:
+        for b in side:
+            for c in side:
+                vals = branch.power_terms(
+                    (-s, -w, -u), z[0, 0] + a, z[0, 1] + b, z[0, 2] + c,
+                    z[1, 1] + d_, z[1, 2] + e_, z[2, 2] + f_)
+                total += vals.sum()
+                n_terms += vals.size
+                on_shell = max(abs(a), abs(b), abs(c)) == max_abs
+                shell_sum += float(np.abs(vals if on_shell else vals[boundary]).sum())
+    p_eff = 2.0 * min(complex(s).real, 2.0) + 1.0
+    tail = shell_sum * max_abs / max(p_eff - 1.0, 1.0) if max_abs else None
+    return complex(total), n_terms, tail
+
+
+@pytest.mark.parametrize("exponents",
+                         [(2.0, 4.0, 5.0), (2.5, 4.0, 5.5), (2.0 + 0.5j, 4.0, 5.0 - 0.5j)])
+@pytest.mark.parametrize("max_abs,chunk", [(0, None), (1, None), (3, None), (3, 7**2)])
+def test_lhs_box_chunks_match_per_abc_loop(monkeypatch, exponents, max_abs, chunk):
+    if chunk:  # force leading-axis chunks on a small box
+        monkeypatch.setattr(lip, "_CHUNK", chunk)
+    z = _z0()
+    val, n, tail = lip.lattice_sum_lhs(exponents, z, max_abs)
+    ref, n_ref, tail_ref = _bare_sum_per_abc(exponents, z, max_abs)
+    assert n == n_ref == (2 * max_abs + 1) ** 6
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+    if max_abs == 0:
+        assert tail is None and tail_ref is None
+    else:
+        assert abs(tail - tail_ref) <= 1e-12 * tail_ref
+    if complex(exponents[2]).imag or exponents[2] != int(exponents[2]):
+        # no exact f-direction sum off the integers: tail_correction is a no-op
+        assert lip.lattice_sum_lhs(exponents, z, max_abs, tail_correction=True) == (val, n, tail)
+
+
+def test_f_direction_sum_matches_mpmath():
+    # sum_f (x + f)^(-u) = zeta(u, x) + (-1)^u zeta(u, 1 - x) (Hurwitz zeta)
+    rng = np.random.default_rng(7)
+    for u in range(2, lip.EXACT_F_MAX_U + 1):
+        for _ in range(12):
+            alpha = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-1, 1)
+            x = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-2, math.log10(3)))
+            got = complex(lip._f_direction_sum(np.array([alpha]), np.array([x * alpha]), u)[0])
+            with mpmath.workdps(30):
+                xm = mpmath.mpc(x)
+                ref = complex(mpmath.mpc(alpha) ** (-u)
+                              * (mpmath.zeta(u, xm) + (-1) ** u * mpmath.zeta(u, 1 - xm)))
+            assert abs(got - ref) <= 1e-12 * abs(ref), (u, alpha, x)
+
+
+def test_exact_f_direction_matches_long_bare_sum():
+    # the a..e box at max_abs 1 with f summed directly over |f| <= 4000,
+    # where the f^(-5) tail beyond it is far below the tolerance
+    z, e = _z0(), (2.0, 4.0, 5.0)
+    val, n, tail = lip.lattice_sum_lhs(e, z, 1, tail_correction=True)
+    assert n == 3**5 and tail > 0
+    side = np.arange(-1, 2)
+    fs = np.arange(-4000, 4001)
+    ref = 0.0 + 0.0j
+    for a, b, c, d, e_ in np.ndindex(3, 3, 3, 3, 3):
+        ref += branch.power_terms(
+            (-2, -4, -5), z[0, 0] + side[a], z[0, 1] + side[b], z[0, 2] + side[c],
+            z[1, 1] + side[d], z[1, 2] + side[e_], z[2, 2] + fs).sum()
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def test_exact_f_direction_only_in_the_tested_u_range():
+    z = _z0()
+    for e in ((1.0, 1.0, lip.EXACT_F_MAX_U + 1.0), (2.0, 4.0, 1.0)):
+        assert lip.lattice_sum_lhs(e, z, 1, tail_correction=True) == lip.lattice_sum_lhs(e, z, 1)
+
+
+def test_absurd_truncations_are_refused():
+    z = _z0()
+    with pytest.raises(DomainError):
+        lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, -1)  # an empty box
+    with pytest.raises(DomainError):
+        lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, 40)  # 81^6 terms
+    with pytest.raises(DomainError):
+        lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, 64, tail_correction=True)  # 129^5 terms
+    with pytest.raises(DomainError):
+        lip.fourier_side_rhs((2.0, 4.0, 5.0), z, 10**6)
+    with pytest.raises(DomainError):
+        lip.lipschitz_report((2.0, 4.0, 5.0), z, 1, 100)
 
 
 def test_lhs_single_term():
@@ -52,6 +149,14 @@ def test_rhs_vectorization_matches_scalar_terms():
     from siegel3.specfun import complex_gamma
     pref /= complex_gamma(s + w + u - 1) * complex_gamma(w + u - 0.5) * complex_gamma(u)
     assert abs(val - pref * total) <= 1e-13 * abs(val)
+
+
+def test_rhs_row_groups_match_one_group(monkeypatch):
+    val, n = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), 6)
+    monkeypatch.setattr(lip, "_CHUNK", 100)  # 2,824 forms in about 28 groups
+    val_g, n_g = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), 6)
+    assert n_g == n == 2824
+    assert abs(val_g - val) <= 1e-13 * abs(val)
 
 
 def test_rhs_termwise_exponential_bound():

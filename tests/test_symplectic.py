@@ -239,6 +239,19 @@ def test_poincare_table_matches_per_pair_loop(rng):
                 assert sp.poincare_trunc(k, t, z, 1, **kw) == (val, n)  # cache hit, bit for bit
 
 
+def test_coset_tables_share_completions(monkeypatch):
+    calls = []
+    complete = sp.complete_to_symplectic
+    monkeypatch.setattr(sp, "complete_to_symplectic", lambda p: calls.append(p) or complete(p))
+    pairs = sp.enumerate_pairs(1)[5::50]
+    sp._completions.cache_clear()
+    sp._coset_table.cache_clear()
+    for z in (Z_GENERIC, 1.5j * np.eye(3)):
+        for k in (8, 24):
+            sp.poincare_trunc(k, I3F, z, 1, pairs=pairs)
+    assert calls == list(pairs)  # one completion per pair for 4 tables
+
+
 def test_poincare_and_kernel_reject_bad_input():
     z = 1j * np.eye(3)
     spec = eis.TruncationSpec(4, 4)

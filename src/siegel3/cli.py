@@ -178,7 +178,8 @@ def build_parser():
     c.add_argument("--trace-bound", type=_int_at_least(3), default=12)
     exponents(c, ("2", "4", "5"))
     c.add_argument("--z", type=_z, default=None)
-    c.add_argument("--tail-correction", action="store_true", help="exact f-direction sum")
+    c.add_argument("--tail-correction", action="store_true",
+                   help="exact f-direction sum (integer exponents, 2 <= u <= 16)")
 
     c = add("classical-lipschitz", tol=1e-6, help="one-variable summation formula")
     c.add_argument("--tau", type=_complex, required=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 
 import numpy as np
 
@@ -279,45 +279,46 @@ def automorphism_count(t):
     return count
 
 
-def _diagonal_boxes(trace_bound):
-    """Diagonals t1, t2, t3 >= 1 with trace <= trace_bound in lexicographic
-    order, with the largest |b_ij| that b_ij^2 < 4 t_i t_j allows."""
+def _diagonal_runs(trace_bound, size=1 << 17, stop=inf):
+    """The diagonals t1, t2, t3 >= 1 with trace <= trace_bound in lexicographic
+    order, each with the largest |b_ij| that b_ij^2 < 4 t_i t_j allows, joined
+    into consecutive runs of at least size candidate forms (the last may hold
+    fewer); and the candidate count, which stops once it passes stop."""
+    runs, count, total = [], size, 0
     for t1 in range(1, trace_bound - 1):
         for t2 in range(1, trace_bound - t1):
             for t3 in range(1, trace_bound - t1 - t2 + 1):
-                yield (t1, t2, t3,
-                       isqrt(4 * t1 * t2 - 1), isqrt(4 * t1 * t3 - 1), isqrt(4 * t2 * t3 - 1))
+                box = isqrt(4 * t1 * t2 - 1), isqrt(4 * t1 * t3 - 1), isqrt(4 * t2 * t3 - 1)
+                if count >= size:
+                    runs.append([])
+                    count = 0
+                runs[-1].append((t1, t2, t3) + box)
+                n = (2 * box[0] + 1) * (2 * box[1] + 1) * (2 * box[2] + 1)
+                count, total = count + n, total + n
+                if total > stop:
+                    return runs, total
+    return runs, total
 
 
-def _box_points(trace_bound, stop):
-    """How many candidate forms the enumeration up to trace_bound tests,
-    counted per diagonal without building them; counting ends above stop."""
-    total = 0
-    for *_, a12, a13, a23 in _diagonal_boxes(trace_bound):
-        total += (2 * a12 + 1) * (2 * a13 + 1) * (2 * a23 + 1)
-        if total > stop:
-            break
-    return total
-
-
-def _form_key_blocks(trace_bound):
-    """The positive-definite forms with trace <= trace_bound as int64 key()
-    rows, one block per diagonal, in key() order.  The box makes 2 t1 and
-    4 t1 t2 - b12^2 positive, so the exact det(2T) > 0 decides the rest."""
-    for t1, t2, t3, a12, a13, a23 in _diagonal_boxes(trace_bound):
+def enumerate_J(trace_bound, run=None):
+    """All positive-definite half-integral forms with trace <= trace_bound,
+    sorted by key().  Given one run of _diagonal_runs(trace_bound), only the
+    forms on its diagonals, as an int64 record array with the fields of key()
+    in key() order, which the fast side of the summation identity reads run
+    by run.  The box makes 2 t1 and 4 t1 t2 - b12^2 positive, so the exact
+    det(2T) > 0 decides."""
+    if run is None:
+        return [HalfIntegralForm(*row) for run in _diagonal_runs(trace_bound)[0]
+                for row in enumerate_J(trace_bound, run).tolist()]
+    cols = []
+    for t1, t2, t3, a12, a13, a23 in run:
         b12, b13, b23 = np.ogrid[-a12:a12 + 1, -a13:a13 + 1, -a23:a23 + 1]
         det2 = (8 * t1 * t2 * t3 + 2 * b12 * b13 * b23
                 - 2 * t1 * b23 * b23 - 2 * t2 * b13 * b13 - 2 * t3 * b12 * b12)
         i, j, k = np.nonzero(det2 > 0)
-        yield np.column_stack([np.full(len(i), t) for t in (t1, t2, t3)]
-                              + [i - a12, j - a13, k - a23]).astype(np.int64, copy=False)
-
-
-def enumerate_J(trace_bound):
-    """All positive-definite half-integral forms with trace <= trace_bound,
-    sorted by key()."""
-    return [HalfIntegralForm(*row)
-            for keys in _form_key_blocks(trace_bound) for row in keys.tolist()]
+        cols.append([np.full(len(i), t) for t in (t1, t2, t3)] + [i - a12, j - a13, k - a23])
+    return np.rec.fromarrays([np.concatenate(c).astype(np.int64, copy=False) for c in zip(*cols)],
+                             names="t1,t2,t3,b12,b13,b23")
 
 
 def reduced_classes(det_bound):

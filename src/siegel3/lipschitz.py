@@ -18,14 +18,15 @@ import numpy as np
 
 from .branch import _dets, _ipow, _is_small_int, power_terms
 from .errors import DomainError, PoleError
-from .forms import _box_points, _form_key_blocks
+from .forms import _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
 from .specfun import complex_gamma
 
 # Most lattice terms, or candidate forms, one side may evaluate; far above
-# max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5 forms), the largest in use.
+# max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5 candidates), the largest in use.
 MAX_WORK = 10**9
-# Most terms evaluated as one array: 2 MB per complex temporary.
+# Terms evaluated as one array (2 MB per complex temporary), and the least
+# candidate forms per run of diagonals on the fast side.
 _CHUNK = 1 << 17
 # Largest u for the exact f-direction sum, whose Eulerian polynomial loses
 # digits as u grows; tested to 1e-12 relative against mpmath up to here.
@@ -44,12 +45,6 @@ class LipschitzReport:
     max_abs: int
     trace_bound: int
     lhs_tail_estimate: float | None = None
-
-
-def _check_work(count, what):
-    if count > MAX_WORK:
-        raise DomainError("%s needs at least %d evaluations, above the ceiling %d"
-                          % (what, count, MAX_WORK))
 
 
 def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
@@ -72,7 +67,9 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     exact_f = (tail_correction and all(map(_is_small_int, (s, w, u)))
                and 2 <= u.real <= EXACT_F_MAX_U)
     n, axes = 2 * max_abs + 1, 5 if exact_f else 6
-    _check_work(n**axes, "lattice sum at max_abs %d" % max_abs)
+    if n**axes > MAX_WORK:
+        raise DomainError("the lattice sum at max_abs %d needs %d terms, above the ceiling %d"
+                          % (max_abs, n**axes, MAX_WORK))
     z = np.asarray(z, dtype=complex)
     if exact_f and not is_siegel_point(z):
         raise DomainError("the exact f-direction sum needs Z in the Siegel upper half-space")
@@ -121,23 +118,13 @@ def _f_direction_sum(alpha, beta, u):
     return _ipow(alpha, -u) * pref * q * np.polyval(eulerian[::-1], q) / _ipow(1.0 - q, u)
 
 
-def _row_groups(blocks, rows):
-    """Consecutive row blocks joined into arrays of at least ``rows`` rows
-    (the last may be shorter)."""
-    group = []
-    for block in blocks:
-        group.append(block)
-        if sum(map(len, group)) >= rows:
-            yield np.concatenate(group)
-            group = []
-    if group:
-        yield np.concatenate(group)
-
-
 def fourier_side_rhs(exponents, z, trace_bound):
     """Prefactor times sum over T (trace <= bound) of
     p_{-w,-s,s+w+u-2}(i W T W) e^{2 pi i tr(T Z)}."""
-    _check_work(_box_points(trace_bound, MAX_WORK), "fast side at trace_bound %d" % trace_bound)
+    runs, candidates = _diagonal_runs(trace_bound, _CHUNK, MAX_WORK)
+    if candidates > MAX_WORK:
+        raise DomainError("the fast side at trace_bound %d tests more than %d candidate forms"
+                          % (trace_bound, MAX_WORK))
     s, w, u = (complex(e) for e in exponents)
     z = np.asarray(z, dtype=complex)
     sigma = s + 2 * w + 3 * u
@@ -152,21 +139,22 @@ def fourier_side_rhs(exponents, z, trace_bound):
         * np.exp(-0.5j * np.pi * sigma)
         / (complex_gamma(s + w + u - 1.0) * complex_gamma(w + u - 0.5) * complex_gamma(u))
     )
-    # tr(T Z) against T's entries (t1, t2, t3, t12, t13, t23)
-    z_tr = np.array([z[0, 0], z[1, 1], z[2, 2], 2 * z[0, 1], 2 * z[0, 2], 2 * z[1, 2]])
     total, n_forms = 0.0 + 0.0j, 0
-    for keys in _row_groups(_form_key_blocks(trace_bound), _CHUNK):
-        t = keys * (1.0, 1.0, 1.0, 0.5, 0.5, 0.5)  # (t1, t2, t3, t12, t13, t23)
-        # W T W reverses the coordinate order: entries (t3, t23, t13, t2, t12, t1)
-        pw = power_terms((-w, -s, s + w + u - 2.0), *(1j * t[:, [2, 5, 4, 1, 3, 0]].T))
-        total += (pw * np.exp(2j * np.pi * (t @ z_tr))).sum()
-        n_forms += len(keys)
+    for run in runs:
+        t = enumerate_J(trace_bound, run)
+        h12, h13, h23 = t.b12 / 2.0, t.b13 / 2.0, t.b23 / 2.0
+        # W T W reverses the coordinate order
+        pw = power_terms((-w, -s, s + w + u - 2.0),
+                         1j * t.t3, 1j * h23, 1j * h13, 1j * t.t2, 1j * h12, 1j * t.t1)
+        tr_tz = (t.t1 * z[0, 0] + t.t2 * z[1, 1] + t.t3 * z[2, 2]
+                 + 2.0 * (h12 * z[0, 1] + h13 * z[0, 2] + h23 * z[1, 2]))
+        total += (pw * np.exp(2j * np.pi * tr_tz)).sum()
+        n_forms += len(t)
     return complex(pref * total), n_forms
 
 
 def lipschitz_report(exponents, z, max_abs, trace_bound, tail_correction=False):
-    # the cheap fast side first, so a slow side refused by its work ceiling
-    # wastes little; each side checks its own work before it allocates
+    # the cheap fast side first: a slow side refused by its work ceiling wastes little
     rhs, nr = fourier_side_rhs(exponents, z, trace_bound)
     lhs, nl, tail = lattice_sum_lhs(exponents, z, max_abs, tail_correction)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)

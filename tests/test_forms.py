@@ -78,7 +78,8 @@ def _old_enumerate_J(trace_bound):
 
 def test_array_enumerator_matches_nested_loop():
     for tb in range(10):
-        keys = [tuple(row) for block in forms._form_key_blocks(tb) for row in block.tolist()]
+        runs, _ = forms._diagonal_runs(tb, size=50)  # several runs from trace bound 5 on
+        keys = [tuple(row) for run in runs for row in forms.enumerate_J(tb, run).tolist()]
         assert keys == [f.key() for f in _old_enumerate_J(tb)]
     out = forms.enumerate_J(6)
     assert all(type(f) is forms.HalfIntegralForm for f in out)

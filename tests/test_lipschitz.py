@@ -151,12 +151,13 @@ def test_rhs_vectorization_matches_scalar_terms():
     assert abs(val - pref * total) <= 1e-13 * abs(val)
 
 
-def test_rhs_row_groups_match_one_group(monkeypatch):
+def test_rhs_runs_match_one_run(monkeypatch):
     val, n = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), 6)
-    monkeypatch.setattr(lip, "_CHUNK", 100)  # 2,824 forms in about 28 groups
-    val_g, n_g = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), 6)
-    assert n_g == n == 2824
-    assert abs(val_g - val) <= 1e-13 * abs(val)
+    monkeypatch.setattr(lip, "_CHUNK", 100)  # 2,824 forms on 20 diagonals in 17 runs
+    val_r, n_r = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), 6)
+    assert len(forms._diagonal_runs(6, 100)[0]) == 17
+    assert n_r == n == 2824
+    assert abs(val_r - val) <= 1e-13 * abs(val)
 
 
 def test_rhs_termwise_exponential_bound():

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import DomainError, PoleError
+from .errors import MAX_WORK, DomainError, PoleError
 from .forms import HalfIntegralForm, short_vectors_gram
 from .specfun import complex_gamma, complex_zeta, besselK
 
@@ -120,14 +120,17 @@ def _form_values_in_ball(y, bound):
 
     Vectorized box enumeration; values are exact when Y has integer entries
     (int64 arithmetic) so matched-truncation comparisons are exact, float
-    otherwise.  Works for 2x2 and 3x3 input.
+    otherwise.  Works for 2x2 and 3x3 input; a box of more than MAX_WORK
+    points is refused before it is built.
     """
     arr = np.asarray(y)
     n = arr.shape[0]
     yf = arr.astype(float)
     inv_diag = np.diag(np.linalg.inv(yf))
-    radii = np.floor(np.sqrt(np.abs(inv_diag) * float(bound)) + 1e-9).astype(int) + 1
-    axes = [np.arange(-r, r + 1) for r in radii]
+    radii = np.floor(np.sqrt(np.abs(inv_diag) * float(bound)) + 1e-9) + 1
+    if math.prod((2 * radii + 1).tolist()) > MAX_WORK:
+        raise DomainError("more than %d grid points for the ball Y[v] <= %g" % (MAX_WORK, bound))
+    axes = [np.arange(-r, r + 1) for r in radii.astype(int)]
     grids = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([g.ravel() for g in grids])
     exact = np.issubdtype(arr.dtype, np.integer)

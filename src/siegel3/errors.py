@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work ceiling."""
+
+# Most lattice terms, candidate forms or candidate vectors one call may
+# evaluate; above it the call raises DomainError before it allocates.
+MAX_WORK = 10**9
 
 
 class Siegel3Error(Exception):

@@ -7,9 +7,9 @@ diagonal and doubled off-diagonals, i.e. the matrix
      [b12/2, t2,    b23/2],
      [b13/2, b23/2, t3   ]].
 
-All arithmetic in this module is exact: the doubled Gram matrix 2T has integer
-entries, (2T)[v] is an even integer, and dets/reductions use Python ints and
-fractions only.
+All results in this module are exact: the doubled Gram matrix 2T has integer
+entries, (2T)[v] is an even integer, and dets/reductions use integers only
+(int64 arrays where no overflow can occur, Python ints and fractions else).
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt
+from itertools import chain, permutations, product
+from math import floor, inf, isqrt
+from operator import index
 
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import NotPositiveDefinite
+from .errors import MAX_WORK, DomainError, NotPositiveDefinite
 
 
 @dataclass(frozen=True, order=True)
@@ -47,7 +49,7 @@ class HalfIntegralForm:
         return 0.5 * np.array(self.gram2(), dtype=float)
 
     def det(self):
-        """Exact determinant of T (denominator divides 4... actually 8/2)."""
+        """Exact determinant of T: det T = det(2T) / 8."""
         return Fraction(il.det3(self.gram2()), 8)
 
     def trace(self):
@@ -58,15 +60,14 @@ class HalfIntegralForm:
         return il.bilinear3(self.gram2(), v, v)
 
     def is_positive_definite(self):
-        g = self.gram2()
-        return (
-            g[0][0] > 0
-            and g[0][0] * g[1][1] - g[0][1] ** 2 > 0
-            and il.det3(g) > 0
-        )
+        return _positive_definite(self.gram2())
 
     def key(self):
         return (self.t1, self.t2, self.t3, self.b12, self.b13, self.b23)
+
+
+def _positive_definite(g):
+    return g[0][0] > 0 and g[0][0] * g[1][1] > g[0][1] ** 2 and il.det3(g) > 0
 
 
 def form_from_gram2(g):
@@ -99,74 +100,112 @@ class ReducedForm:
 
 # --- exact lattice point enumeration ----------------------------------------
 
+# Candidate vectors, or forms, built as one array; also the least candidate
+# forms per run of diagonals on the fast side of the summation identity.
+_CHUNK = 1 << 17
+# Largest coordinate for int64 kernels: |det(v1, v2, v3)| <= 6 * coord^3 < 2^63.
+_INT64_COORD = 1 << 20
+
+
+def _pairwise_reduced(g):
+    """(h, u), h = u^T g u with u unimodular and all 2|h_ij| <= h_jj, for g > 0:
+    each step b_i -= k b_j, k the integer nearest h_ij / h_jj, lowers h_ii."""
+    h, u, changed = [row[:] for row in g], il.identity(3), True
+    while changed:
+        changed = False
+        for i, j in permutations(range(3), 2):
+            if 2 * abs(h[i][j]) > h[j][j]:
+                k = (2 * h[i][j] + h[j][j]) // (2 * h[j][j])
+                h[i] = [x - k * y for x, y in zip(h[i], h[j])]
+                for row, x in zip(h, h[i]):
+                    row[i] = x
+                h[i][i] -= k * h[i][j]
+                for row in u:
+                    row[i] -= k * row[j]
+                changed = True
+    return h, u
+
+
 def short_vectors_gram(g, bound):
-    """All integer v != 0 with g[v] <= bound, by Fincke-Pohst enumeration.
+    """The sorted (g[v], v) for all integer v != 0 with g[v] <= bound, by
+    Fincke-Pohst enumeration on a pairwise-reduced basis of the positive-
+    definite 3x3 integer g (its float LDL stays accurate when g is skewed).
 
-    ``g`` is a positive-definite symmetric matrix with int (or exact
-    rational) entries; ``bound`` may be int or Fraction.  The recursion runs
-    in floating point with a slack margin; every candidate is then checked
-    exactly against the integer form value, so the output is exact.  Returns
-    a lexicographically sorted list of (value, v) pairs including both signs.
+    The ranges are built level by level as arrays, with slack, _CHUNK rows at
+    a time; every level is counted before a leaf is built (above MAX_WORK
+    candidates on one level the ball is refused); each candidate's value is
+    checked exactly (int64 where no partial sum can overflow, else Python
+    ints), so ``bound`` may be floored.
     """
-    bound_exact = bound if isinstance(bound, (int, Fraction)) else Fraction(bound)
-    if bound_exact <= 0:
+    g = [[index(x) for x in row] for row in g]
+    bound = floor(Fraction(bound))
+    if bound <= 0:
         return []
-    n = len(g)
-    gi = [[g[i][j] for j in range(n)] for i in range(n)]
-    gf = [[float(x) for x in row] for row in gi]
-    d = [0.0] * n
-    r = [[0.0] * n for _ in range(n)]
-    a = [row[:] for row in gf]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise NotPositiveDefinite("LDL pivot <= 0")
-        for j in range(i + 1, n):
-            r[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= r[i][j] * r[i][k] * d[i]
-                a[k][j] = a[j][k]
-    slack = 1e-6 * (1.0 + float(bound_exact))
-    budget = float(bound_exact) + slack
-    out = []
+    if not _positive_definite(g):
+        raise NotPositiveDefinite("matrix is not positive definite")
+    return _fincke_pohst(*_pairwise_reduced(g), bound)
 
-    def value_exact(v):
-        acc = 0
-        for i in range(n):
-            row = gi[i]
-            vi = v[i]
-            if vi:
-                acc += vi * sum(row[j] * v[j] for j in range(n))
-        return acc
 
-    def descend(level, rem, centers, partial):
-        if level < 0:
-            if any(partial):
-                v = tuple(partial)
-                q = value_exact(v)
-                if q <= bound_exact:
-                    out.append((q, v))
-            return
-        c = centers[level]
-        radius = (rem / d[level]) ** 0.5 if rem > 0 else 0.0
-        lo = int(-c - radius - 1.0)
-        hi = int(-c + radius + 1.0) + 1
-        for vi in range(lo, hi):
-            dv = vi + c
-            contrib = d[level] * dv * dv
-            if contrib > rem + slack:
-                continue
-            new_centers = centers if level == 0 else [
-                centers[lv] + r[lv][level] * vi for lv in range(level)
-            ]
-            partial[level] = vi
-            descend(level - 1, rem - contrib, new_centers, partial)
-        partial[level] = 0
+def _fincke_pohst(h, u, bound):
+    """short_vectors_gram(g, bound), bound an int > 0, as v = u w with h[w] <= bound
+    for the pairwise-reduced h = u^T g u."""
+    if bound > 1 << 62:
+        raise DomainError("short-vector bound above 2^62")
+    try:
+        chol = np.linalg.cholesky(np.array(h, dtype=float))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("LDL pivot <= 0") from None
+    d, r = np.diag(chol) ** 2, (chol / np.diag(chol)).T  # h = r^T diag(d) r
+    slack = 1e-6 * (1.0 + bound)
 
-    descend(n - 1, budget, [0.0] * n, [0] * n)
-    out.sort(key=lambda p: (p[0], p[1]))
-    return out
+    def ranges(nodes, level, counts):
+        """Each node's range of the next coordinate; their sizes add to counts[level]."""
+        _, c, rem = nodes
+        radius = np.sqrt(np.maximum(rem, 0.0) / d[level])
+        lo = np.trunc(-c[:, level] - radius - 1.0).astype(np.int64)
+        n = np.trunc(-c[:, level] + radius + 1.0).astype(np.int64) + 1 - lo
+        counts[level] += int(n.sum())
+        if counts[level] > MAX_WORK:
+            raise DomainError("more than %d candidate vectors with g[v] <= %d" % (MAX_WORK, bound))
+        return lo, n, np.cumsum(n)
+
+    def chunks(nodes, level, counts):
+        """The children (w, centers, remainders) of nodes in the ball, _CHUNK at a time."""
+        (v, c, rem), (lo, n, ends) = nodes, ranges(nodes, level, counts)
+        rows = int(n.sum())
+        for start in range(0, rows, _CHUNK):
+            i = np.arange(start, min(start + _CHUNK, rows))
+            p = np.searchsorted(ends, i, side="right")
+            x = lo[p] + i - (ends[p] - n[p])
+            contrib = d[level] * (x + c[p, level]) ** 2
+            keep = contrib <= rem[p] + slack
+            p, x = p[keep], x[keep]
+            w = v[p]
+            w[:, level] = x
+            yield w, c[p] + np.outer(x, r[:, level]), rem[p] - contrib[keep]
+
+    def mids(counts):
+        root = np.zeros((1, 3), np.int64), np.zeros((1, 3)), np.array([bound + slack])
+        return (mid for top in chunks(root, 2, counts) for mid in chunks(top, 1, counts))
+
+    counts, kept = [0, 0, 0], []
+    for mid in mids(counts):  # count every level before a leaf is built
+        ranges(mid, 0, counts)
+        if counts[1] <= _CHUNK:  # a ball of few rows keeps them
+            kept.append(mid)
+    hsum, umax, qs, vs = sum(abs(x) for row in h for x in row), max(map(abs, chain(*u))), [], []
+    for mid in kept if counts[1] <= _CHUNK else mids([0, 0, 0]):
+        for w, _, _ in chunks(mid, 0, [0, 0, 0]):
+            w = w[w.any(axis=1)]
+            m = int(np.abs(w).max(initial=1))
+            if hsum * m * m >= 1 << 63 or 3 * umax * m >= 1 << 63:
+                w = w.astype(object)
+            q = ((w @ np.array(h, dtype=w.dtype)) * w).sum(axis=1)
+            qs.append(q[q <= bound].astype(np.int64))
+            vs.append((w[q <= bound] @ np.array(u, dtype=w.dtype).T).astype(np.int64))
+    q, v = np.concatenate(qs), np.concatenate(vs)
+    order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], q))
+    return list(zip(q[order].tolist(), map(tuple, v[order].tolist())))
 
 
 def short_vectors2(t, bound2):
@@ -174,112 +213,88 @@ def short_vectors2(t, bound2):
     return short_vectors_gram(t.gram2(), bound2)
 
 
-def _solve_dot_one(n):
-    """Integer c with n . c == 1 for primitive n (two-step extended gcd)."""
-
-    def ext_gcd(a, b):
-        if b == 0:
-            return (abs(a), (1 if a >= 0 else -1), 0)
-        g, x, y = ext_gcd(b, a % b)
-        return (g, y, x - (a // b) * y)
-
-    g01, x0, x1 = ext_gcd(n[0], n[1])
-    g, xa, x2 = ext_gcd(g01, n[2])
-    if g != 1:
-        raise ValueError("vector is not primitive")
-    return (x0 * xa, x1 * xa, x2)
-
-
-def _complete_one(v1):
-    """Unimodular U whose first column is primitive v1."""
-    s, u, _ = il.snf([[v1[0]], [v1[1]], [v1[2]]])
-    if s[0][0] != 1:
-        raise ValueError("vector is not primitive")
-    uinv = il.inv_unimodular(u)
-    if tuple(uinv[i][0] for i in range(3)) == tuple(-x for x in v1):
-        uinv = il.mat_neg(uinv)
-    if tuple(uinv[i][0] for i in range(3)) != tuple(v1):
-        raise AssertionError("completion failed")
-    return uinv
+def _ball(t, reduce_basis=False):
+    """Values and vectors of (2T)[v] <= R, R the max diag of 2T, or (reduce_basis)
+    of its pairwise-reduced basis h, still >= lambda3, whose ball is enumerated
+    on h as it stands.  int64 below _INT64_COORD and 2T < 2^62, where each value
+    bounded by R (Cauchy-Schwarz) is exact."""
+    if not t.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
+    if reduce_basis:
+        h, u = _pairwise_reduced(t.gram2())
+        ball = _fincke_pohst(h, u, max(h[0][0], h[1][1], h[2][2]))
+    else:  # the public enumerator reduces the basis itself
+        ball = short_vectors2(t, 2 * max(t.t1, t.t2, t.t3))
+    q = np.fromiter((p[0] for p in ball), np.int64, len(ball))
+    v = np.fromiter(chain.from_iterable(p[1] for p in ball), np.int64, 3 * len(ball)).reshape(-1, 3)
+    int64 = np.abs(v).max() < _INT64_COORD and max(t.t1, t.t2, t.t3) < 1 << 61
+    return q, v if int64 else v.astype(object)
 
 
-def minkowski_reduce(t):
+_SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+
+
+def _least(q, pool):
+    """Row and column of every least-q member of each row of the mask pool."""
+    m = np.where(pool, q, q[-1] + 1).min(axis=1)
+    return np.nonzero(pool & (q == m[:, None]))
+
+
+def minkowski_reduce(t, cover=None):
     """Canonical Minkowski-reduced representative of the class of T.
 
     Greedy successive minima specialized to rank 3, followed by sign
     normalization (b12 >= 0, b23 >= 0) and a lexicographic tie-break over all
     minimizing bases, which makes the output class-canonical and idempotent.
+    In rank 3 these are the minima, so one ball (2T)[v] <= R >= lambda3 holds
+    the pools (minimal v, then gcd(v1 x v) = 1, then |(v1 x v2) . v| = 1); keys
+    come from bilinear products, the first least in (v1, v2, v3, sign) order wins.
+    A set passed as ``cover`` gets the key of every candidate T[U] with b12,
+    b23 >= 0 the search met; all of them are in the class of T.
     """
-    if not t.is_positive_definite():
-        raise NotPositiveDefinite("form is not positive definite")
-    g = t.gram2()
-    r1 = min(g[0][0], g[1][1], g[2][2])
-    pool1 = short_vectors2(t, r1)
-    m1 = pool1[0][0]
-    v1s = sorted({il.canonical_sign(v) for q, v in pool1 if q == m1})
-
-    best = None
-    for v1 in v1s:
-        u0 = _complete_one(list(v1))
-        c2 = tuple(u0[i][1] for i in range(3))
-        c3 = tuple(u0[i][2] for i in range(3))
-        r2 = min(t.value2(c2), t.value2(c3))
-        pool2 = [
-            (q, v) for q, v in short_vectors2(t, r2) if il.gcd_list(il.cross3(v1, v)) == 1
-        ]
-        m2 = min(q for q, _ in pool2)
-        v2s = sorted({il.canonical_sign(v) for q, v in pool2 if q == m2})
-        for v2 in v2s:
-            # det[v1 v2 v] = n . v, so n . c3b = 1 completes the basis
-            n = il.cross3(v1, v2)
-            c3b = _solve_dot_one(n)
-            r3 = t.value2(c3b)
-            pool3 = [
-                (q, v)
-                for q, v in short_vectors2(t, r3)
-                if abs(n[0] * v[0] + n[1] * v[1] + n[2] * v[2]) == 1
-            ]
-            m3 = min(q for q, _ in pool3)
-            v3s = sorted({il.canonical_sign(v) for q, v in pool3 if q == m3})
-            for v3 in v3s:
-                u = il.mat_t([list(v1), list(v2), list(v3)])
-                for e1, e2, e3 in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-                    ue = [[u[i][0] * e1, u[i][1] * e2, u[i][2] * e3] for i in range(3)]
-                    cand = congruence_form(t, ue)
-                    if cand.b12 < 0 or cand.b23 < 0:
-                        continue
-                    if best is None or cand.key() < best[0].key():
-                        best = (cand, ue)
-    form, u = best
-    red = ReducedForm(form=form, reducer=tuple(tuple(row) for row in u))
+    q, v = _ball(t, reduce_basis=True)
+    first = np.where(v[:, 0] != 0, v[:, 0], np.where(v[:, 1] != 0, v[:, 1], v[:, 2]))
+    q, v = q[first > 0], v[first > 0]  # one sign, still sorted by (q, v)
+    i1 = np.flatnonzero(q == q[0])
+    r, i2 = _least(q, np.gcd.reduce(il.cross3(v[i1].T[:, :, None], v.T[:, None, :])) == 1)
+    i1 = i1[r]
+    r, i3 = _least(q, abs(np.stack(il.cross3(v[i1].T, v[i2].T), axis=1) @ v.T) == 1)
+    i1, i2 = i1[r], i2[r]
+    gv = v @ np.array(t.gram2(), dtype=v.dtype)
+    b = np.stack([(gv[i] * v[j]).sum(axis=1) for i, j in ((i1, i2), (i1, i3), (i2, i3))], axis=1)
+    b = b[:, None, :] * (_SIGNS[:, [0, 0, 1]] * _SIGNS[:, [1, 2, 2]])  # 4 c + s: triple c, sign s
+    diag = np.repeat(np.stack([q[i1], q[i2], q[i3]], axis=1) // 2, 4, axis=0)
+    keys = np.concatenate([diag, b.reshape(-1, 3)], axis=1)
+    ok = np.flatnonzero((keys[:, 3] >= 0) & (keys[:, 5] >= 0))
+    best = ok[np.lexsort(keys[ok].T[::-1])[0]]  # stable: the first least key
+    c, e = best // 4, _SIGNS[best % 4]
+    u = v[[i1[c], i2[c], i3[c]]].tolist()
+    red = ReducedForm(form=HalfIntegralForm(*keys[best].tolist()),
+                      reducer=tuple(tuple(int(e[j]) * u[j][k] for j in range(3)) for k in range(3)))
     if not red.satisfies_inequalities():
-        raise AssertionError("reduction produced a non-reduced form: %r" % (form,))
+        raise AssertionError("reduction produced a non-reduced form: %r" % (red.form,))
+    if cover is not None:
+        cover.update(map(tuple, keys[ok].tolist()))
     return red
 
 
 @lru_cache(maxsize=None)
 def automorphism_count(t):
-    """eps_T = #{g in SL3(Z) : T[g] = T} by exhaustive exact search."""
+    """eps_T = #{g in SL3(Z) : T[g] = T}, counted on T itself by exact search:
+    the columns c_j of g have (2T)[c_j] = (2T)_jj, so they lie in one ball,
+    their bilinear products are the off-diagonal of 2T, and det g =
+    (c1 x c2) . c3 = 1."""
+    q, v = _ball(t)
     g = t.gram2()
-    cols = []
-    for j in range(3):
-        target = g[j][j]
-        cand = [v for q, v in short_vectors2(t, target) if q == target]
-        cols.append(cand)
-    count = 0
-    for c1 in cols[0]:
-        for c2 in cols[1]:
-            if il.bilinear3(g, c1, c2) != g[0][1]:
-                continue
-            for c3 in cols[2]:
-                if il.bilinear3(g, c1, c3) != g[0][2] or il.bilinear3(g, c2, c3) != g[1][2]:
-                    continue
-                if il.det3(il.mat_t([list(c1), list(c2), list(c3)])) == 1:
-                    count += 1
-    return count
+    gm = np.array(g, dtype=v.dtype)
+    c1, c2, c3 = (v[q == g[j][j]] for j in range(3))
+    i, j = np.nonzero(c1 @ gm @ c2.T == g[0][1])
+    ok = (c1[i] @ gm @ c3.T == g[0][2]) & (c2[j] @ gm @ c3.T == g[1][2])
+    det = np.stack(il.cross3(c1[i].T, c2[j].T), axis=1) @ c3.T
+    return int(np.count_nonzero(ok & (det == 1)))
 
 
-def _diagonal_runs(trace_bound, size=1 << 17, stop=inf):
+def _diagonal_runs(trace_bound, size=_CHUNK, stop=inf):
     """The diagonals t1, t2, t3 >= 1 with trace <= trace_bound in lexicographic
     order, each with the largest |b_ij| that b_ij^2 < 4 t_i t_j allows, joined
     into consecutive runs of at least size candidate forms (the last may hold
@@ -325,34 +340,22 @@ def reduced_classes(det_bound):
     """One canonical representative per GL3(Z)-class with det T <= det_bound.
 
     Enumerates the reduced inequality box (with margin over the classical
-    bound t1 t2 t3 <= 2 det T), canonicalizes and dedupes.
+    bound t1 t2 t3 <= 2 det T), canonicalizes and dedupes; a box form that an
+    earlier reduction met as a candidate is in a known class and is skipped.
     """
     return list(_reduced_classes_cached(Fraction(det_bound)))
 
 
 @lru_cache(maxsize=32)
 def _reduced_classes_cached(det_bound):
-    if det_bound <= 0:
-        return ()
-    tmax = int(4 * det_bound) + 1
-    seen = {}
-    for t1 in range(1, tmax + 1):
-        if t1**3 > 4 * det_bound:
-            break
-        for t2 in range(t1, tmax + 1):
-            if t1 * t2 * t2 > 4 * det_bound:
-                break
-            for t3 in range(t2, tmax + 1):
-                if t1 * t2 * t3 > 4 * det_bound:
-                    break
-                for b12 in range(0, t1 + 1):
-                    for b13 in range(-t1, t1 + 1):
-                        for b23 in range(0, t2 + 1):
-                            f = HalfIntegralForm(t1, t2, t3, b12, b13, b23)
-                            if not f.is_positive_definite():
-                                continue
-                            if f.det() > det_bound:
-                                continue
-                            red = minkowski_reduce(f)
-                            seen.setdefault(red.form.key(), red.form)
+    seen, covered, box = {}, set(), floor(4 * det_bound)  # t1 <= t2 <= t3, t1 t2 t3 <= 4 det T
+    for t1 in range(1, box + 1):
+        for t2 in range(t1, isqrt(box // t1) + 1):
+            for t3 in range(t2, box // (t1 * t2) + 1):
+                for b in product(range(t1 + 1), range(-t1, t1 + 1), range(t2 + 1)):
+                    f = HalfIntegralForm(t1, t2, t3, *b)
+                    if f.key() in covered or not f.is_positive_definite() or f.det() > det_bound:
+                        continue
+                    red = minkowski_reduce(f, cover=covered)
+                    seen.setdefault(red.form.key(), red.form)
     return tuple(sorted(seen.values(), key=lambda f: (f.det(), f.key())))

@@ -17,17 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import _dets, _ipow, _is_small_int, power_terms
-from .errors import DomainError, PoleError
-from .forms import _diagonal_runs, enumerate_J
+from .errors import MAX_WORK, DomainError, PoleError
+from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
 from .specfun import complex_gamma
 
-# Most lattice terms, or candidate forms, one side may evaluate; far above
-# max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5 candidates), the largest in use.
-MAX_WORK = 10**9
-# Terms evaluated as one array (2 MB per complex temporary), and the least
-# candidate forms per run of diagonals on the fast side.
-_CHUNK = 1 << 17
+# MAX_WORK is far above max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5
+# candidates), the largest in use; _CHUNK terms make 2 MB complex arrays.
 # Largest u for the exact f-direction sum, whose Eulerian polynomial loses
 # digits as u grows; tested to 1e-12 relative against mpmath up to here.
 EXACT_F_MAX_U = 16
@@ -170,10 +166,11 @@ def lipschitz_report(exponents, z, max_abs, trace_bound, tail_correction=False):
     )
 
 
-def classical_lipschitz(tau, s, n_bound, tail_correction=True):
+def classical_lipschitz(tau, s, n_bound):
     """Classical one-variable summation formula, both sides truncated.
 
-    lhs = sum over |n| <= N of (tau + n)^(-s) (plus midpoint integral tails),
+    lhs = sum over |n| <= N of (tau + n)^(-s) plus its midpoint-rule integral
+    tails on both ends, which always run,
     rhs = ((-2 pi i)^s / Gamma(s)) sum over 1 <= n <= N of n^(s-1) e(n tau).
     """
     tau = complex(tau)
@@ -182,11 +179,9 @@ def classical_lipschitz(tau, s, n_bound, tail_correction=True):
         raise PoleError("tau must be in the upper half-plane")
     n = np.arange(-n_bound, n_bound + 1)
     lhs = complex(np.sum(np.exp(-s * np.log(tau + n))))
-    if tail_correction:
-        # midpoint-rule integral tails on both ends
-        edge = n_bound + 0.5
-        lhs += np.exp((1 - s) * np.log(tau + edge)) / (s - 1)
-        lhs -= np.exp((1 - s) * np.log(tau - edge)) / (s - 1)
+    edge = n_bound + 0.5
+    lhs += np.exp((1 - s) * np.log(tau + edge)) / (s - 1)
+    lhs -= np.exp((1 - s) * np.log(tau - edge)) / (s - 1)
     m = np.arange(1, n_bound + 1)
     pref = np.exp(s * (math.log(2.0 * math.pi) - 0.5j * np.pi)) / complex_gamma(s)
     rhs = complex(pref * np.sum(np.exp((s - 1) * np.log(m) + 2j * np.pi * m * tau)))

@@ -218,6 +218,12 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     # work above the ceiling is refused before anything is allocated
     (["verify-lipschitz", "--max-abs", "40"], "input error:"),
     (["verify-lipschitz", "--max-abs", "1", "--trace-bound", "100"], "input error:"),
+    (["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "3",
+      "--bound", "1e9"], "input error:"),  # ~1.3e14 short vectors
+    (["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "3",
+      "--bound", "1e15"], "input error:"),  # 6e7 values of v3, refused before the next level
+    (["eval-epstein", "--y", "1,0,1", "--s", "2", "--bound", "1e9"], "input error:"),  # 4e9 grid
+    (["eps", "--form", "1,1,-1,0,0,0"], "input error: form is not positive definite"),
     # the exact f-direction sum needs Im Z > 0 (det Z_2 vanishes here)
     (["verify-lipschitz", "--max-abs", "1", "--z=-1j,0,0,1j,0,1j", "--tail-correction"],
      "input error:"),

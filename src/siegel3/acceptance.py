@@ -401,21 +401,20 @@ def criterion_12(seed=DEFAULT_SEED):
             ok += 1
     res.add("500 random pairs complete to exact symplectic matrices",
             ok == 500, "%d/500" % ok)
-    ball = il.unimodular_matrices_entrybound(2)
-    stable = True
+    ball = np.array(il.unimodular_matrices_entrybound(2))
     checked = 0
     for i in range(50):
         m = mx.random_symplectic(rng, max_entry=10, max_factors=6)
         _, _, c, d = mx.blocks(m)
         base = sp.canonical_pair(c, d)
         # full ball on the first pairs, a deterministic stride on the rest
-        # (the full 50 x 135408 sweep alone would take minutes)
         search = ball if i < 2 else ball[i % 97::97]
-        for u in search:
-            checked += 1
-            if sp.canonical_pair(il.mat_mul(u, c), il.mat_mul(u, d)) != base:
-                stable = False
-                break
+        ucd = np.einsum("kij,jl->kil", search, np.hstack([c, d]))
+        moved = (sp.canonical_pairs(ucd[:, :, :3], ucd[:, :, 3:])
+                 != np.hstack([base.c, base.d])).any(axis=(1, 2))
+        # count up to and including the first translate that moved
+        stable = not moved.any()
+        checked += len(search) if stable else int(moved.argmax()) + 1
         if not stable:
             break
     res.add("canonical_pair constant on left orbits (entry-bound-2 search)",

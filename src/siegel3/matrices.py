@@ -7,8 +7,10 @@ out as
      [z1, tau2, z3],
      [z2, z3, tau3]]
 
-Integer-exact objects (symplectic matrices) are lists of lists of Python ints
-and never touch floating point.
+Integer-exact objects (symplectic matrices) never touch floating point.  A
+single one is a list of lists of Python ints; a stack of them is a
+(..., 6, 6) integer array, int64 while its products fit and exact Python ints
+(dtype=object) otherwise.  ``is_symplectic`` and ``mobius`` take either.
 """
 
 from __future__ import annotations
@@ -51,19 +53,18 @@ def is_siegel_point(z, rel_tol=POSDEF_REL_TOL):
 
 # --- symplectic layer (exact integers) -------------------------------------
 
-def symplectic_j():
-    """The standard symplectic form J = [[0, I], [-I, 0]] of size 6."""
-    j = [[0] * 6 for _ in range(6)]
-    for i in range(3):
-        j[i][3 + i] = 1
-        j[3 + i][i] = -1
-    return j
+# the standard symplectic form J = [[0, I], [-I, 0]] of size 6
+SYMPLECTIC_J = np.kron([[0, 1], [-1, 0]], np.eye(3, dtype=np.int64))
 
 
 def is_symplectic(m):
-    """Exact integer check of t(M) @ J @ M == J."""
-    j = symplectic_j()
-    return il.mat_eq(il.mat_mul(il.mat_t(m), il.mat_mul(j, m)), j)
+    """Exact integer check of t(M) @ J @ M == J, lane by lane on a stack.
+
+    Each entry of t(M) J M sums six products of two entries of M, so entries
+    below 2^30 are checked in int64 and larger ones as Python ints.
+    """
+    m = il.exact_array(m, 2**30)
+    return (m.swapaxes(-1, -2) @ SYMPLECTIC_J @ m == SYMPLECTIC_J).all(axis=(-2, -1))
 
 
 def blocks(m):
@@ -101,23 +102,20 @@ def embed_gl6(u):
 def mobius(m, z, cond_limit=1e12):
     """Apply the symplectic fractional-linear action.
 
-    Returns ``(m . z, det(C z + D))``.  Raises SingularDenominator when
-    C z + D is numerically singular, which cannot happen for an exactly
-    symplectic m at a genuine Siegel point.
+    Returns ``(m . z, det(C z + D))`` for one 6x6 integer matrix, or both
+    stacked for a (..., 6, 6) stack of them.  Raises SingularDenominator when
+    C z + D is numerically singular in any lane, which cannot happen for an
+    exactly symplectic m at a genuine Siegel point.
     """
     z = np.asarray(z, dtype=complex)
-    a, b, c, d = blocks(m)
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    c = np.array(c, dtype=complex)
-    d = np.array(d, dtype=complex)
+    m = np.array(m, dtype=complex)
+    a, b, c, d = (np.ascontiguousarray(m[..., r:r + 3, s:s + 3]) for r in (0, 3) for s in (0, 3))
     den = c @ z + d
     jval = np.linalg.det(den)
-    if not np.isfinite(jval) or abs(jval) < 1e-300 or np.linalg.cond(den) > cond_limit:
+    if not (np.isfinite(jval) & (abs(jval) >= 1e-300)).all() or (np.linalg.cond(den) > cond_limit).any():
         raise SingularDenominator("C Z + D is numerically singular")
-    num = a @ z + b
-    mz = np.linalg.solve(den.T, num.T).T
-    return 0.5 * (mz + mz.T), jval
+    mz = np.linalg.solve(den.swapaxes(-1, -2), (a @ z + b).swapaxes(-1, -2)).swapaxes(-1, -2)
+    return 0.5 * (mz + mz.swapaxes(-1, -2)), jval
 
 
 def random_siegel(rng, min_im=0.5, real_scale=1.0):

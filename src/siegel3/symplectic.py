@@ -5,6 +5,8 @@ symmetric with [C D] primitive (all Smith invariants 1); left association
 (C, D) ~ (UC, UD) is canonicalized by the row Hermite normal form of the
 3x6 block.  Completion to a full symplectic matrix solves an integer linear
 system and repairs isotropy of the top rows with a symmetric shear.
+Single pairs go through list code; stacks of pairs (left translates in
+``canonical_pairs``, the completions of a coset table) through exact arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import _intlinalg as il
 from .errors import CompletionFailure, DomainError, NotCoprimePair
 from .eisenstein import TruncationSpec, selberg_E
 from .forms import HalfIntegralForm, automorphism_count, congruence_form, reduced_classes
-from .matrices import from_blocks, is_symplectic, mobius
+from .matrices import is_symplectic, mobius
 from .specfun import complex_gamma
 
 
@@ -43,6 +45,7 @@ def _stacked(c, d):
 
 
 def _det_small(sub):
+    """Determinant of an n x n matrix, n <= 3; entries may be arrays."""
     n = len(sub)
     if n == 1:
         return sub[0][0]
@@ -52,15 +55,14 @@ def _det_small(sub):
 
 
 def _maximal_minor_gcd(mat):
-    rows = len(mat)
-    cols = list(zip(*mat))
-    g = 0
-    for pick in combinations(range(len(cols)), rows):
-        sub = [[cols[j][i] for j in pick] for i in range(rows)]
-        g = math.gcd(g, abs(_det_small(sub)))
-        if g == 1:
-            return 1
-    return g
+    """gcd of the maximal minors of an n x m integer matrix (n <= 3), or of
+    each lane of a (..., n, m) stack.  Exact: a minor sums six products of
+    three entries, so entries of 2^20 or more are taken as Python ints."""
+    a = il.exact_array(mat, 2**20)
+    n, m = a.shape[-2:]
+    # (n, n, ..., picks): the n x n submatrix on each choice of n columns
+    sub = np.moveaxis(a[..., np.array(list(combinations(range(m), n)))], (-3, -1), (0, 1))
+    return np.gcd.reduce(_det_small(sub), axis=-1)
 
 
 def _cd_t_symmetric(c, d):
@@ -75,19 +77,24 @@ def _hnf_coprime(h):
 
     Left multiplication by GL_n(Z) keeps the gcd of the maximal minors, and
     the minor of h on its pivot columns is the product of the pivots, so
-    pivots all 1 settle it; a zero row means rank < n, hence gcd 0.
+    pivots all 1 settle it; otherwise the minors decide (a zero row means
+    rank < n, hence gcd 0).
     """
-    pivots = [next((x for x in row if x), 0) for row in h]
-    return 0 not in pivots and (all(p == 1 for p in pivots) or _maximal_minor_gcd(h) == 1)
+    return all(next((x for x in row if x), 0) == 1 for row in h) or _maximal_minor_gcd(h) == 1
 
 
-def is_coprime_symmetric(c, d):
-    """C D^T symmetric and [C D] with all elementary divisors 1, exactly.
-
-    Works for any square size (the rank-2 analogue backs the exhaustive
-    enumeration cross-check).
-    """
-    return _cd_t_symmetric(c, d) and _maximal_minor_gcd(_stacked(c, d)) == 1
+def _coprime_symmetric(h):
+    """Stacked coprime-symmetry test of (N, n, 2n) row HNFs of blocks [C D]:
+    left association keeps C D^T symmetric, and coprimality is decided as in
+    _hnf_coprime, with minors only on lanes with a pivot other than 1."""
+    h = il.exact_array(h, 2**30)
+    n = h.shape[1]
+    cd_t = h[:, :, :n] @ h[:, :, n:].swapaxes(1, 2)
+    ok = (cd_t == cd_t.swapaxes(1, 2)).all(axis=(1, 2))
+    pivots = np.take_along_axis(h, (h != 0).argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+    rest = ok & (pivots != 1).any(axis=1)
+    ok[rest] = _maximal_minor_gcd(h[rest]) == 1
+    return ok
 
 
 def canonical_pair(c, d):
@@ -102,6 +109,16 @@ def canonical_pair(c, d):
         c=tuple(tuple(row[:n]) for row in h),
         d=tuple(tuple(row[n:]) for row in h),
     )
+
+
+def canonical_pairs(c, d):
+    """The stacked canonical_pair: (N, n, n) integer stacks to the (N, n, 2n)
+    row HNFs of their blocks [C D], exactly (see ``il.hnf_rows``).  Raises
+    NotCoprimePair when any lane is not coprime symmetric."""
+    h = il.hnf_rows(np.concatenate([c, d], axis=2))
+    if not _coprime_symmetric(h).all():
+        raise NotCoprimePair("pair is not coprime symmetric")
+    return h
 
 
 def _hnf_structures(max_abs, nrows=3):
@@ -132,50 +149,50 @@ def enumerate_pairs(max_abs, nrows=3):
     """All canonical coprime symmetric pairs with entries in the box.
 
     Enumerates row-HNF candidates directly (every canonical representative is
-    its own HNF), tests C D^T symmetric in numpy a chunk at a time, then
-    coprimality on the survivors.  Memoized per (max_abs, nrows); the result
-    is an immutable tuple sorted by (c, d).
+    its own HNF) and tests them a chunk at a time.  Memoized per
+    (max_abs, nrows); the result is an immutable tuple sorted by (c, d).
     """
     if max_abs < 1:
         raise DomainError("max_abs must be >= 1, got %r" % (max_abs,))
     out = []
     for h in _hnf_structures(max_abs, nrows):
-        cd_t = h[:, :, :nrows] @ h[:, :, nrows:].transpose(0, 2, 1)
-        for cand in h[(cd_t == cd_t.transpose(0, 2, 1)).all(axis=(1, 2))].tolist():
-            if _hnf_coprime(cand):
-                out.append(CoprimePair(c=tuple(tuple(row[:nrows]) for row in cand),
-                                       d=tuple(tuple(row[nrows:]) for row in cand)))
+        out += [CoprimePair(c=tuple(tuple(row[:nrows]) for row in cand),
+                            d=tuple(tuple(row[nrows:]) for row in cand))
+                for cand in h[_coprime_symmetric(h)].tolist()]
     out.sort(key=lambda p: (p.c, p.d))
     return tuple(out)
 
 
-def complete_to_symplectic(pair: CoprimePair):
-    """Integer (A0, B0) making (A0 B0; C D) exactly symplectic.
+def _complete(pairs):
+    """The exact completions (A0 B0; C D) of the pairs, a read-only (N, 6, 6) stack.
 
-    Solves A0 D^T - B0 C^T = I over Z, then shears the top rows by a
-    symmetric S to restore isotropy A0 B0^T = B0 A0^T.
+    Per pair, the list SNF solves A0 D^T - B0 C^T = I over Z; the stack then
+    shears the top rows by a symmetric S to restore isotropy A0 B0^T = B0 A0^T
+    and checks t(M) J M == J on every lane.  Entries of C, D, A0, B0 below
+    2^16 keep the shear below 2^53 in int64; larger ones run on Python ints.
     """
-    c = [list(r) for r in pair.c]
-    d = [list(r) for r in pair.d]
-    # solve (A0 B0) @ N = I over Z for N = (D^T ; -C^T), i.e. A0 D^T - B0 C^T = I
-    n = il.mat_t(d) + il.mat_neg(il.mat_t(c))
-    try:
-        y = il.solve_right_inverse(il.mat_t(n))  # (3x6) @ y(6x3) = I
-    except ValueError as exc:
-        raise CompletionFailure("no integer completion: %s" % exc) from exc
-    x = il.mat_t(y)  # 3x6, x @ n = I
-    a0 = [row[:3] for row in x]
-    b0 = [row[3:] for row in x]
+    rows = []
+    for pair in pairs:
+        cd = [list(c) + list(d) for c, d in zip(pair.c, pair.d)]
+        try:  # (A0 B0) @ y = I for y = right inverse of [D | -C]
+            y = il.solve_right_inverse([r[3:] + [-v for v in r[:3]] for r in cd])
+        except ValueError as exc:
+            raise CompletionFailure("no integer completion: %s" % exc) from exc
+        rows.append(il.mat_t(y) + cd)
+    m = il.exact_array(rows, 2**16)
     # gram defect of the top rows: G = A0 B0^T - B0 A0^T (antisymmetric)
-    g = il.mat_mul(a0, il.mat_t(b0))
-    g = [[g[i][j] - g[j][i] for j in range(3)] for i in range(3)]
-    s = [[g[i][j] if i > j else 0 for j in range(3)] for i in range(3)]
-    a0 = [[a0[i][j] + sum(s[i][t] * c[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
-    b0 = [[b0[i][j] + sum(s[i][t] * d[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
-    m = from_blocks(a0, b0, c, d)
-    if not is_symplectic(m):
+    g = m[:, :3, :3] @ m[:, :3, 3:].swapaxes(1, 2)
+    m[:, :3] += np.tril(g - g.swapaxes(1, 2), -1) @ m[:, 3:]
+    if not is_symplectic(m).all():
         raise CompletionFailure("completion is not symplectic (bug)")
+    m.flags.writeable = False
     return m
+
+
+def complete_to_symplectic(pair: CoprimePair):
+    """Integer (A0, B0) making (A0 B0; C D) exactly symplectic, as a 6 x 6
+    list: the one-lane case of the stacked completion."""
+    return _complete((pair,))[0].tolist()
 
 
 def _check_truncation(k, max_abs):
@@ -183,11 +200,9 @@ def _check_truncation(k, max_abs):
         raise DomainError("need even k > 6 and max_abs >= 1, got k=%r, max_abs=%r" % (k, max_abs))
 
 
-@lru_cache(maxsize=4)
-def _completions(pairs):
-    """One completion M0 per pair of the tuple; M0 depends on neither Z nor
-    k, so coset tables at other points and weights share it."""
-    return tuple(complete_to_symplectic(pair) for pair in pairs)
+# one completion stack per pair tuple; M0 depends on neither Z nor k, so
+# coset tables at other points and weights share it
+_completions = lru_cache(maxsize=4)(_complete)
 
 
 @lru_cache(maxsize=4)
@@ -197,12 +212,9 @@ def _coset_table(pairs, z_bytes, k):
     entries (11, 22, 33, 12, 13, 23) of M0 Z as a 6 x |pairs| array and
     j(M0, Z)^(-k), both read-only."""
     z = np.frombuffer(z_bytes, dtype=complex).reshape(3, 3)
-    entries = np.empty((6, len(pairs)), dtype=complex)
-    weights = np.empty(len(pairs), dtype=complex)
-    for i, m0 in enumerate(_completions(pairs)):
-        mz, jv = mobius(m0, z)
-        entries[:, i] = mz[_ENTRY_ROWS, _ENTRY_COLS]
-        weights[i] = jv ** (-k)
+    mz, jv = mobius(_completions(pairs), z)
+    entries = np.ascontiguousarray(mz[:, _ENTRY_ROWS, _ENTRY_COLS].T)
+    weights = jv ** (-k)
     entries.flags.writeable = weights.flags.writeable = False
     return entries, weights
 

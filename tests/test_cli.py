@@ -172,6 +172,9 @@ GOLDEN = {
     "enum_pairs_list.out": ["enum-pairs", "--max-abs", "1", "--list"],
     "complete_pair.out": ["complete-pair", "--c", "0,0,0,0,0,0,0,0,0",
                           "--d", "1,0,0,0,1,0,0,0,1"],
+    # an entry past int64: the completion runs on exact Python ints
+    "complete_pair_big.out": ["complete-pair", "--c", "1,0,0,0,1,0,0,0,1",
+                              "--d", "100000000000000000000000,7,0,7,0,0,0,0,0"],
     "fe_group.out": ["fe-group", "--k", "24"],
 }
 
@@ -224,6 +227,9 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
       "--bound", "1e15"], "input error:"),  # 6e7 values of v3, refused before the next level
     (["eval-epstein", "--y", "1,0,1", "--s", "2", "--bound", "1e9"], "input error:"),  # 4e9 grid
     (["eps", "--form", "1,1,-1,0,0,0"], "input error: form is not positive definite"),
+    # Z = 0 is no Siegel point: the stacked Mobius action refuses the table
+    (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", "0,0,0,0,0,0"],
+     "input error: C Z + D is numerically singular"),
     # the exact f-direction sum needs Im Z > 0 (det Z_2 vanishes here)
     (["verify-lipschitz", "--max-abs", "1", "--z=-1j,0,0,1j,0,1j", "--tail-correction"],
      "input error:"),

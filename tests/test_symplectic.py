@@ -1,12 +1,14 @@
+import hashlib
+import json
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from siegel3 import _intlinalg as il
-from siegel3 import eisenstein as eis, forms, matrices as mx, symplectic as sp
-from siegel3.errors import DomainError, NotCoprimePair
+from siegel3 import acceptance, eisenstein as eis, forms, matrices as mx, symplectic as sp
+from siegel3.errors import CompletionFailure, DomainError, NotCoprimePair, SingularDenominator
 
 I3 = il.identity(3)
 Z3 = [[0] * 3 for _ in range(3)]
@@ -17,6 +19,35 @@ I3F = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
 Z_GENERIC = (np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.05], [0.0, 0.05, 0.3]])
              + 1j * np.array([[1.1, 0.2, 0.0], [0.2, 1.3, -0.1], [0.0, -0.1, 0.9]]))
 _COMPLETIONS = {}
+# sha256 of the JSON list of completions M0, recorded from the per-pair list
+# completion that the stacked one replaced
+_COMPLETIONS_SHA256 = {
+    "enumerate_pairs(1)": "9b0f4788601287f8650b26d0f5c9dbffd308ec19773609ecd8d00947ff8dd033",
+    "criterion 12": "3bafdfceab222e2b88d26452879debc3c7d33ab9039c13c3a1f3837da51f9f8c",
+}
+
+
+def _minor_gcd(mat):
+    """Loop reference: gcd of the maximal minors of an n x m list matrix, n <= 3."""
+    return math.gcd(*(sp._det_small([[row[j] for j in pick] for row in mat])
+                      for pick in combinations(range(len(mat[0])), len(mat))))
+
+
+def is_coprime_symmetric(c, d):
+    """Scalar oracle: C D^T symmetric and [C D] with all elementary divisors 1,
+    exactly, by the gcd of the maximal minors (no HNF).  Works for square
+    sizes up to 3 (the rank-2 case backs the exhaustive enumeration check)."""
+    return sp._cd_t_symmetric(c, d) and _minor_gcd(sp._stacked(c, d)) == 1
+
+
+def _is_symplectic_list(m):
+    """Scalar oracle: t(M) J M == J with list products of Python ints."""
+    j = mx.SYMPLECTIC_J.tolist()
+    return il.mat_mul(il.mat_t(m), il.mat_mul(j, m)) == j
+
+
+def _sha(matrices):
+    return hashlib.sha256(json.dumps(matrices).encode()).hexdigest()
 
 
 def _poincare_per_pair(k, t, z, max_abs, gl_ball=None, pairs=None):
@@ -36,13 +67,13 @@ def _poincare_per_pair(k, t, z, max_abs, gl_ball=None, pairs=None):
 
 
 def test_coprime_symmetric_examples():
-    assert sp.is_coprime_symmetric(Z3, I3)
-    assert sp.is_coprime_symmetric(I3, I3)
+    assert is_coprime_symmetric(Z3, I3)
+    assert is_coprime_symmetric(I3, I3)
     two = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
-    assert not sp.is_coprime_symmetric(two, two)
+    assert not is_coprime_symmetric(two, two)
     asym = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     skew = [[0, 1, 0], [-1, 0, 0], [0, 0, 1]]
-    assert not sp.is_coprime_symmetric(skew, asym)
+    assert not is_coprime_symmetric(skew, asym)
 
 
 def test_canonical_pair_examples():
@@ -101,7 +132,7 @@ def test_enumerate_pairs_rank2_exhaustive_oracle():
     for entries in product(vals, repeat=8):
         c = [list(entries[:2]), list(entries[2:4])]
         d = [list(entries[4:6]), list(entries[6:8])]
-        if not sp.is_coprime_symmetric(c, d):
+        if not is_coprime_symmetric(c, d):
             continue
         cp = sp.canonical_pair(c, d)
         if all(abs(x) <= 1 for row in cp.c for x in row) and all(
@@ -122,7 +153,7 @@ def test_enumerate_pairs_rank3_contents_and_consistency(rng):
     while found < 50:
         c = [[int(rng.integers(-1, 2)) for _ in range(3)] for _ in range(3)]
         d = [[int(rng.integers(-1, 2)) for _ in range(3)] for _ in range(3)]
-        if not sp.is_coprime_symmetric(c, d):
+        if not is_coprime_symmetric(c, d):
             continue
         found += 1
         cp = sp.canonical_pair(c, d)
@@ -139,7 +170,7 @@ def test_translation_closure_of_pairs():
         d = [list(r) for r in p.d]
         cs = il.mat_mul(c, s)
         d2 = [[d[i][j] + cs[i][j] for j in range(3)] for i in range(3)]
-        assert sp.is_coprime_symmetric(c, d2)
+        assert is_coprime_symmetric(c, d2)
 
 
 def _pivot_two_pair():
@@ -162,7 +193,7 @@ def test_canonical_pair_hnf_coprimality_matches_minor_gcd(rng):
               for u in il.unimodular_matrices_entrybound(1)[::400] for c, d in cases[:4]]
     verdicts = set()
     for c, d in cases:
-        coprime = sp.is_coprime_symmetric(c, d)
+        coprime = is_coprime_symmetric(c, d)
         h, _ = il.hnf_row([list(c[i]) + list(d[i]) for i in range(3)])
         pivots = [next((x for x in row if x), 0) for row in h]
         verdicts.add((coprime, max(pivots) > 1, 0 in pivots))
@@ -178,6 +209,16 @@ def test_canonical_pair_hnf_coprimality_matches_minor_gcd(rng):
     assert any(zero_row for _, _, zero_row in verdicts)
 
 
+def test_stacked_minor_gcd_matches_loop(rng):
+    for shape, amp in (((3, 6), 4), ((2, 4), 9), ((3, 6), 2**19), ((3, 6), 2**40)):
+        st = rng.integers(-amp, amp + 1, size=(300,) + shape)
+        st[::9, -1] = 3 * st[::9, 0]  # rank deficient: gcd 0
+        st[::4] *= 2
+        got = sp._maximal_minor_gcd(st)
+        assert got.tolist() == [_minor_gcd(m) for m in st.tolist()]
+        assert sp._maximal_minor_gcd(st[0].tolist()) == got[0]  # one matrix
+
+
 def test_enumerate_pairs_matches_scalar_filter():
     for max_abs, nrows in ((1, 3), (1, 2), (2, 2)):
         blocks = list(sp._hnf_structures(max_abs, nrows))
@@ -185,7 +226,7 @@ def test_enumerate_pairs_matches_scalar_filter():
         scalar = [sp.CoprimePair(c=tuple(tuple(r[:nrows]) for r in h),
                                  d=tuple(tuple(r[nrows:]) for r in h))
                   for block in blocks for h in block.tolist()
-                  if sp.is_coprime_symmetric([r[:nrows] for r in h], [r[nrows:] for r in h])]
+                  if is_coprime_symmetric([r[:nrows] for r in h], [r[nrows:] for r in h])]
         scalar.sort(key=lambda p: (p.c, p.d))
         assert sp.enumerate_pairs(max_abs, nrows) == tuple(scalar)
     assert sp.enumerate_pairs(1) is sp.enumerate_pairs(1)  # memoized
@@ -239,17 +280,126 @@ def test_poincare_table_matches_per_pair_loop(rng):
                 assert sp.poincare_trunc(k, t, z, 1, **kw) == (val, n)  # cache hit, bit for bit
 
 
-def test_coset_tables_share_completions(monkeypatch):
-    calls = []
-    complete = sp.complete_to_symplectic
-    monkeypatch.setattr(sp, "complete_to_symplectic", lambda p: calls.append(p) or complete(p))
+def test_coset_tables_share_completions():
     pairs = sp.enumerate_pairs(1)[5::50]
     sp._completions.cache_clear()
     sp._coset_table.cache_clear()
     for z in (Z_GENERIC, 1.5j * np.eye(3)):
         for k in (8, 24):
             sp.poincare_trunc(k, I3F, z, 1, pairs=pairs)
-    assert calls == list(pairs)  # one completion per pair for 4 tables
+    info = sp._completions.cache_info()
+    assert (info.misses, info.hits) == (1, 3)  # one stacked build of the pair tuple, 4 tables
+    assert sp._completions(pairs).tolist() == [sp.complete_to_symplectic(p) for p in pairs]
+
+
+def _criterion_12_pairs():
+    rng = acceptance._rng(acceptance.DEFAULT_SEED)
+    return tuple(sp.canonical_pair(*mx.blocks(mx.random_symplectic(rng, max_entry=12,
+                                                                   max_factors=8))[2:])
+                 for _ in range(500))
+
+
+def test_stacked_completion_matches_recorded_list_completions():
+    for name, pairs in (("enumerate_pairs(1)", sp.enumerate_pairs(1)),
+                        ("criterion 12", _criterion_12_pairs())):
+        stack = sp._complete(pairs)
+        assert stack.shape == (len(pairs), 6, 6) and not stack.flags.writeable
+        assert _sha(stack.tolist()) == _COMPLETIONS_SHA256[name]
+        assert all(mx.is_symplectic(stack))
+        # the one-lane call is the same function
+        assert [sp.complete_to_symplectic(p) for p in pairs[::50]] == stack[::50].tolist()
+
+
+def test_completion_stays_exact_past_the_int64_bounds():
+    # entries of 2^16 and more run the shear on Python ints, and entries of
+    # 2^30 and more the symplectic check; the results stay exact either way
+    small = sp.enumerate_pairs(1)[7]
+    for big, dtype in ((2**15 - 1, np.int64), (2**16, object), (2**40, object),
+                       (10**23, object)):
+        pair = sp.canonical_pair(I3, [[big, 7, 0], [7, 0, 0], [0, 0, 0]])
+        stack = sp._complete((small, pair))
+        assert stack.dtype == dtype
+        m = sp.complete_to_symplectic(pair)
+        assert stack[1].tolist() == m and stack[0].tolist() == sp.complete_to_symplectic(small)
+        assert _is_symplectic_list(m) and mx.is_symplectic(m)
+        assert [r[:3] for r in m[3:]] == [list(r) for r in pair.c]
+        assert [r[3:] for r in m[3:]] == [list(r) for r in pair.d]
+    with pytest.raises(CompletionFailure):  # not coprime: no integer completion
+        sp.complete_to_symplectic(sp.CoprimePair(((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+                                                 tuple(map(tuple, Z3))))
+
+
+def test_stacked_is_symplectic_matches_list_check(rng):
+    ms = [mx.random_symplectic(rng, max_entry=8, max_factors=6) for _ in range(40)]
+    ms += [[row[:] for row in m] for m in ms[:10]]
+    for m in ms[-10:]:
+        m[int(rng.integers(6))][int(rng.integers(6))] += 1
+    # a translation by a large S: symplectic, with entries past 2^30 and past int64
+    for big in (2**30 - 1, 2**30, 2**62, 10**30):
+        ms.append(mx.translation6([[big, 1, 0], [1, 0, 0], [0, 0, -big]]))
+        ms.append(mx.translation6([[big, 1, 0], [0, 0, 0], [0, 0, 0]]))  # not symmetric
+    # not symplectic, with a defect of 2^64 that a wrapping int64 check misses
+    ms.append(mx.translation6([[2**32, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    ms[-1][3][0] += 2**32
+    expect = [_is_symplectic_list(m) for m in ms]
+    assert [bool(mx.is_symplectic(m)) for m in ms] == expect
+    assert mx.is_symplectic(np.array(ms, dtype=object)).tolist() == expect
+    assert True in expect and False in expect
+
+
+def test_stacked_mobius_is_bitwise_the_single_call(rng):
+    stack = sp._completions(sp.enumerate_pairs(1))[::37]
+    for z in (Z_GENERIC, mx.random_siegel(rng, min_im=0.8),
+              mx.random_siegel(rng, min_im=0.3, real_scale=2.0)):
+        mz, jv = mx.mobius(stack, z)
+        assert mz.shape == (len(stack), 3, 3) and jv.shape == (len(stack),)
+        for i, m0 in enumerate(stack.tolist()):
+            mz1, jv1 = mx.mobius(m0, z)
+            assert mz[i].tobytes() == mz1.tobytes() and jv[i] == jv1
+    with pytest.raises(SingularDenominator):  # one singular lane refuses the stack
+        mx.mobius(stack, np.zeros((3, 3)))
+
+
+def test_hnf_rows_matches_hnf_row(rng):
+    cases = []
+    for shape, amp in (((3, 6), 3), ((3, 6), 40), ((2, 4), 5), ((3, 3), 2), ((4, 5), 7),
+                       ((1, 3), 4)):
+        st = rng.integers(-amp, amp + 1, size=(400,) + shape)
+        st[::5, :, 1] = 0  # a zero column
+        st[::7, -1] = 2 * st[::7, 0]  # rank deficient
+        st[::11] = 0
+        st[::13, :, 0] = -np.abs(st[::13, :, 0])  # negative first pivots
+        cases.append(st)
+    # lanes past the 2^31 guard: at the start, and by growth during the steps
+    past = rng.integers(-5, 6, size=(60, 3, 6)).astype(object)
+    past[3, 0, 0], past[4, 1, 2], past[5, 2, 5] = 2**31, -2**70, 2**31 - 1
+    grow = rng.integers(-2**30, 2**30, size=(200, 3, 6))
+    # one step takes row 2 to -2^60, the next would wrap int64 at 2^90
+    grow[0] = [[1, 2**30, 0, 0, 0, 0], [2**30, 0, 0, 0, 0, 0], [0, 1, 2**30, 0, 0, 0]]
+    cases += [past, grow]
+    for st in cases:
+        h = il.hnf_rows(st)
+        ref = [il.hnf_row(m)[0] for m in np.asarray(st, dtype=object).tolist()]
+        assert h.tolist() == ref
+    # lanes past the guard are finished exactly as Python ints
+    assert [il.hnf_rows(st).dtype for st in cases[-3:]] == [np.int64, object, object]
+
+
+def test_canonical_pairs_match_canonical_pair(rng):
+    ball = np.array(il.unimodular_matrices_entrybound(1))[::23]
+    for _ in range(5):
+        _, _, c, d = mx.blocks(mx.random_symplectic(rng, max_entry=10, max_factors=6))
+        uc, ud = ball @ np.array(c), ball @ np.array(d)
+        h = sp.canonical_pairs(uc, ud)
+        for i in range(0, len(ball), 17):
+            cp = sp.canonical_pair(uc[i].tolist(), ud[i].tolist())
+            assert h[i].tolist() == [list(r) + list(s) for r, s in zip(cp.c, cp.d)]
+    c, d = _pivot_two_pair()  # coprime with a pivot 2: decided by the minors
+    h = sp.canonical_pairs(ball @ np.array(c), ball @ np.array(d))
+    assert (h == h[0]).all()
+    two = 2 * np.eye(3, dtype=np.int64)
+    with pytest.raises(NotCoprimePair):  # one bad lane refuses the stack
+        sp.canonical_pairs(np.stack([np.array(c), two]), np.stack([np.array(d), two]))
 
 
 def test_poincare_and_kernel_reject_bad_input():

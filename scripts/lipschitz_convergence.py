@@ -7,6 +7,7 @@ records the relative gap, with and without the exact f-direction sum
 
 Usage:
     python scripts/lipschitz_convergence.py --out lipschitz_gaps.csv
+    python scripts/lipschitz_convergence.py --s 2+0.5j --u 5-0.5j --max-abs 3 4 --trace-bound 9 10
 """
 
 import argparse
@@ -21,9 +22,10 @@ from siegel3 import lipschitz as lip
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--s", type=float, default=2.0)
-    ap.add_argument("--w", type=float, default=4.0)
-    ap.add_argument("--u", type=float, default=5.0)
+    # complex exponents (e.g. --s 2+0.5j) time the non-integer bare path
+    ap.add_argument("--s", type=complex, default=2.0)
+    ap.add_argument("--w", type=complex, default=4.0)
+    ap.add_argument("--u", type=complex, default=5.0)
     ap.add_argument("--max-abs", type=int, nargs="+", default=[3, 4, 5, 6, 7, 8])
     ap.add_argument("--trace-bound", type=int, nargs="+",
                     default=[9, 10, 10, 11, 11, 12])

@@ -316,26 +316,29 @@ def solve_right_inverse(mat):
 
 
 def unimodular_matrices_entrybound(max_entry):
-    """All U in GL3(Z) with every entry in [-max_entry, max_entry]."""
+    """All U in GL3(Z) with every entry in [-max_entry, max_entry], as an
+    int64 (N, 3, 3) stack."""
     return _unimodular_from_columns(max_entry, 3 * max_entry**2)
 
 
 def unimodular_matrices_colnorm(max_norm2):
-    """All U in GL3(Z) whose columns each have squared euclidean norm <= bound.
+    """All U in GL3(Z) whose columns each have squared euclidean norm <= bound,
+    as lists of lists.
 
     Deterministic lexicographic order over (col1, col2, col3).
     """
-    return _unimodular_from_columns(int(max_norm2**0.5), max_norm2)
+    return _unimodular_from_columns(int(max_norm2**0.5), max_norm2).tolist()
 
 
 def _unimodular_from_columns(r, max_norm2):
-    """All U with det = +-1 whose columns are nonzero vectors in [-r, r]^3 of
-    squared norm <= max_norm2, ordered lexicographically by (col1, col2, col3)."""
-    v = np.array(list(product(range(-r, r + 1), repeat=3)))
+    """The int64 (N, 3, 3) stack of all U with det = +-1 whose columns are
+    nonzero vectors in [-r, r]^3 of squared norm <= max_norm2, ordered
+    lexicographically by (col1, col2, col3)."""
+    v = np.array(list(product(range(-r, r + 1), repeat=3)), dtype=np.int64)
     v = v[(0 < (v * v).sum(axis=1)) & ((v * v).sum(axis=1) <= max_norm2)]
     out = []
     for v1 in v:
         # det [v1 v2 v3] for every (v2, v3), one (len, len) slab per v1
         i2, i3 = np.nonzero(abs(np.cross(v1, v) @ v.T) == 1)
-        out += np.stack([np.broadcast_to(v1, (len(i2), 3)), v[i2], v[i3]], axis=2).tolist()
-    return out
+        out.append(np.stack([np.broadcast_to(v1, (len(i2), 3)), v[i2], v[i3]], axis=2))
+    return np.concatenate(out) if out else np.zeros((0, 3, 3), dtype=np.int64)

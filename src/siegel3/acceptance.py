@@ -401,7 +401,7 @@ def criterion_12(seed=DEFAULT_SEED):
             ok += 1
     res.add("500 random pairs complete to exact symplectic matrices",
             ok == 500, "%d/500" % ok)
-    ball = np.array(il.unimodular_matrices_entrybound(2))
+    ball = il.unimodular_matrices_entrybound(2)
     checked = 0
     for i in range(50):
         m = mx.random_symplectic(rng, max_entry=10, max_factors=6)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import _dets, _ipow, _is_small_int, power_terms
+from .branch import _dets, _finite_exponents, _ipow, _is_small_int, power_terms
 from .errors import MAX_WORK, DomainError, PoleError
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
@@ -59,7 +59,7 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     """
     if max_abs < 0:
         raise DomainError("max_abs must be >= 0, got %r" % (max_abs,))
-    s, w, u = (complex(e) for e in exponents)
+    s, w, u = _finite_exponents(exponents)
     exact_f = (tail_correction and all(map(_is_small_int, (s, w, u)))
                and 2 <= u.real <= EXACT_F_MAX_U)
     n, axes = 2 * max_abs + 1, 5 if exact_f else 6
@@ -88,6 +88,8 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
         total += vals.sum()
         mags = np.abs(vals)
         shell_sum += float(mags.sum() if on_edge[list(idx)].any() else mags[edge].sum())
+    if not np.isfinite(total):
+        raise DomainError("the lattice sum overflowed: %r" % (total,))
     # crude integral-comparison estimate: boundary shell extrapolated by the
     # dominant polynomial decay; a one-term box has no shell to extrapolate
     p_eff = 2.0 * min(s.real, 2.0) + 1.0
@@ -121,7 +123,7 @@ def fourier_side_rhs(exponents, z, trace_bound):
     if candidates > MAX_WORK:
         raise DomainError("the fast side at trace_bound %d tests more than %d candidate forms"
                           % (trace_bound, MAX_WORK))
-    s, w, u = (complex(e) for e in exponents)
+    s, w, u = _finite_exponents(exponents)
     z = np.asarray(z, dtype=complex)
     sigma = s + 2 * w + 3 * u
     # The 1/8 is the coordinate covolume of the half-integral lattice in the
@@ -146,6 +148,8 @@ def fourier_side_rhs(exponents, z, trace_bound):
                  + 2.0 * (h12 * z[0, 1] + h13 * z[0, 2] + h23 * z[1, 2]))
         total += (pw * np.exp(2j * np.pi * tr_tz)).sum()
         n_forms += len(t)
+    if not np.isfinite(pref * total):
+        raise DomainError("the fast side overflowed: %r" % (pref * total,))
     return complex(pref * total), n_forms
 
 

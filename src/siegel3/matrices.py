@@ -131,11 +131,12 @@ def random_symplectic(rng, max_entry=3, max_factors=6):
     """Random element of Sp3(Z) with all entries bounded by max_entry.
 
     Built from translations, GL3 embeddings and the inversion; candidates
-    violating the entry bound are rejected and rebuilt.
+    violating the entry bound are rejected and rebuilt.  The product runs on
+    integer arrays: the factors' entries stay far below 2^29, so a partial
+    product below 2^29 multiplies in int64, and a larger one as Python ints.
     """
-    i3 = il.identity(3)
     while True:
-        m = from_blocks(i3, [[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)], i3)
+        m = np.eye(6, dtype=np.int64)
         for _ in range(int(rng.integers(1, max_factors + 1))):
             kind = int(rng.integers(0, 3))
             if kind == 0:
@@ -147,9 +148,9 @@ def random_symplectic(rng, max_entry=3, max_factors=6):
                 f = embed_gl6(u)
             else:
                 f = inversion6()
-            m = il.mat_mul(m, f)
-        if max(abs(x) for row in m for x in row) <= max_entry:
-            return m
+            m = il.exact_array(m, 2**29) @ np.array(f, dtype=np.int64)
+        if np.abs(m).max() <= max_entry:
+            return m.tolist()
 
 
 def _random_unimodular(rng):

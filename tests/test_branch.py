@@ -1,8 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from siegel3 import branch, matrices as mx
-from siegel3.errors import BranchCutError
+from siegel3.errors import BranchCutError, DomainError
+
+# entry (i, j) of Z behind each power_terms argument (tau1, z1, z2, tau2, z3, tau3)
+_AXES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def test_branch_at_imaginary_identity():
@@ -114,10 +119,10 @@ def test_path_continuity(rng):
         zb = mx.random_siegel(rng)
         ts = np.linspace(0.0, 1.0, 1000)
         zs = za[None, :, :] * (1 - ts)[:, None, None] + zb[None, :, :] * ts[:, None, None]
-        h1, h2, h3 = branch._branch_arrays(
+        h1, h2, h3q, h3r = branch._branch_arrays(
             zs[:, 0, 0], zs[:, 0, 1], zs[:, 0, 2], zs[:, 1, 1], zs[:, 1, 2], zs[:, 2, 2]
         )
-        for h in (h1, h2, h3):
+        for h in (h1, h2, h3q + h3r):
             assert np.max(np.abs(np.diff(h))) < 0.1
 
 
@@ -135,3 +140,68 @@ def test_integer_power_fast_path_matches_logs(rng):
     fast = branch.power_terms((-2, -4, 5), *args)
     slow = branch.power_terms((-2.0 + 0j, -4.0 + 1e-30j, 5.0 + 0j), *args)
     assert np.max(np.abs(fast - slow) / np.abs(slow)) <= 1e-12
+
+
+def _mp_power(exponents, entries):
+    """exp(s h1 + w h2 + u h3) from the four principal logs, in mpmath."""
+    s, w, u = (mpmath.mpc(complex(x)) for x in exponents)
+    t1, z1, z2, t2, z3, t3 = (mpmath.mpc(complex(x)) for x in entries)
+    d2 = t1 * t2 - z1**2
+    d3 = t1 * t2 * t3 + 2 * z1 * z2 * z3 - t1 * z3**2 - t2 * z2**2 - t3 * z1**2
+    q = z3**2 - t2 * t3
+    return complex(mpmath.exp(s * mpmath.log(t1) + w * (mpmath.log(-d2) + 1j * mpmath.pi)
+                              + u * (mpmath.log(d3 / q) + mpmath.log(q) + 2j * mpmath.pi)))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       re=st.lists(st.floats(-3, 3), min_size=3, max_size=3),
+       im=st.lists(st.floats(-2, 2), min_size=3, max_size=3))
+def test_power_terms_matches_mpmath_on_grids_and_flat(seed, re, im):
+    exponents = tuple(complex(a, b) for a, b in zip(re, im))
+    assume(not all(branch._is_small_int(e) for e in exponents))
+    rng = np.random.default_rng(seed)
+    z = mx.random_siegel(rng)
+    # an open grid of integer shifts, two per entry: 64 terms on six axes
+    shifts = rng.integers(-2, 3, size=(6, 2))
+    grid = np.ix_(*[z[i, j] + shifts[k] for k, (i, j) in enumerate(_AXES)])
+    on_grid = branch.power_terms(exponents, *grid)
+    flat_args = [np.broadcast_to(a, on_grid.shape).ravel() for a in grid]
+    flat = branch.power_terms(exponents, *flat_args)
+    with mpmath.workdps(30):
+        ref = np.array([_mp_power(exponents, args) for args in zip(*flat_args)])
+    for got in (on_grid.ravel(), flat):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad,argument", [
+    ((-1.0, 0, 0, 1j, 0, 1j), "d1"),     # tau1 = -1
+    ((1j, 2j, 0, 1j, 0, 1j), "-d2"),     # d2 = 3
+    ((1j, 0, 0, 1j, 2j, 1j), "q"),       # q = -3
+    ((3.0, 0, 1 + 1j, 1j, 0, 1j), "d3/q"),  # d3 = -1, q = 1
+])
+def test_cut_detected_inside_an_array(bad, argument):
+    good = (1j, 0.25, 0.0, 1j, 0.0, 1j)
+    d1, d2, d3, q = branch._dets(*(complex(x) for x in bad))
+    on_cut = {"d1": d1, "-d2": -d2, "q": q, "d3/q": d3 / q}
+    # exactly the named argument lies on (-inf, 0]
+    assert [k for k, v in on_cut.items() if v.imag == 0 and v.real <= 0] == [argument]
+    cols = [np.full(5, g, dtype=complex) for g in good]
+    exponents = (0.5 + 0.1j, 1.5, -2.5)
+    branch.power_terms(exponents, *cols)  # the clean array passes
+    for col, x in zip(cols, bad):
+        col[3] = x
+    with pytest.raises(BranchCutError):
+        branch.power_terms(exponents, *cols)
+    with pytest.raises(BranchCutError):  # on an open grid: the bad point is entry (3, 3)
+        branch.power_terms(exponents, *np.ix_(*cols[:2]), *cols[2:])
+
+
+def test_non_finite_exponents_are_refused():
+    z = 1j * np.eye(3)
+    for e in ((np.nan, 4, 5), (2, 4, np.inf), (2, complex(4, np.nan), 5)):
+        with pytest.raises(DomainError):
+            branch.power_p(e, z)
+        with pytest.raises(DomainError):
+            branch.power_p_at_inverse(e, z)
+        with pytest.raises(DomainError):
+            branch.power_terms(e, *(np.full(3, z[i, j]) for i, j in _AXES))

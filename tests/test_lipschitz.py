@@ -109,6 +109,23 @@ def test_absurd_truncations_are_refused():
         lip.lipschitz_report((2.0, 4.0, 5.0), z, 1, 100)
 
 
+def test_non_finite_exponents_and_sums_are_refused():
+    z = 1j * np.eye(3)
+    for e in ((np.nan, 4, 5), (2, 4, np.inf), (2, complex(4, np.nan), 5)):
+        for tail_correction in (False, True):
+            with pytest.raises(DomainError, match="finite"):
+                lip.lattice_sum_lhs(e, z, 2, tail_correction)
+        with pytest.raises(DomainError, match="finite"):
+            lip.fourier_side_rhs(e, z, 6)
+        with pytest.raises(DomainError, match="finite"):
+            lip.lipschitz_report(e, z, 1, 6)
+    # finite exponents whose sums overflow
+    with pytest.raises(DomainError, match="overflowed"), np.errstate(all="ignore"):
+        lip.lattice_sum_lhs((2.5, 4, 1e308), z, 2)
+    with pytest.raises(DomainError, match="overflowed"), np.errstate(all="ignore"):
+        lip.fourier_side_rhs((2, 4, 2 + 300j), z, 6)
+
+
 def test_lhs_single_term():
     z = _z0()
     val, n, tail = lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, 0)

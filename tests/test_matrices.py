@@ -48,9 +48,10 @@ def test_adjugate_property(vals):
 
 def test_unimodular_enumeration_order_is_pinned():
     # criterion 12's stride sample ball[i % 97::97] and poincare_trunc's
-    # summation order depend on this order, so it is pinned by digest
+    # summation order depend on this order, so it is pinned by digest (of the
+    # nested lists, the same for the entry-bound stack as for its old lists)
     for ball, size, digest in (
-        (il.unimodular_matrices_entrybound(1), 6960,
+        (il.unimodular_matrices_entrybound(1).tolist(), 6960,
          "8841075d05c831d4d059ad4b43a9e89a5b128415fcfc4750456d3d9fd9e8e6b7"),
         (il.unimodular_matrices_colnorm(2), 2352,
          "1c6e026013e1b82a029c23621c98642b612e0e2cb67bf2708c5a175f3d35c71b"),
@@ -88,6 +89,43 @@ def test_mobius_cocycle_and_imaginary_part(rng):
         rhs = np.linalg.det(z.imag) / abs(j) ** 2
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
     assert worst <= 1e-12
+
+
+def _random_symplectic_lists(rng, max_entry, max_factors):
+    """The list-product construction that random_symplectic replaced (oracle)."""
+    i3 = il.identity(3)
+    while True:
+        m = mx.from_blocks(i3, [[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)], i3)
+        for _ in range(int(rng.integers(1, max_factors + 1))):
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                s = [[int(rng.integers(-1, 2)) for _ in range(3)] for _ in range(3)]
+                s = [[s[i][j] if i <= j else s[j][i] for j in range(3)] for i in range(3)]
+                f = mx.translation6(s)
+            elif kind == 1:
+                f = mx.embed_gl6(mx._random_unimodular(rng))
+            else:
+                f = mx.inversion6()
+            m = il.mat_mul(m, f)
+        if max(abs(x) for row in m for x in row) <= max_entry:
+            return m
+
+
+def test_random_symplectic_matches_list_construction():
+    for seed in (0, 1, 2):
+        for max_entry, max_factors in ((12, 8), (10, 6), (3, 6)):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                m = mx.random_symplectic(rng_a, max_entry, max_factors)
+                assert m == _random_symplectic_lists(rng_b, max_entry, max_factors)
+                assert all(type(x) is int for row in m for x in row)
+            # the same rng calls: both streams are at the same place
+            assert rng_a.integers(2**62) == rng_b.integers(2**62)
+    # long products pass 2^29, then 2^64, and finish in Python ints
+    rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+    ms = [mx.random_symplectic(rng_a, 10**300, 3000) for _ in range(3)]
+    assert ms == [_random_symplectic_lists(rng_b, 10**300, 3000) for _ in range(3)]
+    assert min(max(abs(x) for row in m for x in row) for m in ms) > 2**100
 
 
 def test_symplectic_products_exact(rng):

@@ -10,7 +10,6 @@ is no overflow and no tolerance anywhere.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
 
 import numpy as np
 
@@ -84,15 +83,6 @@ def inv_unimodular(u):
         raise ValueError("matrix is not unimodular")
     adj = adj3(u)
     return [[d * adj[i][j] for j in range(3)] for i in range(3)]
-
-
-def gcd_list(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-        if g == 1:
-            return 1
-    return g
 
 
 def exact_array(values, bound):

@@ -94,18 +94,24 @@ def _finite_exponents(exponents):
     return s, w, u
 
 
+def _power(exponents, h):
+    """exp(s h1 + w h2 + u h3); DomainError unless the value is finite."""
+    s, w, u = exponents
+    with np.errstate(all="ignore"):
+        value = complex(np.exp(s * h.h1 + w * h.h2 + u * h.h3))
+    if not np.isfinite(value):
+        raise DomainError("p_{s,w,u} is not finite at exponents %r" % (exponents,))
+    return value
+
+
 def power_p(exponents, z, cut_tol=CUT_TOL):
     """The power function p_{s,w,u}(Z) = exp(s h1 + w h2 + u h3)."""
-    s, w, u = _finite_exponents(exponents)
-    h = branch_h(z, cut_tol)
-    return complex(np.exp(s * h.h1 + w * h.h2 + u * h.h3))
+    return _power(_finite_exponents(exponents), branch_h(z, cut_tol))
 
 
 def power_p_at_inverse(exponents, z, cut_tol=CUT_TOL):
     """p_{s,w,u}(-Z^(-1)) without forming the inverse matrix."""
-    s, w, u = _finite_exponents(exponents)
-    h = branch_h_inverse(z, cut_tol)
-    return complex(np.exp(s * h.h1 + w * h.h2 + u * h.h3))
+    return _power(_finite_exponents(exponents), branch_h_inverse(z, cut_tol))
 
 
 def power_inversion_gap(exponents, z, cut_tol=CUT_TOL):

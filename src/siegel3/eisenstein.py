@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _intlinalg as il
 from .errors import MAX_WORK, DomainError, PoleError
-from .forms import HalfIntegralForm, short_vectors_gram
+from .forms import _CHUNK, HalfIntegralForm, first_nonzero_positive, short_vectors_gram
 from .specfun import complex_gamma, complex_zeta, besselK
 
 
@@ -49,41 +49,44 @@ class TruncatedValue:
 
 
 def _primitive_mod_sign(gram, bound):
-    """Primitive vectors mod sign with gram[v] <= bound, with their values."""
-    seen = {}
-    for q, v in short_vectors_gram(gram, bound):
-        if il.gcd_list(v) != 1:
-            continue
-        cv = il.canonical_sign(v)
-        if cv not in seen:
-            seen[cv] = q
-    return sorted(seen.items(), key=lambda p: p[0])
-
-
-def _adj_gram2(y: HalfIntegralForm):
-    """adj(2Y) as integer matrix; adj(Y)[n] = adj(2Y)[n] / 4."""
-    return il.adj3(y.gram2())
+    """The rows of the short-vector ball gram[v] <= bound (a record array of
+    q = gram[v] and v) whose v is primitive with its first nonzero entry
+    positive, one per primitive vector mod sign, sorted by v."""
+    ball = short_vectors_gram(gram, bound)
+    ball = ball[(np.gcd.reduce(ball["v"], axis=1) == 1) & first_nonzero_positive(ball["v"])]
+    return ball[np.lexsort(ball["v"].T[::-1])]
 
 
 def _flag_vectors(y: HalfIntegralForm, spec: TruncationSpec):
-    """Lines v with Y[v] <= q_bound and plane normals n with adj(Y)[n] <= g_bound.
-
-    Both lists hold (vector, value) with the doubled values (2Y)[v] and
-    adj(2Y)[n] = 4 adj(Y)[n].
-    """
+    """Lines v with Y[v] <= q_bound and plane normals n with adj(Y)[n] <= g_bound,
+    as _primitive_mod_sign records of the doubled values (2Y)[v] and
+    adj(2Y)[n] = 4 adj(Y)[n]."""
     vs = _primitive_mod_sign(y.gram2(), 2 * Fraction(spec.q_bound))
-    ns = _primitive_mod_sign(_adj_gram2(y), 4 * Fraction(spec.g_bound))
+    ns = _primitive_mod_sign(il.adj3(y.gram2()), 4 * Fraction(spec.g_bound))
     return vs, ns
+
+
+def _orthogonal_blocks(vs, ns):
+    """(start, mask) per block of rows of vs, with mask[i, j] true when
+    vs[start + i] . ns[j] == 0; a block holds about _CHUNK mask entries (at
+    least one row).  Above MAX_WORK candidate pairs the product is refused."""
+    v, n = vs["v"], ns["v"]
+    if len(v) * len(n) > MAX_WORK:
+        raise DomainError("%d x %d flag candidates, above %d" % (len(v), len(n), MAX_WORK))
+    if 3 * int(abs(v).max(initial=0)) * int(abs(n).max(initial=0)) >= 1 << 63:
+        v, n = v.astype(object), n.astype(object)  # exact dot products
+    step = max(1, _CHUNK // max(1, len(n)))
+    for start in range(0, len(v), step):
+        yield start, v[start:start + step] @ n.T == 0
 
 
 def enumerate_flags(y: HalfIntegralForm, spec: TruncationSpec):
     """All flags with Y[v] <= q_bound and adj(Y)[n] <= g_bound, each once."""
     vs, ns = _flag_vectors(y, spec)
     flags = []
-    for v, _ in vs:
-        for n, _ in ns:
-            if v[0] * n[0] + v[1] * n[1] + v[2] * n[2] == 0:
-                flags.append(Flag(v, n))
+    for start, mask in _orthogonal_blocks(vs, ns):
+        i, j = np.nonzero(mask)
+        flags += map(Flag, map(tuple, vs["v"][start + i].tolist()), map(tuple, ns["v"][j].tolist()))
     return flags
 
 
@@ -96,17 +99,13 @@ def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
     """
     s, w, u = (complex(e) for e in exponents)
     vs, ns = _flag_vectors(y, spec)
-    total = 0.0 + 0.0j
-    terms = 0
-    for v, qv in vs:
-        xv = float(qv) / 2.0
-        pv = np.exp(-s * math.log(xv))
-        for n, qn in ns:
-            if v[0] * n[0] + v[1] * n[1] + v[2] * n[2] != 0:
-                continue
-            xn = float(qn) / 4.0
-            total += pv * np.exp(-w * math.log(xn))
-            terms += 1
+    pv, pn = np.exp(-s * np.log(vs["q"] / 2.0)), np.exp(-w * np.log(ns["q"] / 4.0))
+    total, terms = 0.0 + 0.0j, 0
+    for start, mask in _orthogonal_blocks(vs, ns):
+        # one left-to-right sum in (v, n) order, whatever the row blocks
+        i, j = np.nonzero(mask)
+        total = np.cumsum(np.append(total, pv[start + i] * pn[j]))[-1]
+        terms += len(i)
     dety = float(y.det())
     value = complex(np.exp(-u * math.log(dety)) * total)
     warnings = []
@@ -295,10 +294,7 @@ def mu_parabolic(y: HalfIntegralForm, r, bound):
     adj(Y)[n] <= bound; scale-invariant in Y.
     """
     r = float(r)
-    adj2 = _adj_gram2(y)
-    ns = _primitive_mod_sign(adj2, 4 * Fraction(bound))
-    total = 0.0
-    for n, qn in ns:
-        total += (float(qn) / 4.0) ** (-r)
+    ns = _primitive_mod_sign(il.adj3(y.gram2()), 4 * Fraction(bound))
+    total = float(((ns["q"] / 4.0) ** (-r)).sum())
     dety = float(y.det())
     return TruncatedValue(value=dety ** (2.0 * r / 3.0) * total, terms_used=len(ns))

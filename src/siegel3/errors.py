@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the work ceiling."""
+"""Exception types shared across the package, and the work and ball ceilings."""
 
 # Most lattice terms, candidate forms or candidate vectors one call may
 # evaluate; above it the call raises DomainError before it allocates.
 MAX_WORK = 10**9
+# Most rows of one short-vector ball (32 B each, 512 MiB in all); a larger
+# ball is refused after its leaves are counted, before any is built.
+MAX_BALL = 1 << 24
 
 
 class Siegel3Error(Exception):

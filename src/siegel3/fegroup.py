@@ -62,19 +62,9 @@ class AffineMap:
 
     def __call__(self, point):
         """Apply to a point of Fractions or Qk entries."""
-        out = []
-        for i in range(3):
-            acc = Qk()
-            for j in range(3):
-                c = self.matrix[i][j]
-                p = point[j]
-                if isinstance(p, Qk):
-                    acc = acc + p.scale(c)
-                else:
-                    acc = acc + Qk(c * Fraction(p))
-            acc = acc + self.shift[i]
-            out.append(acc)
-        return tuple(out)
+        p = [x if isinstance(x, Qk) else _qk(x) for x in point]
+        return tuple(sum((p[j].scale(self.matrix[i][j]) for j in range(3)), self.shift[i])
+                     for i in range(3))
 
     def compose(self, other):
         """self after other: x -> self(other(x))."""
@@ -85,20 +75,10 @@ class AffineMap:
             )
             for i in range(3)
         )
-        shift = []
-        for i in range(3):
-            acc = self.shift[i]
-            for t in range(3):
-                acc = acc + other.shift[t].scale(self.matrix[i][t])
-            shift.append(acc)
-        label = (self.label + other.label) or ""
-        return AffineMap(m, tuple(shift), label)
+        return AffineMap(m, self(other.shift), self.label + other.label)
 
     def same_action(self, other):
         return self.matrix == other.matrix and self.shift == other.shift
-
-    def coeffs(self):
-        return (self.matrix, self.shift)
 
 
 def _mat(rows):
@@ -176,32 +156,24 @@ class GroupTable:
 
 def closure(gens, cap=CLOSURE_CAP):
     """BFS closure of the generators under composition, with Cayley table."""
-    elements = [identity_map()]
-    frontier = [identity_map()]
-    gen_list = list(gens)
+    group = GroupTable(elements=[identity_map()], table=[])
+    elements, frontier, gen_list = group.elements, [identity_map()], list(gens)
     while frontier:
         new_frontier = []
         for e in frontier:
             for g in gen_list:
                 cand = compose(g, e)
-                if all(not cand.same_action(x) for x in elements):
+                if group.index_of(cand) is None:
                     # keep the shortest generation word as the label
                     elements.append(cand)
                     new_frontier.append(cand)
                     if len(elements) > cap:
                         raise Diverged("closure exceeded cap %d" % cap)
         frontier = new_frontier
-    table = [
-        [_index(elements, compose(x, y)) for y in elements] for x in elements
-    ]
-    return GroupTable(elements=elements, table=table)
-
-
-def _index(elements, m):
-    for i, e in enumerate(elements):
-        if e.same_action(m):
-            return i
-    raise AssertionError("closure is not closed")
+    group.table = [[group.index_of(compose(x, y)) for y in elements] for x in elements]
+    if any(None in row for row in group.table):
+        raise AssertionError("closure is not closed")
+    return group
 
 
 def certify_dihedral(table: GroupTable):
@@ -237,12 +209,9 @@ def orbit(point, table: GroupTable, k_value=None):
 
     With k_value None the symbolic k is kept; points are tuples of Qk.
     """
-    p = []
-    for x in point:
-        p.append(x if isinstance(x, Qk) else Qk(Fraction(x)))
     images = set()
     for m in table.elements:
-        q = m(tuple(p))
+        q = m(point)
         if k_value is not None:
             q = tuple(c.substitute(k_value) for c in q)
         images.add(q)

@@ -24,7 +24,7 @@ from operator import index
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import MAX_WORK, DomainError, NotPositiveDefinite
+from .errors import MAX_BALL, MAX_WORK, DomainError, NotPositiveDefinite
 
 
 @dataclass(frozen=True, order=True)
@@ -105,6 +105,8 @@ class ReducedForm:
 _CHUNK = 1 << 17
 # Largest coordinate for int64 kernels: |det(v1, v2, v3)| <= 6 * coord^3 < 2^63.
 _INT64_COORD = 1 << 20
+# A short-vector ball: the record array of q = g[v] and v, 32 B per row.
+_BALL = np.dtype([("q", np.int64), ("v", np.int64, (3,))])
 
 
 def _pairwise_reduced(g):
@@ -127,20 +129,21 @@ def _pairwise_reduced(g):
 
 
 def short_vectors_gram(g, bound):
-    """The sorted (g[v], v) for all integer v != 0 with g[v] <= bound, by
-    Fincke-Pohst enumeration on a pairwise-reduced basis of the positive-
-    definite 3x3 integer g (its float LDL stays accurate when g is skewed).
+    """All integer v != 0 with g[v] <= bound, as an int64 record array with
+    fields q = g[v] and v (3 entries), sorted by (q, v); by Fincke-Pohst
+    enumeration on a pairwise-reduced basis of the positive-definite 3x3
+    integer g (its float LDL stays accurate when g is skewed).
 
     The ranges are built level by level as arrays, with slack, _CHUNK rows at
     a time; every level is counted before a leaf is built (above MAX_WORK
-    candidates on one level the ball is refused); each candidate's value is
-    checked exactly (int64 where no partial sum can overflow, else Python
-    ints), so ``bound`` may be floored.
+    candidates on one level, or MAX_BALL leaves, the ball is refused); each
+    candidate's value is checked exactly (int64 where no partial sum can
+    overflow, else Python ints), so ``bound`` may be floored.
     """
     g = [[index(x) for x in row] for row in g]
     bound = floor(Fraction(bound))
     if bound <= 0:
-        return []
+        return np.empty(0, _BALL)
     if not _positive_definite(g):
         raise NotPositiveDefinite("matrix is not positive definite")
     return _fincke_pohst(*_pairwise_reduced(g), bound)
@@ -193,7 +196,11 @@ def _fincke_pohst(h, u, bound):
         ranges(mid, 0, counts)
         if counts[1] <= _CHUNK:  # a ball of few rows keeps them
             kept.append(mid)
-    hsum, umax, qs, vs = sum(abs(x) for row in h for x in row), max(map(abs, chain(*u))), [], []
+    if counts[0] > MAX_BALL:
+        raise DomainError("%d candidate vectors with g[v] <= %d, above the ball ceiling of %d"
+                          % (counts[0], bound, MAX_BALL))
+    hsum, umax = sum(abs(x) for row in h for x in row), max(map(abs, chain(*u)))
+    ball, end = np.empty(counts[0], _BALL), 0  # pages are touched row by row
     for mid in kept if counts[1] <= _CHUNK else mids([0, 0, 0]):
         for w, _, _ in chunks(mid, 0, [0, 0, 0]):
             w = w[w.any(axis=1)]
@@ -201,16 +208,12 @@ def _fincke_pohst(h, u, bound):
             if hsum * m * m >= 1 << 63 or 3 * umax * m >= 1 << 63:
                 w = w.astype(object)
             q = ((w @ np.array(h, dtype=w.dtype)) * w).sum(axis=1)
-            qs.append(q[q <= bound].astype(np.int64))
-            vs.append((w[q <= bound] @ np.array(u, dtype=w.dtype).T).astype(np.int64))
-    q, v = np.concatenate(qs), np.concatenate(vs)
-    order = np.lexsort((v[:, 2], v[:, 1], v[:, 0], q))
-    return list(zip(q[order].tolist(), map(tuple, v[order].tolist())))
-
-
-def short_vectors2(t, bound2):
-    """All integer v != 0 with (2T)[v] <= bound2 for a half-integral form."""
-    return short_vectors_gram(t.gram2(), bound2)
+            keep = q <= bound
+            rows = slice(end, end + int(np.count_nonzero(keep)))
+            ball["q"][rows], ball["v"][rows] = q[keep], w[keep] @ np.array(u, dtype=w.dtype).T
+            end = rows.stop
+    ball = ball[:end]
+    return ball[np.lexsort((*ball["v"].T[::-1], ball["q"]))]
 
 
 def _ball(t, reduce_basis=False):
@@ -224,11 +227,16 @@ def _ball(t, reduce_basis=False):
         h, u = _pairwise_reduced(t.gram2())
         ball = _fincke_pohst(h, u, max(h[0][0], h[1][1], h[2][2]))
     else:  # the public enumerator reduces the basis itself
-        ball = short_vectors2(t, 2 * max(t.t1, t.t2, t.t3))
-    q = np.fromiter((p[0] for p in ball), np.int64, len(ball))
-    v = np.fromiter(chain.from_iterable(p[1] for p in ball), np.int64, 3 * len(ball)).reshape(-1, 3)
+        ball = short_vectors_gram(t.gram2(), 2 * max(t.t1, t.t2, t.t3))
+    q, v = ball["q"], ball["v"]
     int64 = np.abs(v).max() < _INT64_COORD and max(t.t1, t.t2, t.t3) < 1 << 61
     return q, v if int64 else v.astype(object)
+
+
+def first_nonzero_positive(v):
+    """Mask of the rows of an (N, 3) integer array whose first nonzero entry
+    is positive: one of each pair +-v."""
+    return np.where(v[:, 0] != 0, v[:, 0], np.where(v[:, 1] != 0, v[:, 1], v[:, 2])) > 0
 
 
 _SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
@@ -253,8 +261,8 @@ def minkowski_reduce(t, cover=None):
     b23 >= 0 the search met; all of them are in the class of T.
     """
     q, v = _ball(t, reduce_basis=True)
-    first = np.where(v[:, 0] != 0, v[:, 0], np.where(v[:, 1] != 0, v[:, 1], v[:, 2]))
-    q, v = q[first > 0], v[first > 0]  # one sign, still sorted by (q, v)
+    sign = first_nonzero_positive(v)
+    q, v = q[sign], v[sign]  # one sign, still sorted by (q, v)
     i1 = np.flatnonzero(q == q[0])
     r, i2 = _least(q, np.gcd.reduce(il.cross3(v[i1].T[:, :, None], v.T[:, None, :])) == 1)
     i1 = i1[r]

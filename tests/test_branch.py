@@ -205,3 +205,14 @@ def test_non_finite_exponents_are_refused():
             branch.power_p_at_inverse(e, z)
         with pytest.raises(DomainError):
             branch.power_terms(e, *(np.full(3, z[i, j]) for i, j in _AXES))
+
+
+def test_non_finite_powers_are_refused():
+    # finite exponents whose power is NaN (u h3 at iI) or overflows (|det 3iI_1|^800)
+    z = 1j * np.eye(3)
+    for fn, e, point in ((branch.power_p, (2.5, 4, 1e308), z),
+                         (branch.power_p_at_inverse, (2.5, 4, 1e308), z),
+                         (branch.power_p, (800, 0, 0), 3 * z),
+                         (branch.power_p_at_inverse, (-800, 0, 0), 3 * z)):
+        with pytest.raises(DomainError, match="not finite"):
+            fn(e, point)

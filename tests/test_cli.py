@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -225,8 +228,14 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
       "--bound", "1e9"], "input error:"),  # ~1.3e14 short vectors
     (["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "3",
       "--bound", "1e15"], "input error:"),  # 6e7 values of v3, refused before the next level
+    (["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "3",
+      "--bound", "2000"], "input error:"),  # 155,833^2 ~ 2.4e10 flag candidates
+    (["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "3",
+      "--bound", "2e5"], "input error:"),  # ~3.8e8 short vectors, above MAX_BALL rows
     (["eval-epstein", "--y", "1,0,1", "--s", "2", "--bound", "1e9"], "input error:"),  # 4e9 grid
     (["eps", "--form", "1,1,-1,0,0,0"], "input error: form is not positive definite"),
+    # finite exponents whose power overflows: no NaN payload
+    (["eval-power", "--s", "2.5", "--w", "4", "--u", "1e308", "--z", Z1], "input error:"),
     # Z = 0 is no Siegel point: the stacked Mobius action refuses the table
     (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", "0,0,0,0,0,0"],
      "input error: C Z + D is numerically singular"),
@@ -234,6 +243,18 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["verify-lipschitz", "--max-abs", "1", "--z=-1j,0,0,1j,0,1j", "--tail-correction"],
      "input error:"),
 ]
+
+
+def test_ball_above_the_ceiling_is_refused_before_it_is_built():
+    # 12 GB of rows at 32 B each; the child's own peak RSS shows none was built
+    argv = [sys.executable, "-m", "siegel3.cli", "eval-eisenstein", "--form", "1,1,1,0,0,0",
+            "--s", "3", "--w", "3", "--u", "3", "--bound", "2e5"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 1
+    assert proc.stderr.read().startswith(b"input error:")
+    assert usage.ru_maxrss < 400 * 1024  # KiB: the interpreter alone takes ~85 MB
 
 
 def _no_constants(name):

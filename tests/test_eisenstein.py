@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from siegel3 import _intlinalg as il
 from siegel3 import eisenstein as eis, forms
+from siegel3.errors import DomainError
 from siegel3.specfun import complex_zeta
 
 I3 = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
@@ -17,7 +19,7 @@ def test_flags_of_identity_at_unit_bounds():
     assert len(flags) == 6
     for f in flags:
         assert sum(a * b for a, b in zip(f.v, f.n)) == 0
-        assert il.gcd_list(f.v) == 1 and il.gcd_list(f.n) == 1
+        assert math.gcd(*f.v) == 1 and math.gcd(*f.n) == 1
 
 
 def test_flag_count_invariant_under_congruence():
@@ -41,6 +43,79 @@ def test_flag_count_invariant_under_congruence():
 
 def _qform(g, v):
     return sum(v[i] * g[i][j] * v[j] for i in range(3) for j in range(3))
+
+
+def _old_primitive_mod_sign(gram, bound):
+    """Primitive vectors mod sign with gram[v] <= bound, with their values, by
+    a dict walk over the ball (the path the array filter replaced; oracle)."""
+    ball = forms.short_vectors_gram(gram, bound)
+    seen = {}
+    for q, v in zip(ball["q"].tolist(), map(tuple, ball["v"].tolist())):
+        if math.gcd(*v) == 1:
+            seen.setdefault(il.canonical_sign(v), q)
+    return sorted(seen.items())
+
+
+def _old_flag_terms(y, spec):
+    """(v, (2Y)[v], n, adj(2Y)[n]) of every flag, by the double loop."""
+    vs = _old_primitive_mod_sign(y.gram2(), 2 * Fraction(spec.q_bound))
+    ns = _old_primitive_mod_sign(il.adj3(y.gram2()), 4 * Fraction(spec.g_bound))
+    return [(v, qv, n, qn) for v, qv in vs for n, qn in ns
+            if v[0] * n[0] + v[1] * n[1] + v[2] * n[2] == 0]
+
+
+def _old_selberg_E(y, exponents, spec):
+    """(value, terms) of the truncated flag series, summed term by term."""
+    s, w, u = (complex(e) for e in exponents)
+    total, terms = 0.0 + 0.0j, _old_flag_terms(y, spec)
+    for _, qv, _, qn in terms:
+        total += np.exp(-s * math.log(qv / 2.0)) * np.exp(-w * math.log(qn / 4.0))
+    return complex(np.exp(-u * math.log(float(y.det()))) * total), len(terms)
+
+
+def _old_mu_parabolic(y, r, bound):
+    ns = _old_primitive_mod_sign(il.adj3(y.gram2()), 4 * Fraction(bound))
+    total = sum((qn / 4.0) ** (-r) for _, qn in ns)
+    return float(y.det()) ** (2.0 * r / 3.0) * total, len(ns)
+
+
+SKEWED = forms.congruence_form(forms.HalfIntegralForm(1, 1, 2, 0, 0, 1),
+                               [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_flag_sums_match_the_double_loop(monkeypatch, chunk):
+    if chunk:
+        monkeypatch.setattr(eis, "_CHUNK", chunk)  # many row blocks
+    for y in forms.reduced_classes(2) + [SKEWED]:  # SKEWED: |v| |n| past 2^63, exact dots
+        for q_bound, g_bound in ((2, 2), (8, 12), (12, 8), (30, 30)):
+            spec = eis.TruncationSpec(q_bound, g_bound)
+            flags = eis.enumerate_flags(y, spec)
+            assert len(set(flags)) == len(flags)
+            assert {(f.v, f.n) for f in flags} == {(v, n) for v, _, n, _ in _old_flag_terms(y, spec)}
+            for e in ((2.5, 3 - 1j, 0.7), (0.5, 2, 0)):
+                got, (value, terms) = eis.selberg_E(y, e, spec), _old_selberg_E(y, e, spec)
+                assert got.terms_used == terms
+                assert abs(got.value - value) <= 1e-12 * abs(value)
+            got, (value, terms) = eis.mu_parabolic(y, 2.0, g_bound), _old_mu_parabolic(y, 2.0, g_bound)
+            assert got.terms_used == terms and abs(got.value - value) <= 1e-12 * abs(value)
+
+
+def test_orthogonality_is_exact_past_int64():
+    # v . n = 2^64 wraps to 0 in int64; it is no flag
+    vs = np.array([(2, (2**32, 1, 0)), (2, (0, 0, 1))], forms._BALL)
+    ns = np.array([(4, (2**32, 0, 0))], forms._BALL)
+    masks = [mask for _, mask in eis._orthogonal_blocks(vs, ns)]
+    assert np.concatenate(masks).tolist() == [[False], [True]]
+
+
+def test_flag_product_above_the_work_ceiling_is_refused(monkeypatch):
+    spec = eis.TruncationSpec(30, 30)
+    monkeypatch.setattr(eis, "MAX_WORK", 1000)
+    with pytest.raises(DomainError, match="flag candidates"):
+        eis.selberg_E(I3, (3, 3, 3), spec)
+    with pytest.raises(DomainError, match="flag candidates"):
+        eis.enumerate_flags(I3, spec)
 
 
 def test_selberg_value_and_metadata():
@@ -180,7 +255,7 @@ def test_plane_gram_determinant_equals_adjugate_value(a, b, c):
     # for a primitive normal n, the Gram determinant of an integral basis of
     # the orthogonal plane equals adj(Y)[n]
     n = (a, b, c)
-    if il.gcd_list(n) != 1:
+    if math.gcd(*n) != 1:
         return
     y = forms.HalfIntegralForm(2, 3, 5, 1, -1, 2)
     s, u, v = il.snf([list(n)])

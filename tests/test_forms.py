@@ -1,13 +1,13 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from siegel3 import _intlinalg as il
 from siegel3 import forms
-from siegel3.errors import DomainError, NotPositiveDefinite
+from siegel3.errors import MAX_BALL, DomainError, NotPositiveDefinite
 
 I3 = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
 
@@ -92,7 +92,7 @@ def test_array_enumerator_matches_nested_loop():
 def test_short_vectors_match_naive_box():
     t = forms.HalfIntegralForm(2, 3, 5, 1, -2, 1)
     bound = 30
-    got = {v for _, v in forms.short_vectors2(t, bound)}
+    got = set(map(tuple, forms.short_vectors_gram(t.gram2(), bound)["v"].tolist()))
     expected = set()
     for x in range(-6, 7):
         for y in range(-6, 7):
@@ -197,6 +197,11 @@ def test_diagonal_product_versus_determinant_bound():
 
 # --- the recursive kernels that the array kernels replaced (oracles) ---------
 
+def _as_list(ball):
+    """A short-vector record array as the sorted (q, v) list of the oracles."""
+    return list(zip(ball["q"].tolist(), map(tuple, ball["v"].tolist())))
+
+
 def _recursive_short_vectors(g, bound):
     """Recursive Fincke-Pohst over exact ints, with a per-vector exact check."""
     n = len(g)
@@ -274,7 +279,7 @@ def _recursive_minkowski_reduce(t):
         u0 = _complete_one(list(v1))
         r2 = min(t.value2(tuple(u0[i][j] for i in range(3))) for j in (1, 2))
         pool2 = [(q, v) for q, v in _recursive_short_vectors(g, r2)
-                 if il.gcd_list(il.cross3(v1, v)) == 1]
+                 if gcd(*il.cross3(v1, v)) == 1]
         m2 = min(q for q, _ in pool2)
         for v2 in sorted({il.canonical_sign(v) for q, v in pool2 if q == m2}):
             n = il.cross3(v1, v2)
@@ -346,10 +351,18 @@ def test_short_vectors_match_recursive_oracle():
         g = t.gram2()
         for gram in (g, il.adj3(g)):
             for bound in (2, 30, max(gram[0][0], gram[1][1], gram[2][2])):
-                got = forms.short_vectors_gram(gram, bound)
+                got = _as_list(forms.short_vectors_gram(gram, bound))
                 assert got == _recursive_short_vectors(gram, bound)
-                assert forms.short_vectors_gram(gram, Fraction(2 * bound + 1, 2)) == got
-    assert forms.short_vectors_gram([[2, 0, 0], [0, 2, 0], [0, 0, 2]], Fraction(1, 2)) == []
+                assert _as_list(forms.short_vectors_gram(gram, Fraction(2 * bound + 1, 2))) == got
+    assert _as_list(forms.short_vectors_gram([[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                                             Fraction(1, 2))) == []
+
+
+def test_short_vector_ball_is_an_int64_record_array():
+    for bound in (0, 30):
+        ball = forms.short_vectors_gram([[2, 1, 0], [1, 2, 0], [0, 0, 4]], bound)
+        assert ball.dtype.names == ("q", "v")
+        assert ball["q"].dtype == ball["v"].dtype == "int64" and ball["v"].shape[1:] == (3,)
 
 
 def test_short_vectors_of_a_skewed_form_are_the_moved_ball():
@@ -358,15 +371,16 @@ def test_short_vectors_of_a_skewed_form_are_the_moved_ball():
     u = [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]]
     uinv = il.inv_unimodular(u)
     moved = sorted((q, tuple(il.mat_mul(uinv, [[x] for x in v])[i][0] for i in range(3)))
-                   for q, v in forms.short_vectors2(t0, 12))
-    assert forms.short_vectors2(forms.congruence_form(t0, u), 12) == moved
+                   for q, v in _as_list(forms.short_vectors_gram(t0.gram2(), 12)))
+    skewed = forms.congruence_form(t0, u).gram2()
+    assert _as_list(forms.short_vectors_gram(skewed, 12)) == moved
 
 
 def test_short_vectors_chunked_build_matches_one_chunk(monkeypatch):
     cases = [(t.gram2(), 60) for t in _box(20)[::97]]
-    whole = [forms.short_vectors_gram(g, b) for g, b in cases]
+    whole = [_as_list(forms.short_vectors_gram(g, b)) for g, b in cases]
     monkeypatch.setattr(forms, "_CHUNK", 7)  # many row and leaf chunks
-    assert [forms.short_vectors_gram(g, b) for g, b in cases] == whole
+    assert [_as_list(forms.short_vectors_gram(g, b)) for g, b in cases] == whole
 
 
 def test_short_vectors_refuse_work_above_the_ceiling():
@@ -382,11 +396,22 @@ def test_short_vectors_refuse_work_above_the_ceiling():
         forms.short_vectors_gram([[2, 3, 0], [3, 2, 0], [0, 0, 2]], 10)
 
 
+def test_short_vectors_refuse_a_ball_above_the_output_ceiling(monkeypatch):
+    i2 = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+    assert MAX_BALL * 32 <= 1 << 29  # 32 B per row
+    ball = forms.short_vectors_gram(i2, 60)  # 738 vectors, |v|^2 <= 30
+    monkeypatch.setattr(forms, "MAX_BALL", len(ball) - 1)
+    with pytest.raises(DomainError, match="ball ceiling"):
+        forms.short_vectors_gram(i2, 60)
+    monkeypatch.setattr(forms, "MAX_BALL", 2 * len(ball))  # the candidates have slack
+    assert _as_list(forms.short_vectors_gram(i2, 60)) == _as_list(ball)
+
+
 def test_huge_entries_stay_exact():
     # values near 2^62 overflow int64 in the partial sums; Python ints take over
     t = forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1, 2**59)
     g = t.gram2()
-    assert forms.short_vectors_gram(g, g[2][2]) == _recursive_short_vectors(g, g[2][2])
+    assert _as_list(forms.short_vectors_gram(g, g[2][2])) == _recursive_short_vectors(g, g[2][2])
     assert forms.minkowski_reduce(t) == _recursive_minkowski_reduce(t)
     assert forms.automorphism_count.__wrapped__(t) == _recursive_automorphism_count(t)
     # coordinates past 2^20 in a form skewed far from reduced

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _intlinalg as il
 from .errors import MAX_WORK, DomainError, PoleError
-from .forms import _CHUNK, HalfIntegralForm, first_nonzero_positive, short_vectors_gram
+from .forms import (_CHUNK, HalfIntegralForm, _short_vectors, first_nonzero_positive,
+                    short_vectors_gram)
 from .specfun import complex_gamma, complex_zeta, besselK
 
 
@@ -59,11 +60,15 @@ def _primitive_mod_sign(gram, bound):
 
 def _flag_vectors(y: HalfIntegralForm, spec: TruncationSpec):
     """Lines v with Y[v] <= q_bound and plane normals n with adj(Y)[n] <= g_bound,
-    as _primitive_mod_sign records of the doubled values (2Y)[v] and
-    adj(2Y)[n] = 4 adj(Y)[n]."""
-    vs = _primitive_mod_sign(y.gram2(), 2 * Fraction(spec.q_bound))
-    ns = _primitive_mod_sign(il.adj3(y.gram2()), 4 * Fraction(spec.g_bound))
-    return vs, ns
+    as _primitive_mod_sign records of (2Y)[v] and adj(2Y)[n] = 4 adj(Y)[n].  Half
+    the counted leaves of a ball bound its primitive vectors mod sign; above
+    MAX_WORK pairs by that bound, the product is refused before a ball is built."""
+    g2 = y.gram2()
+    balls = (g2, 2 * Fraction(spec.q_bound)), (il.adj3(g2), 4 * Fraction(spec.g_bound))
+    lv, ln = (_short_vectors(g, bound, count=True) // 2 for g, bound in balls)
+    if lv * ln > MAX_WORK:
+        raise DomainError("up to %d x %d flag candidates, above %d" % (lv, ln, MAX_WORK))
+    return tuple(_primitive_mod_sign(g, bound) for g, bound in balls)
 
 
 def _orthogonal_blocks(vs, ns):

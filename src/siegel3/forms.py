@@ -140,18 +140,24 @@ def short_vectors_gram(g, bound):
     candidate's value is checked exactly (int64 where no partial sum can
     overflow, else Python ints), so ``bound`` may be floored.
     """
+    return _short_vectors(g, bound)
+
+
+def _short_vectors(g, bound, count=False):
+    """short_vectors_gram(g, bound), or (count) only the leaves its enumeration
+    counts, more than its rows, with none built."""
     g = [[index(x) for x in row] for row in g]
     bound = floor(Fraction(bound))
     if bound <= 0:
-        return np.empty(0, _BALL)
+        return 0 if count else np.empty(0, _BALL)
     if not _positive_definite(g):
         raise NotPositiveDefinite("matrix is not positive definite")
-    return _fincke_pohst(*_pairwise_reduced(g), bound)
+    return _fincke_pohst(*_pairwise_reduced(g), bound, count)
 
 
-def _fincke_pohst(h, u, bound):
+def _fincke_pohst(h, u, bound, count=False):
     """short_vectors_gram(g, bound), bound an int > 0, as v = u w with h[w] <= bound
-    for the pairwise-reduced h = u^T g u."""
+    for the pairwise-reduced h = u^T g u; or (count) only its counted leaves."""
     if bound > 1 << 62:
         raise DomainError("short-vector bound above 2^62")
     try:
@@ -199,6 +205,8 @@ def _fincke_pohst(h, u, bound):
     if counts[0] > MAX_BALL:
         raise DomainError("%d candidate vectors with g[v] <= %d, above the ball ceiling of %d"
                           % (counts[0], bound, MAX_BALL))
+    if count:
+        return counts[0]
     hsum, umax = sum(abs(x) for row in h for x in row), max(map(abs, chain(*u)))
     ball, end = np.empty(counts[0], _BALL), 0  # pages are touched row by row
     for mid in kept if counts[1] <= _CHUNK else mids([0, 0, 0]):

@@ -1,10 +1,11 @@
-"""Scalar special functions and the degree-3 matrix gamma factor.
+"""Scalar special functions, the degree-3 matrix gamma factor and its cone integral.
 
 complex_gamma uses a 15-term Lanczos rational approximation with reflection;
-complex_zeta uses Euler-Maclaurin with reflection for very negative real part.
-Both are double precision (~1e-13 relative in the tested ranges) and are kept
-dependency-free so the multiprecision oracle values frozen in the tests stay
-an independent cross-check.
+complex_zeta uses Euler-Maclaurin with reflection for very negative real part
+(both ~1e-13 relative in the tested ranges).  The cone integral's 1-d factors
+and besselK are trapezoid sums of integrands that decay double exponentially
+(Takahasi-Mori), halved until they settle.  All of it needs numpy alone, so
+the multiprecision values the tests compare with stay an independent check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .branch import power_p_at_inverse
 from .errors import DomainError, PoleError, QuadratureFailure
@@ -143,33 +143,47 @@ def gamma3(s, w, u):
     )
 
 
-def _decaying_power_integral(alpha, c, epsrel=1e-11, limit=400):
-    """Adaptive quadrature of int_0^inf r^alpha exp(c r) dr with Re(c) < 0."""
-    alpha = complex(alpha)
-    c = complex(c)
-    decay = -c.real
-    if decay <= 0:
-        raise DomainError("integrand does not decay")
-    upper = 45.0 / decay
-    a_re = max(alpha.real, 0.0)
-    # push the cutoff out until the envelope is negligible vs the peak
-    peak = (a_re / decay if a_re > 0 else 1.0 / decay)
-    envelope_peak = a_re * math.log(max(peak, 1e-300)) - decay * peak
-    while a_re * math.log(upper) - decay * upper > envelope_peak - 46.0:
-        upper *= 2.0
-    scale = math.exp(math.lgamma(a_re + 1.0)) / decay ** (a_re + 1.0)
-
-    def f(r):
-        return r**alpha * np.exp(c * r)
-
-    value, err = quad(f, 0.0, upper, complex_func=True, limit=limit,
-                      epsabs=1e-13 * scale, epsrel=epsrel)
-    err_total = abs(err)
-    if not np.isfinite(value) or err_total > 1e-7 * max(abs(value), scale * 1e-4):
+def _trapezoid(f, lo, hi, epsrel):
+    """h * sum_k f(lo + k h) for an f negligible at lo and hi, where the
+    trapezoid rule converges double exponentially.  From 16 steps, h halves
+    (at most 10 times; each level adds the new midpoints to the last sum) until
+    a halving moves the sum by at most epsrel * max(|I|, 1e-4 L1), L1 the same
+    sum of |f|; a last move above 1e-7 max(|I|, 1e-4 L1) is refused."""
+    n, h = 16, (hi - lo) / 16
+    y = f(lo + h * np.arange(n + 1))
+    total, l1 = h * y.sum(), h * np.abs(y).sum()
+    for _ in range(10):
+        h, n = 0.5 * h, 2 * n
+        y = f(lo + h * np.arange(1, n, 2))
+        new, l1 = 0.5 * total + h * y.sum(), 0.5 * l1 + h * np.abs(y).sum()
+        err, total = abs(new - total), new
+        if err <= epsrel * max(abs(total), 1e-4 * l1):
+            break
+    if not (np.isfinite(total) and err <= 1e-7 * max(abs(total), 1e-4 * l1)):
         raise QuadratureFailure(
-            "integral did not reach tolerance (err=%g, |I|=%g)" % (err_total, abs(value))
-        )
-    return value
+            "integral did not reach tolerance (err=%g, |I|=%g)" % (err, abs(total)))
+    return complex(total)
+
+
+def _decaying_power_integral(alpha, c, epsrel=1e-11):
+    """int_0^inf r^alpha exp(c r) dr for Re(alpha) > -1 and Re(c) < 0, by the
+    exp-sinh rule: with -Re(c) r = exp(x), x = pi/2 sinh t, the integrand
+    exp((alpha+1) x + c/(-Re c) e^x) pi/2 cosh t decays double exponentially
+    at both ends of the t line."""
+    alpha, c = complex(alpha), complex(c)
+    decay, a1 = -c.real, alpha + 1.0
+    if decay <= 0 or a1.real <= 0:
+        raise DomainError("integrand does not decay, or r^alpha is not integrable at 0")
+    # |f| ~ rho^a e^-rho: e^-45 at lo, and e^-45 of its peak at hi, where (rho - a)^2 = 90 rho
+    a = a1.real
+    rho = a + 45.0 + math.sqrt(2025.0 + 90.0 * a)
+    lo, hi = -math.asinh(90.0 / (math.pi * a)), math.asinh(2.0 * math.log(rho) / math.pi)
+
+    def f(t):
+        x = 0.5 * np.pi * np.sinh(t)
+        return np.exp(a1 * x + c / decay * np.exp(x)) * (0.5 * np.pi * np.cosh(t))
+
+    return _trapezoid(f, lo, hi, epsrel) * cmath.exp(-a1 * math.log(decay))
 
 
 def cone_integral_gap(exponents, z, epsrel=1e-11):
@@ -177,24 +191,21 @@ def cone_integral_gap(exponents, z, epsrel=1e-11):
     closed form.
 
     The left side integrates p_{s,w,u}(iY) e(YZ) over the positive cone by the
-    Cholesky factorization: inner Gaussians in closed form, three outer 1-d
-    integrals by adaptive quadrature (in the r = t^2 variable).  The right
-    side is (2 pi i)^(-s-2w-3u) Gamma3(s,w,u) p_{s,w,u}(-Z^(-1)).
+    Cholesky factorization: inner Gaussians in closed form, and three outer
+    1-d integrals int_0^inf r^alpha e^(2 pi i omega r) dr by the exp-sinh
+    trapezoid rule of _decaying_power_integral.  The right side is
+    (2 pi i)^(-s-2w-3u) Gamma3(s,w,u) p_{s,w,u}(-Z^(-1)).
     """
     s, w, u = (complex(e) for e in exponents)
-    if not (
-        (s + w + u).real > 0 and (w + u).real > 0.5 and u.real > 1.0
-    ):
+    if not ((s + w + u).real > 0 and (w + u).real > 0.5 and u.real > 1.0):
         raise DomainError("outside the convergence region of the cone integral")
     z = np.asarray(z, dtype=complex)
     tau1, z1, z2 = z[0, 0], z[0, 1], z[0, 2]
     tau2, z3, tau3 = z[1, 1], z[1, 2], z[2, 2]
 
-    beta6 = -2j * np.pi * tau3
-    a6 = np.sqrt(np.pi / beta6)
+    a6 = np.sqrt(np.pi / (-2j * np.pi * tau3))
     omega2 = tau2 - z3 * z3 / tau3
-    beta4 = -2j * np.pi * omega2
-    a4 = np.sqrt(np.pi / beta4)
+    a4 = np.sqrt(np.pi / (-2j * np.pi * omega2))
     omega3 = tau1 - z2 * z2 / tau3 - (z1 - z2 * z3 / tau3) ** 2 / omega2
 
     l1 = 0.5 * _decaying_power_integral(u - 2.0, 2j * np.pi * tau3, epsrel)
@@ -203,35 +214,26 @@ def cone_integral_gap(exponents, z, epsrel=1e-11):
 
     sigma = s + 2 * w + 3 * u
     lhs = 8.0 * np.exp(0.5j * np.pi * sigma) * l1 * l2 * l3
-    rhs = (
-        np.exp(-sigma * (math.log(2.0 * math.pi) + 0.5j * np.pi))
-        * gamma3(s, w, u)
-        * power_p_at_inverse((s, w, u), z)
-    )
+    rhs = (np.exp(-sigma * (math.log(2.0 * math.pi) + 0.5j * np.pi))
+           * gamma3(s, w, u) * power_p_at_inverse((s, w, u), z))
     return abs(lhs - rhs) / abs(rhs)
 
 
 def besselK(nu, x, epsrel=1e-12):
     """Modified Bessel K_nu(x) for complex order and positive real argument.
 
-    Evaluated as exp(-x) * int_0^inf exp(-x (cosh t - 1)) cosh(nu t) dt with
-    an adaptive cutoff; intended range x >= 0.1, |nu| <= 10.
+    K_nu(x) = 1/2 exp(-x) int exp(nu t - x (cosh t - 1)) dt over the real line,
+    summed by the trapezoid rule (the integrand decays double exponentially)
+    over [-T, T], past which it is below exp(-50); intended range x >= 0.1,
+    |nu| <= 10.
     """
-    nu = complex(nu)
-    x = float(x)
+    nu, x = complex(nu), float(x)
     if x <= 0:
         raise DomainError("besselK needs x > 0")
-    t_max = 5.0
+    t_max = 2.0 * math.asinh(math.sqrt(25.0 / x))  # x (cosh t - 1) = 2x sinh(t/2)^2 = 50
     for _ in range(60):
-        if x * (math.cosh(t_max) - 1.0) - abs(nu.real) * t_max > 50.0:
+        if 2.0 * x * math.sinh(0.5 * t_max) ** 2 - abs(nu.real) * t_max > 50.0:
             break
         t_max *= 1.25
-
-    def f(t):
-        return np.exp(-x * (np.cosh(t) - 1.0)) * np.cosh(nu * t)
-
-    value, err = quad(f, 0.0, t_max, complex_func=True, limit=300,
-                      epsabs=1e-15, epsrel=epsrel)
-    if not np.isfinite(value):
-        raise QuadratureFailure("Bessel integral diverged")
-    return math.exp(-x) * complex(value)
+    return 0.5 * math.exp(-x) * _trapezoid(
+        lambda t: np.exp(nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2), -t_max, t_max, epsrel)

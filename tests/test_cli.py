@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -245,16 +244,40 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
 ]
 
 
+def _refused_eisenstein_peak_rss(bound):
+    """Peak RSS (KiB) of an eval-eisenstein child that must exit 1 with an input
+    error.  The child is started from a small helper that reads it back: a
+    spawned process starts from its parent's peak, here the test runner's."""
+    helper = ("import resource, subprocess, sys\n"
+              "p = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)\n"
+              "print(p.returncode, p.stderr.startswith(b'input error:'),"
+              " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    argv = [sys.executable, "-m", "siegel3.cli", "eval-eisenstein", "--form", "1,1,1,0,0,0",
+            "--s", "3", "--w", "3", "--u", "3", "--bound", bound]
+    code, input_error, rss = subprocess.run([sys.executable, "-c", helper, *argv], check=True,
+                                            capture_output=True, text=True).stdout.split()
+    assert (code, input_error) == ("1", "True")
+    return int(rss)
+
+
 def test_ball_above_the_ceiling_is_refused_before_it_is_built():
     # 12 GB of rows at 32 B each; the child's own peak RSS shows none was built
-    argv = [sys.executable, "-m", "siegel3.cli", "eval-eisenstein", "--form", "1,1,1,0,0,0",
-            "--s", "3", "--w", "3", "--u", "3", "--bound", "2e5"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 1
-    assert proc.stderr.read().startswith(b"input error:")
-    assert usage.ru_maxrss < 400 * 1024  # KiB: the interpreter alone takes ~85 MB
+    assert _refused_eisenstein_peak_rss("2e5") < 400 * 1024
+
+
+def test_flag_product_above_the_ceiling_is_refused_before_a_ball_is_built():
+    # each ball counts ~1.6e7 leaves (~500 MB of rows), their product ~6e13 candidate pairs
+    assert _refused_eisenstein_peak_rss("24000") < 200 * 1024
+
+
+def test_cold_start_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy.integrate alone takes ~0.65 s to import
+    code = ("import importlib, pkgutil, sys, siegel3, siegel3.cli\n"
+            "for m in pkgutil.iter_modules(siegel3.__path__):\n"
+            "    importlib.import_module('siegel3.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def _no_constants(name):

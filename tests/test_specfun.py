@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from siegel3 import matrices as mx, specfun as sf
-from siegel3.errors import DomainError, PoleError
+from siegel3.errors import DomainError, PoleError, QuadratureFailure
 
 # reference values computed once with a 30-digit multiprecision library
 GAMMA_REFS = {
@@ -145,3 +146,85 @@ def test_cone_integral_gap_examples(rng):
         assert sf.cone_integral_gap((1.5, 1.0, 2.0), z) <= 1e-8
     with pytest.raises(DomainError):
         sf.cone_integral_gap((0.0, 0.0, 0.5), 1j * np.eye(3))
+
+
+# --- differential tests against mpmath 1.3.0, its references at 30 digits ----
+# Each quadrature promises its tolerance relative to max(|I|, 1e-4 L1), L1 the
+# integral of the integrand's modulus, as its refusal test does: where the
+# integral is a cancellation of a 10^4 times larger modulus, only that floor
+# is meaningful (as near the zeros of K_{i y}(x)).
+
+
+@given(st.floats(-10, 10), st.floats(-3, 3), st.floats(0.1, 60))
+def test_besselk_matches_mpmath(re, im, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = complex(mpmath.besselk(complex(re, im), x))
+        l1 = float(mpmath.besselk(re, x))  # 1/2 e^-x times the integral of the modulus
+    assert abs(sf.besselK(complex(re, im), x) - ref) <= 1e-12 * max(abs(ref), 1e-4 * l1)
+
+
+@given(st.floats(-1, 8, exclude_min=True), st.floats(-3, 3), st.floats(0.3, 3), st.floats(-1, 1))
+def test_decaying_power_integral_matches_gamma_closed_form(re, im, y, x_over_y):
+    mpmath = pytest.importorskip("mpmath")
+    alpha, c = complex(re, im), 2j * math.pi * complex(x_over_y * y, y)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.gamma(alpha + 1) * mpmath.power(-c, -(alpha + 1)))
+        l1 = float(mpmath.gamma(re + 1) / mpmath.mpf(-c.real) ** (re + 1))
+    try:
+        got = sf._decaying_power_integral(alpha, c)
+    except QuadratureFailure:  # only where r^(i Im alpha) turns over 1000 times
+        assert abs(im) * 45.0 / (re + 1.0) > 2000 * math.pi  # before r^(Re alpha + 1) = e^-45
+        return
+    assert abs(got - ref) <= 1e-10 * max(abs(ref), 1e-4 * l1)
+
+
+def _off_the_poles(z):
+    return not (abs(z.imag) < 0.05 and abs(z.real - round(z.real)) < 0.05)
+
+
+@given(st.floats(-20, 20), st.floats(-20, 20))
+def test_gamma_matches_mpmath(re, im):
+    mpmath = pytest.importorskip("mpmath")
+    z = complex(re, im)
+    assume(_off_the_poles(z))
+    with mpmath.workdps(30):
+        ref = complex(mpmath.gamma(z))
+    assert abs(sf.complex_gamma(z) - ref) <= 1e-12 * abs(ref)
+
+
+@given(st.floats(-8, 8), st.floats(-50, 50))
+def test_zeta_matches_mpmath(re, im):
+    mpmath = pytest.importorskip("mpmath")
+    s = complex(re, im)
+    assume(abs(s - 1) >= 0.1)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(s))
+    # relative, except where |zeta| < 1e-3, near a zero (trivial ones at -2, -4, ...)
+    assert abs(sf.complex_zeta(s) - ref) <= 1e-10 * max(abs(ref), 1e-3)
+
+
+_swu = st.tuples(*[st.floats(0.2, 2.5)] * 3, *[st.floats(-1.5, 1.5)] * 3)
+
+
+@given(_swu)
+def test_gamma3_matches_mpmath(parts):
+    mpmath = pytest.importorskip("mpmath")
+    s, w, u = (complex(re, im) for re, im in zip(parts[:3], parts[3:]))
+    assume(all(map(_off_the_poles, (s + w + u, w + u - 0.5, u - 1.0))))
+    with mpmath.workdps(30):
+        ref = complex(mpmath.pi**1.5 * mpmath.expjpi((s + 2 * w + 3 * u) / 2)
+                      * mpmath.gamma(s + w + u) * mpmath.gamma(w + u - 0.5) * mpmath.gamma(u - 1))
+    assert abs(sf.gamma3(s, w, u) - ref) <= 1e-13 * abs(ref)
+
+
+def test_unsettled_sums_are_refused():
+    # the integrand turns through 100 and 5000 radians per decay length 1/|Re c|,
+    # more than a sum of 2^14 steps resolves
+    for alpha, tau in ((8, 10 + 0.1j), (0.5, 50 + 0.01j)):
+        with pytest.raises(QuadratureFailure):
+            sf._decaying_power_integral(alpha, 2j * math.pi * tau)
+    # e^(4456.7 i t) on [-5.78, 5.78] is at its Nyquist step at the last halving,
+    # which still moves the sum by ~1e-3 of its modulus
+    with pytest.raises(QuadratureFailure, match="did not reach tolerance"):
+        sf.besselK(4456.7j, 1.0)

@@ -33,12 +33,13 @@ class BranchValue:
     h3: complex
 
 
-def _plog(z, cut_tol=CUT_TOL):
-    """Principal log raising BranchCutError near the cut (-inf, 0] (z = 0 included)."""
+def _plog(z):
+    """Principal log raising BranchCutError within CUT_TOL (relative) of the
+    cut (-inf, 0], z = 0 included."""
     z = np.asarray(z, dtype=complex)
     az = np.abs(z)
-    if np.any((z.real <= 0.0) & (np.abs(z.imag) <= cut_tol * az)):
-        raise BranchCutError("principal-log argument within %g of the cut" % cut_tol)
+    if np.any((z.real <= 0.0) & (np.abs(z.imag) <= CUT_TOL * az)):
+        raise BranchCutError("principal-log argument within %g of the cut" % CUT_TOL)
     out = np.empty(z.shape, dtype=complex)
     np.log(az, out=out.real)
     np.arctan2(z.imag, z.real, out=out.imag)
@@ -57,32 +58,32 @@ def _dets(tau1, z1, z2, tau2, z3, tau3):
     return tau1, d2, d3, z3 * z3 - tau2 * tau3
 
 
-def _branch_arrays(tau1, z1, z2, tau2, z3, tau3, cut_tol=CUT_TOL):
+def _branch_arrays(tau1, z1, z2, tau2, z3, tau3):
     """h1, h2 and h3 = (Log q + 2 pi i) + Log(d3/q), the two parts of h3 apart:
     on an open grid all but Log(d3/q) live on small broadcast shapes."""
     d1, d2, d3, q = _dets(tau1, z1, z2, tau2, z3, tau3)
-    h1 = _plog(d1, cut_tol)
-    h2 = _plog(-d2, cut_tol) + 1j * np.pi
-    return h1, h2, _plog(q, cut_tol) + 2j * np.pi, _plog(d3 * (1.0 / q), cut_tol)
+    h1 = _plog(d1)
+    h2 = _plog(-d2) + 1j * np.pi
+    return h1, h2, _plog(q) + 2j * np.pi, _plog(d3 * (1.0 / q))
 
 
-def _branch_inverse_arrays(tau1, z1, z2, tau2, z3, tau3, cut_tol=CUT_TOL):
+def _branch_inverse_arrays(tau1, z1, z2, tau2, z3, tau3):
     d1, d2, d3, q = _dets(tau1, z1, z2, tau2, z3, tau3)
-    h1 = _plog(q / d3, cut_tol)
-    h2 = _plog(-tau3 / d3, cut_tol) + 1j * np.pi
-    h3 = -_plog(d3 / q, cut_tol) - _plog(q, cut_tol) + 1j * np.pi
+    h1 = _plog(q / d3)
+    h2 = _plog(-tau3 / d3) + 1j * np.pi
+    h3 = -_plog(d3 / q) - _plog(q) + 1j * np.pi
     return h1, h2, h3
 
 
-def branch_h(z, cut_tol=CUT_TOL):
+def branch_h(z):
     """Branch values (h1, h2, h3) at a Siegel point; exp(h_j) = det Z_j."""
-    h1, h2, h3q, h3r = _branch_arrays(*_entries(z), cut_tol=cut_tol)
+    h1, h2, h3q, h3r = _branch_arrays(*_entries(z))
     return BranchValue(complex(h1), complex(h2), complex(h3q + h3r))
 
 
-def branch_h_inverse(z, cut_tol=CUT_TOL):
+def branch_h_inverse(z):
     """Branch values of -Z^(-1) from the explicit entry formulas."""
-    h1, h2, h3 = _branch_inverse_arrays(*_entries(z), cut_tol=cut_tol)
+    h1, h2, h3 = _branch_inverse_arrays(*_entries(z))
     return BranchValue(complex(h1), complex(h2), complex(h3))
 
 
@@ -104,33 +105,31 @@ def _power(exponents, h):
     return value
 
 
-def power_p(exponents, z, cut_tol=CUT_TOL):
+def power_p(exponents, z):
     """The power function p_{s,w,u}(Z) = exp(s h1 + w h2 + u h3)."""
-    return _power(_finite_exponents(exponents), branch_h(z, cut_tol))
+    return _power(_finite_exponents(exponents), branch_h(z))
 
 
-def power_p_at_inverse(exponents, z, cut_tol=CUT_TOL):
+def power_p_at_inverse(exponents, z):
     """p_{s,w,u}(-Z^(-1)) without forming the inverse matrix."""
-    return _power(_finite_exponents(exponents), branch_h_inverse(z, cut_tol))
+    return _power(_finite_exponents(exponents), branch_h_inverse(z))
 
 
-def power_inversion_gap(exponents, z, cut_tol=CUT_TOL):
+def power_inversion_gap(exponents, z):
     """Relative gap in the inversion identity of the power function.
 
     p_{s1,s2,s3}(-Z^(-1)) equals exp(i pi (s1+2 s2+3 s3)) times
     p_{s2,s1,-s1-s2-s3}(Z[W]) with W the anti-diagonal permutation.
     """
     s1, s2, s3 = exponents
-    lhs = power_p_at_inverse((s1, s2, s3), z, cut_tol)
+    lhs = power_p_at_inverse((s1, s2, s3), z)
     zw = W3 @ np.asarray(z, dtype=complex) @ W3
-    rhs = np.exp(1j * np.pi * (s1 + 2 * s2 + 3 * s3)) * power_p(
-        (s2, s1, -s1 - s2 - s3), zw, cut_tol
-    )
+    rhs = np.exp(1j * np.pi * (s1 + 2 * s2 + 3 * s3)) * power_p((s2, s1, -s1 - s2 - s3), zw)
     return abs(lhs - rhs) / abs(lhs)
 
 
-def _is_small_int(x, limit=64):
-    return abs(x.imag) == 0.0 and x.real == int(x.real) and abs(x.real) <= limit
+def _is_small_int(x):
+    return abs(x.imag) == 0.0 and x.real == int(x.real) and abs(x.real) <= 64
 
 
 def _ipow(base, n):
@@ -150,7 +149,7 @@ def _ipow(base, n):
     return 1.0 / result if invert else result
 
 
-def power_terms(exponents, tau1, z1, z2, tau2, z3, tau3, cut_tol=CUT_TOL):
+def power_terms(exponents, tau1, z1, z2, tau2, z3, tau3):
     """Vectorized p_{s,w,u} over arrays of matrix entries.
 
     For integer exponents the branch functions drop out (exp(n h_j) is the
@@ -163,7 +162,7 @@ def power_terms(exponents, tau1, z1, z2, tau2, z3, tau3, cut_tol=CUT_TOL):
         if np.any(d1 == 0) or np.any(d2 == 0) or np.any(d3 == 0):
             raise BranchCutError("zero corner determinant in power sum")
         return _ipow(d1, int(s.real)) * _ipow(d2, int(w.real)) * _ipow(d3, int(u.real))
-    h1, h2, h3q, out = _branch_arrays(tau1, z1, z2, tau2, z3, tau3, cut_tol)
+    h1, h2, h3q, out = _branch_arrays(tau1, z1, z2, tau2, z3, tau3)
     # the exponent's small-shape part first; full size only u Log(d3/q), the add and exp
     out *= u
     out += s * h1 + w * h2 + u * h3q

@@ -51,16 +51,8 @@ def jsonify(obj):
     return obj
 
 
-def emit(payload, fmt="json", fields=None):
-    """Print the payload; ``fields`` names the CSV columns of a row list."""
-    if fmt == "csv":
-        rows = payload if isinstance(payload, list) else [payload]
-        keys = list(fields or rows[0].keys())
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(str(row[k]) for k in keys))
-    else:
-        print(json.dumps(jsonify(payload), sort_keys=True, allow_nan=False))
+def emit(payload):
+    print(json.dumps(jsonify(payload), sort_keys=True, allow_nan=False))
 
 
 # --- argument converters: bad input becomes a usage error at parse time ------
@@ -145,15 +137,11 @@ def build_parser():
     p = Parser(prog="siegel3", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, tol=None, **kw):
+    def add(name, **kw):
         sp_ = sub.add_parser(name, **kw)
-        sp_.add_argument("--format", choices=("json", "csv"), default="json")
-        sp_.add_argument("--seed", type=int, default=42)
         sp_.add_argument("--threads", type=int, default=1,
                          help="accepted for interface stability; results are "
                               "bitwise identical for any value")
-        sp_.add_argument("--tol", type=_positive, default=tol)
-        sp_.add_argument("--k", type=int, default=24)
         return sp_
 
     def exponents(c, defaults=(None, None, None)):
@@ -167,13 +155,18 @@ def build_parser():
     c = add("eval-gamma3", help="closed-form degree-3 gamma factor")
     exponents(c)
 
-    c = add("verify-lemma-int", tol=1e-8, help="cone integral vs closed form on random points")
+    c = add("verify-lemma-int", help="cone integral vs closed form on random points")
     c.add_argument("--samples", type=_int_at_least(1), default=10)
+    c.add_argument("--seed", type=int, default=42)
+    c.add_argument("--tol", type=_positive, default=1e-8)
 
-    c = add("verify-claim1", tol=1e-10, help="power inversion identity on random points")
+    c = add("verify-claim1", help="power inversion identity on random points")
     c.add_argument("--samples", type=_int_at_least(1), default=1000)
+    c.add_argument("--seed", type=int, default=42)
+    c.add_argument("--tol", type=_positive, default=1e-10)
 
-    c = add("verify-lipschitz", tol=1e-3, help="two-sided lattice summation comparison")
+    c = add("verify-lipschitz", help="two-sided lattice summation comparison")
+    c.add_argument("--tol", type=_positive, default=1e-3)
     c.add_argument("--max-abs", type=_int_at_least(0), default=8)
     c.add_argument("--trace-bound", type=_int_at_least(3), default=12)
     exponents(c, ("2", "4", "5"))
@@ -181,7 +174,8 @@ def build_parser():
     c.add_argument("--tail-correction", action="store_true",
                    help="exact f-direction sum (integer exponents, 2 <= u <= 16)")
 
-    c = add("classical-lipschitz", tol=1e-6, help="one-variable summation formula")
+    c = add("classical-lipschitz", help="one-variable summation formula")
+    c.add_argument("--tol", type=_positive, default=1e-6)
     c.add_argument("--tau", type=_complex, required=True)
     c.add_argument("--s", type=_complex, default="2")
     c.add_argument("--bound", type=_int_at_least(1), default=4000)
@@ -191,6 +185,7 @@ def build_parser():
 
     c = add("classes", help="reduced class representatives up to a determinant")
     c.add_argument("--det-bound", type=_det_bound, default="10")
+    c.add_argument("--format", choices=("json", "csv"), default="json")
 
     c = add("eps", help="automorphism count of a form")
     c.add_argument("--form", type=_form, required=True)
@@ -207,7 +202,8 @@ def build_parser():
     c.add_argument("--s", type=_complex, required=True)
     c.add_argument("--bound", type=_positive, default=250000.0)
 
-    c = add("verify-zetastar", tol=1e-8, help="Bessel tail vs direct decomposition")
+    c = add("verify-zetastar", help="Bessel tail vs direct decomposition")
+    c.add_argument("--tol", type=_positive, default=1e-8)
     c.add_argument("--s", type=_complex, default="2.3")
     c.add_argument("--tau", type=_complex, default="0.3+1.7j")
     c.add_argument("--bound", type=_positive, default=9.0e5)
@@ -216,11 +212,13 @@ def build_parser():
     c.add_argument("--dot", default=None, help="write a DOT Cayley diagram here")
 
     c = add("eval-km", help="classical Koecher-Maass truncation")
+    c.add_argument("--k", type=int, default=24)
     c.add_argument("--coeffs", default="ones")
     c.add_argument("--s", type=_complex, required=True)
     c.add_argument("--det-bound", type=_det_bound, default="10")
 
     c = add("eval-km-twisted", help="twisted Koecher-Maass truncation")
+    c.add_argument("--k", type=int, default=24)
     c.add_argument("--coeffs", default="ones")
     exponents(c)
     c.add_argument("--det-bound", type=_det_bound, default="4")
@@ -235,18 +233,20 @@ def build_parser():
     c.add_argument("--d", type=_mat3, required=True, help="9 integers, row major")
 
     c = add("eval-poincare", help="truncated Poincare series")
+    c.add_argument("--k", type=int, default=24)
     c.add_argument("--form", type=_form, required=True)
     c.add_argument("--z", type=_z, required=True)
     c.add_argument("--max-abs", type=_int_at_least(1), default=1)
 
     c = add("eval-kernel", help="truncated kernel via the Poincare representation")
+    c.add_argument("--k", type=int, default=24)
     exponents(c)
     c.add_argument("--z", type=_z, required=True)
     c.add_argument("--det-bound", type=_det_bound, default="2")
     c.add_argument("--bound", type=_positive, default=12.0)
     c.add_argument("--max-abs", type=_int_at_least(1), default=1)
 
-    add("selftest", help="run the acceptance criteria")
+    add("selftest", help="run the acceptance criteria").add_argument("--seed", type=int, default=42)
     return p
 
 
@@ -265,24 +265,24 @@ def _dispatch(args):
     e = (args.s, args.w, args.u) if "u" in vars(args) else None
 
     if cmd == "eval-power":
-        emit({"value": branch.power_p(e, args.z)}, args.format)
+        emit({"value": branch.power_p(e, args.z)})
         return 0
 
     if cmd == "eval-gamma3":
-        emit({"value": sf.gamma3(*e)}, args.format)
+        emit({"value": sf.gamma3(*e)})
         return 0
 
     if cmd == "verify-lemma-int":
         gaps = acceptance.cone_integral_gaps(args.samples, args.seed)
         worst = max(gaps)
         emit({"samples": len(gaps), "worst_gap": worst, "tol": args.tol,
-              "pass": worst <= args.tol}, args.format)
+              "pass": worst <= args.tol})
         return 0 if worst <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "verify-claim1":
         worst = acceptance.inversion_worst_gap(args.samples, args.seed)
         emit({"samples": args.samples, "worst_gap": worst, "tol": args.tol,
-              "pass": worst <= args.tol}, args.format)
+              "pass": worst <= args.tol})
         return 0 if worst <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "verify-lipschitz":
@@ -291,47 +291,49 @@ def _dispatch(args):
         ) + 1j * np.eye(3)
         rep = lip.lipschitz_report(e, z, args.max_abs, args.trace_bound,
                                    tail_correction=args.tail_correction)
-        emit(rep, args.format)
+        emit(rep)
         return 0 if rep.relative_gap <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "classical-lipschitz":
         rep, closed = lip.classical_lipschitz(args.tau, args.s, args.bound)
         payload = jsonify(rep)
         payload["closed_form"] = jsonify(closed) if closed is not None else None
-        emit(payload, args.format)
+        emit(payload)
         return 0 if rep.relative_gap <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "reduce":
         red = forms.minkowski_reduce(args.form)
         emit({"form": list(red.form.key()), "reducer": [list(r) for r in red.reducer],
-              "det": red.form.det()}, args.format)
+              "det": red.form.det()})
         return 0
 
     if cmd == "classes":
         rows = class_rows(args.det_bound)
-        emit(rows if args.format == "csv" else {"count": len(rows), "classes": rows},
-             args.format, CLASS_FIELDS)
+        if args.format == "json":
+            emit({"count": len(rows), "classes": rows})
+        else:
+            print(",".join(CLASS_FIELDS))
+            for row in rows:
+                print(",".join(str(row[k]) for k in CLASS_FIELDS))
         return 0
 
     if cmd == "eps":
-        emit({"eps": forms.automorphism_count(args.form)}, args.format)
+        emit({"eps": forms.automorphism_count(args.form)})
         return 0
 
     if cmd == "eval-eisenstein":
-        g_bound = args.g_bound if args.g_bound is not None else args.bound
-        spec0 = eis.TruncationSpec(q_bound=args.bound, g_bound=g_bound)
-        emit(eis.selberg_E(args.form, e, spec0), args.format)
+        spec0 = eis.TruncationSpec(args.bound, args.g_bound or args.bound)
+        emit(eis.selberg_E(args.form, e, spec0))
         return 0
 
     if cmd == "eval-epstein":
-        emit(eis.epstein(args.y, args.s, args.bound), args.format)
+        emit(eis.epstein(args.y, args.s, args.bound))
         return 0
 
     if cmd == "verify-zetastar":
         direct, recon, residual = eis.zeta_Z2_decomposition(args.s, args.tau, args.bound)
         emit({"direct": direct.value, "reconstructed": recon, "residual": residual,
-              "terms": direct.terms_used, "tol": args.tol, "pass": residual <= args.tol},
-             args.format)
+              "terms": direct.terms_used, "tol": args.tol, "pass": residual <= args.tol})
         return 0 if residual <= args.tol else VERIFY_FAIL_EXIT
 
     if cmd == "fe-group":
@@ -350,19 +352,18 @@ def _dispatch(args):
         if args.dot:
             _write_dot(table, args.dot)
             payload["dot"] = args.dot
-        emit(payload, args.format)
+        emit(payload)
         return 0
 
     if cmd == "eval-km":
         table = _coeff_table(args.coeffs, args.k)
-        emit(series.km_classic(table, args.s, args.det_bound), args.format)
+        emit(series.km_classic(table, args.s, args.det_bound))
         return 0
 
     if cmd == "eval-km-twisted":
         table = _coeff_table(args.coeffs, args.k)
-        sv = series.km_twisted(table, e, args.det_bound,
-                               eis.TruncationSpec(args.bound, args.bound))
-        emit(sv, args.format)
+        emit(series.km_twisted(table, e, args.det_bound,
+                               eis.TruncationSpec(args.bound, args.bound)))
         return 0
 
     if cmd == "enum-pairs":
@@ -371,7 +372,7 @@ def _dispatch(args):
         if args.list:
             payload["pairs"] = [{"c": [list(r) for r in p.c],
                                  "d": [list(r) for r in p.d]} for p in pairs]
-        emit(payload, args.format)
+        emit(payload)
         return 0
 
     if cmd == "complete-pair":
@@ -379,18 +380,17 @@ def _dispatch(args):
         m = sp.complete_to_symplectic(pair)
         emit({"canonical_c": [list(r) for r in pair.c],
               "canonical_d": [list(r) for r in pair.d],
-              "symplectic": [list(r) for r in m]}, args.format)
+              "symplectic": [list(r) for r in m]})
         return 0
 
     if cmd == "eval-poincare":
         val, n = sp.poincare_trunc(args.k, args.form, args.z, args.max_abs)
-        emit({"value": val, "terms_used": n}, args.format)
+        emit({"value": val, "terms_used": n})
         return 0
 
     if cmd == "eval-kernel":
-        out = sp.kernel_trunc(args.k, e, args.z, args.det_bound,
-                              eis.TruncationSpec(args.bound, args.bound), args.max_abs)
-        emit(out, args.format)
+        emit(sp.kernel_trunc(args.k, e, args.z, args.det_bound,
+                             eis.TruncationSpec(args.bound, args.bound), args.max_abs))
         return 0
 
     if cmd == "selftest":
@@ -399,21 +399,13 @@ def _dispatch(args):
         # bitwise reproducible for a fixed seed, whatever the thread count
         payload = {
             "seed": args.seed,
-            "criteria": [
-                {
-                    "id": r.cid,
-                    "title": r.title,
-                    "pass": r.passed,
-                    "clauses": r.clauses,
-                }
-                for r in results
-            ],
+            "criteria": [{"id": r.cid, "title": r.title, "pass": r.passed, "clauses": r.clauses}
+                         for r in results],
             "all_pass": all(r.passed for r in results),
-            "known_defect_clauses": sorted(
-                "criterion %d: %s" % pair for pair in acceptance.KNOWN_DEFECT_CLAUSES
-            ),
+            "known_defect_clauses": sorted("criterion %d: %s" % pair
+                                           for pair in acceptance.KNOWN_DEFECT_CLAUSES),
         }
-        emit(payload, args.format)
+        emit(payload)
         return 0 if payload["all_pass"] else VERIFY_FAIL_EXIT
 
     raise AssertionError("unhandled command %s" % cmd)

@@ -229,7 +229,7 @@ def _divisor_power_sum(n, a):
     return total
 
 
-def zeta_Z2_star(s, tau, envelope_tol=1e-16):
+def zeta_Z2_star(s, tau):
     """Exponentially small Fourier tail of the real-analytic Eisenstein sum.
 
     Computed by the K-Bessel expansion
@@ -237,16 +237,15 @@ def zeta_Z2_star(s, tau, envelope_tol=1e-16):
         (4 pi^s / Gamma(s)) t^(1/2-s) sum_{n>=1} n^(s-1/2) sigma_{1-2s}(n)
                                        K_{s-1/2}(2 pi n t) cos(2 pi n sigma),
 
-    truncated once the Bessel envelope exp(-2 pi n t) drops below
-    envelope_tol.  Validated against the direct-sum decomposition in the
-    test suite for Re(s) > 1.
+    truncated once the Bessel envelope exp(-2 pi n t) drops below 1e-16.
+    Validated against the direct-sum decomposition in the test suite for
+    Re(s) > 1.
     """
-    s = complex(s)
-    tau = complex(tau)
+    s, tau = complex(s), complex(tau)
     sigma, t = tau.real, tau.imag
     if t < 0.1:
         raise DomainError("Bessel expansion wants Im(tau) >= 0.1")
-    n_max = max(1, int(math.ceil(-math.log(envelope_tol) / (2 * math.pi * t))) + 3)
+    n_max = max(1, int(math.ceil(-math.log(1e-16) / (2 * math.pi * t))) + 3)
     total = 0.0 + 0.0j
     for n in range(1, n_max + 1):
         kb = besselK(s - 0.5, 2 * math.pi * n * t)
@@ -263,24 +262,17 @@ def zeta_Z2_star(s, tau, envelope_tol=1e-16):
     return TruncatedValue(value=complex(pref * total), terms_used=n_max)
 
 
-def zeta_Z2_decomposition(s, tau, bound, tail_correction=True):
+def zeta_Z2_decomposition(s, tau, bound):
     """Direct truncated sum vs the three-piece decomposition; diagnostics.
 
     Returns (direct, reconstructed, residual) where reconstructed is
     2 zeta(2s) + main polynomial term + 2 * zeta_Z2_star and residual is the
-    relative difference against the direct sum.  With tail_correction the
-    direct sum is completed by its integral tail (pi/t) B^(1-s)/(s-1), which
-    leaves only the boundary fluctuation in the residual.
+    relative difference against the direct sum, completed by its integral
+    tail (pi/t) B^(1-s)/(s-1) so that only the boundary fluctuation is left.
     """
-    s = complex(s)
-    tau = complex(tau)
-    t = tau.imag
+    s, t = complex(s), complex(tau).imag
     direct = zeta_Z2(s, tau, bound)
-    direct_value = direct.value
-    if tail_correction:
-        direct_value = direct_value + (math.pi / t) * np.exp(
-            (1 - s) * math.log(bound)
-        ) / (s - 1)
+    direct_value = direct.value + (math.pi / t) * np.exp((1 - s) * math.log(bound)) / (s - 1)
     main = (
         2.0 * math.sqrt(math.pi)
         * complex_gamma(s - 0.5) * complex_zeta(2 * s - 1) / complex_gamma(s)

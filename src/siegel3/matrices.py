@@ -35,20 +35,19 @@ def leading_minors(y):
     return m1, m2, m3
 
 
-def is_positive_definite(y, rel_tol=POSDEF_REL_TOL):
-    """Strict leading-minor test with a relative tolerance on floating input."""
+def is_positive_definite(y):
+    """Strict leading-minor test with the relative tolerance POSDEF_REL_TOL."""
     y = np.asarray(y, dtype=float)
     scale = max(1.0, float(np.max(np.abs(y))))
-    m1, m2, m3 = leading_minors(y)
-    return m1 > rel_tol * scale and m2 > rel_tol * scale**2 and m3 > rel_tol * scale**3
+    return all(m > POSDEF_REL_TOL * scale**k for k, m in enumerate(leading_minors(y), 1))
 
 
-def is_siegel_point(z, rel_tol=POSDEF_REL_TOL):
+def is_siegel_point(z):
     """True iff z is symmetric with positive-definite imaginary part."""
     z = np.asarray(z, dtype=complex)
     if z.shape != (3, 3) or not np.allclose(z, z.T, rtol=0, atol=1e-12 * (1 + np.abs(z).max())):
         return False
-    return is_positive_definite(z.imag, rel_tol)
+    return is_positive_definite(z.imag)
 
 
 # --- symplectic layer (exact integers) -------------------------------------
@@ -99,20 +98,21 @@ def embed_gl6(u):
     return from_blocks(u, z3, z3, il.mat_t(il.inv_unimodular(u)))
 
 
-def mobius(m, z, cond_limit=1e12):
+def mobius(m, z):
     """Apply the symplectic fractional-linear action.
 
     Returns ``(m . z, det(C z + D))`` for one 6x6 integer matrix, or both
     stacked for a (..., 6, 6) stack of them.  Raises SingularDenominator when
-    C z + D is numerically singular in any lane, which cannot happen for an
-    exactly symplectic m at a genuine Siegel point.
+    C z + D is numerically singular (condition number above 1e12) in any
+    lane, which cannot happen for an exactly symplectic m at a genuine Siegel
+    point.
     """
     z = np.asarray(z, dtype=complex)
     m = np.array(m, dtype=complex)
     a, b, c, d = (np.ascontiguousarray(m[..., r:r + 3, s:s + 3]) for r in (0, 3) for s in (0, 3))
     den = c @ z + d
     jval = np.linalg.det(den)
-    if not (np.isfinite(jval) & (abs(jval) >= 1e-300)).all() or (np.linalg.cond(den) > cond_limit).any():
+    if not (np.isfinite(jval) & (abs(jval) >= 1e-300)).all() or (np.linalg.cond(den) > 1e12).any():
         raise SingularDenominator("C Z + D is numerically singular")
     mz = np.linalg.solve(den.swapaxes(-1, -2), (a @ z + b).swapaxes(-1, -2)).swapaxes(-1, -2)
     return 0.5 * (mz + mz.swapaxes(-1, -2)), jval

@@ -59,15 +59,10 @@ _BERNOULLI2 = (
 POLE_TOL = 1e-12
 
 
-def _near_nonpositive_int(z, tol=POLE_TOL):
-    zr = round(z.real)
-    return zr <= 0 and abs(z - zr) <= tol
-
-
 def complex_gamma(z):
     """Euler gamma for complex argument (Lanczos + reflection)."""
     z = complex(z)
-    if _near_nonpositive_int(z):
+    if round(z.real) <= 0 and abs(z - round(z.real)) <= POLE_TOL:
         raise PoleError("gamma pole at non-positive integer %s" % z)
     if z.real < 0.5:
         return math.pi / (np.sin(np.pi * z) * complex_gamma(1.0 - z))
@@ -165,7 +160,7 @@ def _trapezoid(f, lo, hi, epsrel):
     return complex(total)
 
 
-def _decaying_power_integral(alpha, c, epsrel=1e-11):
+def _decaying_power_integral(alpha, c):
     """int_0^inf r^alpha exp(c r) dr for Re(alpha) > -1 and Re(c) < 0, by the
     exp-sinh rule: with -Re(c) r = exp(x), x = pi/2 sinh t, the integrand
     exp((alpha+1) x + c/(-Re c) e^x) pi/2 cosh t decays double exponentially
@@ -183,10 +178,10 @@ def _decaying_power_integral(alpha, c, epsrel=1e-11):
         x = 0.5 * np.pi * np.sinh(t)
         return np.exp(a1 * x + c / decay * np.exp(x)) * (0.5 * np.pi * np.cosh(t))
 
-    return _trapezoid(f, lo, hi, epsrel) * cmath.exp(-a1 * math.log(decay))
+    return _trapezoid(f, lo, hi, 1e-11) * cmath.exp(-a1 * math.log(decay))
 
 
-def cone_integral_gap(exponents, z, epsrel=1e-11):
+def cone_integral_gap(exponents, z):
     """Relative gap between the cone integral of the power function and its
     closed form.
 
@@ -208,9 +203,9 @@ def cone_integral_gap(exponents, z, epsrel=1e-11):
     a4 = np.sqrt(np.pi / (-2j * np.pi * omega2))
     omega3 = tau1 - z2 * z2 / tau3 - (z1 - z2 * z3 / tau3) ** 2 / omega2
 
-    l1 = 0.5 * _decaying_power_integral(u - 2.0, 2j * np.pi * tau3, epsrel)
-    l2 = 0.5 * a6 * _decaying_power_integral(w + u - 1.5, 2j * np.pi * omega2, epsrel)
-    l3 = 0.5 * a6 * a4 * _decaying_power_integral(s + w + u - 1.0, 2j * np.pi * omega3, epsrel)
+    l1 = 0.5 * _decaying_power_integral(u - 2.0, 2j * np.pi * tau3)
+    l2 = 0.5 * a6 * _decaying_power_integral(w + u - 1.5, 2j * np.pi * omega2)
+    l3 = 0.5 * a6 * a4 * _decaying_power_integral(s + w + u - 1.0, 2j * np.pi * omega3)
 
     sigma = s + 2 * w + 3 * u
     lhs = 8.0 * np.exp(0.5j * np.pi * sigma) * l1 * l2 * l3
@@ -219,21 +214,24 @@ def cone_integral_gap(exponents, z, epsrel=1e-11):
     return abs(lhs - rhs) / abs(rhs)
 
 
-def besselK(nu, x, epsrel=1e-12):
+def besselK(nu, x):
     """Modified Bessel K_nu(x) for complex order and positive real argument.
 
     K_nu(x) = 1/2 exp(-x) int exp(nu t - x (cosh t - 1)) dt over the real line,
     summed by the trapezoid rule (the integrand decays double exponentially)
-    over [-T, T], past which it is below exp(-50); intended range x >= 0.1,
-    |nu| <= 10.
+    over [-T, T], past which it is below exp(-50).  Range: x >= 0.1 and
+    |Re nu|, |Im nu| <= 10; an order outside is refused, because from
+    |Im nu| ~ 50 coarse levels alias e^(i Im nu t) and agree on a wrong sum.
     """
     nu, x = complex(nu), float(x)
     if x <= 0:
         raise DomainError("besselK needs x > 0")
+    if not (abs(nu.real) <= 10 and abs(nu.imag) <= 10):
+        raise DomainError("besselK order %s is outside |Re nu|, |Im nu| <= 10" % nu)
     t_max = 2.0 * math.asinh(math.sqrt(25.0 / x))  # x (cosh t - 1) = 2x sinh(t/2)^2 = 50
     for _ in range(60):
         if 2.0 * x * math.sinh(0.5 * t_max) ** 2 - abs(nu.real) * t_max > 50.0:
             break
         t_max *= 1.25
     return 0.5 * math.exp(-x) * _trapezoid(
-        lambda t: np.exp(nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2), -t_max, t_max, epsrel)
+        lambda t: np.exp(nu * t - 2.0 * x * np.sinh(0.5 * t) ** 2), -t_max, t_max, 1e-12)

@@ -20,7 +20,7 @@ from operator import mul
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import CompletionFailure, DomainError, NotCoprimePair
+from .errors import MAX_WORK, CompletionFailure, DomainError, NotCoprimePair
 from .eisenstein import TruncationSpec, selberg_E
 from .forms import HalfIntegralForm, automorphism_count, congruence_form, reduced_classes
 from .matrices import is_symplectic, mobius
@@ -144,16 +144,29 @@ def _hnf_structures(max_abs, nrows=3):
                 yield h
 
 
+def _candidate_count(max_abs, nrows):
+    """How many matrices _hnf_structures yields: per pivot pattern, sum_p p^k
+    for pivot k = p and the k entries above it in [0, p), times 2 max_abs + 1
+    per other free entry."""
+    cols, side = 2 * nrows, 2 * max_abs + 1
+    above = math.prod(sum(p**k for p in range(1, max_abs + 1)) for k in range(nrows))
+    return above * sum(side ** (sum(cols - 1 - p for p in pivots) - nrows * (nrows - 1) // 2)
+                       for pivots in combinations(range(cols), nrows))
+
+
 @lru_cache(maxsize=4)
 def enumerate_pairs(max_abs, nrows=3):
     """All canonical coprime symmetric pairs with entries in the box.
 
     Enumerates row-HNF candidates directly (every canonical representative is
-    its own HNF) and tests them a chunk at a time.  Memoized per
+    its own HNF) and tests them a chunk at a time; more than MAX_WORK
+    candidates are refused before any is built.  Memoized per
     (max_abs, nrows); the result is an immutable tuple sorted by (c, d).
     """
     if max_abs < 1:
         raise DomainError("max_abs must be >= 1, got %r" % (max_abs,))
+    if (n := _candidate_count(max_abs, nrows)) > MAX_WORK:
+        raise DomainError("%d HNF candidates at max_abs %d, above %d" % (n, max_abs, MAX_WORK))
     out = []
     for h in _hnf_structures(max_abs, nrows):
         out += [CoprimePair(c=tuple(tuple(row[:nrows]) for row in cand),
@@ -230,10 +243,10 @@ def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None)
     """
     _check_truncation(k, max_abs)
     z = np.asarray(z, dtype=complex)
-    if gl_ball is None:
-        gl_ball = il.unimodular_matrices_colnorm(max_abs * max_abs)
     if pairs is None:
         pairs = enumerate_pairs(max_abs)
+    if gl_ball is None:
+        gl_ball = il.unimodular_matrices_colnorm(max_abs * max_abs)
     if not len(gl_ball) or not len(pairs):
         raise DomainError("empty truncation: %d matrices, %d pairs" % (len(gl_ball), len(pairs)))
     entries, weights = _coset_table(tuple(pairs), z.tobytes(), k)
@@ -260,8 +273,8 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
         / (complex_gamma(s + w + u - 1) * complex_gamma(w + u - 0.5) * complex_gamma(u))
     )
     classes = reduced_classes(det_bound)
-    gl_ball = il.unimodular_matrices_colnorm(max_abs * max_abs)
     pairs = enumerate_pairs(max_abs)
+    gl_ball = il.unimodular_matrices_colnorm(max_abs * max_abs)
     total = 0.0 + 0.0j
     pk_terms = 0
     for t in classes:

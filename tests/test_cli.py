@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ def test_eval_gamma3(capsys):
 
 
 def test_fe_group(capsys):
-    code, payload = run_json(capsys, "fe-group", "--k", "24")
+    code, payload = run_json(capsys, "fe-group")
     assert code == 0
     assert payload["order"] == 12
     assert payload["dihedral"] is True
@@ -177,7 +178,7 @@ GOLDEN = {
     # an entry past int64: the completion runs on exact Python ints
     "complete_pair_big.out": ["complete-pair", "--c", "1,0,0,0,1,0,0,0,1",
                               "--d", "100000000000000000000000,7,0,7,0,0,0,0,0"],
-    "fe_group.out": ["fe-group", "--k", "24"],
+    "fe_group.out": ["fe-group"],
 }
 
 
@@ -211,6 +212,12 @@ USAGE_ERRORS = [
     ["eval-kernel", "--s", "2", "--w", "4", "--u", "5", "--z", Z1, "--max-abs", "0"],
     ["classes", "--det-bound", "0"],
     ["eval-km", "--s", "16", "--det-bound", "0"],
+    # a flag the command does not read
+    ["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "2", "--w", "2", "--u", "0",
+     "--format", "csv"],
+    ["fe-group", "--k", "24"],
+    ["eps", "--form", "1,1,1,0,0,0", "--seed", "1"],
+    ["reduce", "--form", "3,2,1,0,0,0", "--tol", "1e-3"],
 ]
 
 
@@ -233,6 +240,17 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
       "--bound", "2e5"], "input error:"),  # ~3.8e8 short vectors, above MAX_BALL rows
     (["eval-epstein", "--y", "1,0,1", "--s", "2", "--bound", "1e9"], "input error:"),  # 4e9 grid
     (["eps", "--form", "1,1,-1,0,0,0"], "input error: form is not positive definite"),
+    # 1.2e10 HNF candidates, counted before any is built
+    (["enum-pairs", "--max-abs", "3"], "input error:"),
+    (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", Z1, "--max-abs", "3"], "input error:"),
+    (["eval-kernel", "--s", "2", "--w", "4", "--u", "5", "--z", Z1, "--max-abs", "3"],
+     "input error:"),
+    # a non-finite coefficient exponent: no NaN payload
+    (["eval-km", "--coeffs", "det_power:nan", "--s", "16", "--det-bound", "2"], "input error:"),
+    (["eval-km", "--coeffs", "det_power:inf", "--s", "16", "--det-bound", "2"], "input error:"),
+    # a Bessel order outside |Re nu|, |Im nu| <= 10, where the quadrature aliases
+    (["verify-zetastar", "--s", "2.3+40j", "--tau", "0.3+1.7j", "--bound", "1000"],
+     "input error:"),
     # finite exponents whose power overflows: no NaN payload
     (["eval-power", "--s", "2.5", "--w", "4", "--u", "1e308", "--z", Z1], "input error:"),
     # Z = 0 is no Siegel point: the stacked Mobius action refuses the table
@@ -326,3 +344,37 @@ def test_json_round_trip_schema(capsys):
     assert code == 0
     assert set(payload["value"]) == {"re", "im"}
     assert isinstance(payload["value"]["re"], float)
+
+
+# the flags that only some commands read, and those commands
+FLAG_READERS = {
+    "--seed": {"verify-lemma-int", "verify-claim1", "selftest"},
+    "--tol": {"verify-lemma-int", "verify-claim1", "verify-lipschitz", "classical-lipschitz",
+              "verify-zetastar"},
+    "--k": {"eval-km", "eval-km-twisted", "eval-poincare", "eval-kernel"},
+    "--format": {"classes"},
+}
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a.choices, dict)).choices
+
+
+def test_each_flag_lives_only_on_the_commands_that_read_it():
+    commands = _subcommands()
+    for flag, readers in FLAG_READERS.items():
+        assert {name for name, c in commands.items() if flag in c._option_string_actions} == readers
+    assert all("--threads" in c._option_string_actions for c in commands.values())
+
+
+def test_readme_cli_examples_parse():
+    # every `siegel3 ...` line of the README's CLI block parses, so a removed
+    # flag cannot linger in the docs; each command has an example
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [argv[1:] for argv in lines if argv[:1] == ["siegel3"]]
+    parser = cli.build_parser()
+    assert {parser.parse_args(argv).command for argv in examples} == set(_subcommands())

@@ -224,7 +224,20 @@ def test_unsettled_sums_are_refused():
     for alpha, tau in ((8, 10 + 0.1j), (0.5, 50 + 0.01j)):
         with pytest.raises(QuadratureFailure):
             sf._decaying_power_integral(alpha, 2j * math.pi * tau)
-    # e^(4456.7 i t) on [-5.78, 5.78] is at its Nyquist step at the last halving,
-    # which still moves the sum by ~1e-3 of its modulus
+    # besselK's integrand at nu = 4456.7i, x = 1 on its line [-5.78, 5.78]:
+    # e^(4456.7 i t) is at its Nyquist step at the last halving, which still
+    # moves the sum by ~1e-3 of its modulus
+    t_max = 2.5 * math.asinh(5.0)
     with pytest.raises(QuadratureFailure, match="did not reach tolerance"):
-        sf.besselK(4456.7j, 1.0)
+        sf._trapezoid(lambda t: np.exp(4456.7j * t - 2.0 * np.sinh(0.5 * t) ** 2),
+                      -t_max, t_max, 1e-12)
+
+
+def test_besselk_refuses_orders_outside_its_range():
+    # from |Im nu| ~ 50 coarse trapezoid levels alias e^(i Im nu t) and agree on
+    # a wrong sum: K_{68.5i}(1) came out 0.276 against -4.3e-48
+    for nu in (68.5j, 4456.7j, 10.5, -10.5 + 1j, 3 - 10.01j, complex("nan")):
+        with pytest.raises(DomainError, match="outside"):
+            sf.besselK(nu, 1.0)
+    k = sf.besselK(10 + 10j, 1.0)  # the corner of the range is accepted
+    assert abs(k - sf.besselK(10 - 10j, 1.0).conjugate()) <= 1e-14 * abs(k)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 from itertools import combinations, product
 
 import numpy as np
@@ -230,6 +231,18 @@ def test_enumerate_pairs_matches_scalar_filter():
         scalar.sort(key=lambda p: (p.c, p.d))
         assert sp.enumerate_pairs(max_abs, nrows) == tuple(scalar)
     assert sp.enumerate_pairs(1) is sp.enumerate_pairs(1)  # memoized
+
+
+def test_enumerate_pairs_refuses_work_above_the_ceiling():
+    for max_abs, nrows in ((1, 3), (1, 2), (2, 2), (3, 2)):
+        blocks = sp._hnf_structures(max_abs, nrows)
+        assert sp._candidate_count(max_abs, nrows) == sum(map(len, blocks))
+    assert sp._candidate_count(2, 3) == 76_756_680  # below MAX_WORK: enumerated
+    assert sp._candidate_count(3, 3) == 12_140_654_400
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="12140654400 HNF candidates"):
+        sp.enumerate_pairs(3)  # enumerating would take more than 120 s
+    assert time.perf_counter() - start < 1.0
 
 
 def test_completion_examples():

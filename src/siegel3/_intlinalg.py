@@ -56,14 +56,6 @@ def bilinear3(g, v, w):
     return sum(v[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
 
 
-def canonical_sign(v):
-    """v or -v, whichever has a positive first nonzero entry."""
-    for x in v:
-        if x:
-            return v if x > 0 else tuple(-y for y in v)
-    return v
-
-
 def adj3(a):
     """Adjugate of a 3x3 matrix, so that a @ adj3(a) == det3(a) * I."""
     c = [[0] * 3 for _ in range(3)]
@@ -305,27 +297,13 @@ def solve_right_inverse(mat):
     return mat_mul(vcols, u)
 
 
-def unimodular_matrices_entrybound(max_entry):
-    """All U in GL3(Z) with every entry in [-max_entry, max_entry], as an
-    int64 (N, 3, 3) stack."""
-    return _unimodular_from_columns(max_entry, 3 * max_entry**2)
-
-
-def unimodular_matrices_colnorm(max_norm2):
-    """All U in GL3(Z) whose columns each have squared euclidean norm <= bound,
-    as lists of lists.
-
-    Deterministic lexicographic order over (col1, col2, col3).
-    """
-    return _unimodular_from_columns(int(max_norm2**0.5), max_norm2).tolist()
-
-
-def _unimodular_from_columns(r, max_norm2):
-    """The int64 (N, 3, 3) stack of all U with det = +-1 whose columns are
-    nonzero vectors in [-r, r]^3 of squared norm <= max_norm2, ordered
-    lexicographically by (col1, col2, col3)."""
-    v = np.array(list(product(range(-r, r + 1), repeat=3)), dtype=np.int64)
-    v = v[(0 < (v * v).sum(axis=1)) & ((v * v).sum(axis=1) <= max_norm2)]
+def unimodular_matrices(max_entry, max_norm2=None):
+    """The int64 (N, 3, 3) stack of all U in GL3(Z) with entries in
+    [-max_entry, max_entry] and, if max_norm2 is given, columns of squared
+    euclidean norm <= max_norm2, ordered lexicographically by (col1, col2, col3)."""
+    v = np.array(list(product(range(-max_entry, max_entry + 1), repeat=3)), dtype=np.int64)
+    norm2 = (v * v).sum(axis=1)
+    v = v[(0 < norm2) & (norm2 <= (3 * max_entry**2 if max_norm2 is None else max_norm2))]
     out = []
     for v1 in v:
         # det [v1 v2 v3] for every (v2, v3), one (len, len) slab per v1

@@ -340,7 +340,7 @@ def _dispatch(args):
         g = fg.generators()
         table = fg.closure([g["w"], g["a"], g["aba"]])
         ok, witness = fg.certify_dihedral(table)
-        aw = fg.compose(g["a"], g["w"])
+        aw = g["a"].compose(g["w"])
         payload = {
             "order": len(table.elements),
             "dihedral": ok,

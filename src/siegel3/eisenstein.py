@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import MAX_WORK, DomainError, PoleError
+from .errors import MAX_WORK, DomainError, PoleError, require_finite
 from .forms import (_CHUNK, HalfIntegralForm, _short_vectors, first_nonzero_positive,
                     short_vectors_gram)
 from .specfun import complex_gamma, complex_zeta, besselK
@@ -95,12 +95,14 @@ def enumerate_flags(y: HalfIntegralForm, spec: TruncationSpec):
     return flags
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
     """Truncated three-variable Eisenstein series over the flag cosets.
 
     Returns the term-wise value (det Y)^(-u) * sum (Y[v])^(-s) (adjY[n])^(-w);
     outside the absolute-convergence region Re(s) > 1, Re(w) > 1 the result is
-    still the truncated sum but carries a warning flag.
+    still the truncated sum but carries a warning flag.  A sum that overflows
+    raises DomainError.
     """
     s, w, u = (complex(e) for e in exponents)
     vs, ns = _flag_vectors(y, spec)
@@ -112,7 +114,7 @@ def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
         total = np.cumsum(np.append(total, pv[start + i] * pn[j]))[-1]
         terms += len(i)
     dety = float(y.det())
-    value = complex(np.exp(-u * math.log(dety)) * total)
+    value = complex(require_finite(np.exp(-u * math.log(dety)) * total, "the flag sum"))
     warnings = []
     if not (s.real > 1 and w.real > 1):
         warnings.append("outside absolute-convergence region Re(s),Re(w) > 1")
@@ -149,18 +151,20 @@ def _form_values_in_ball(y, bound):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def epstein(y, s, bound):
     """Truncated Epstein zeta: (1/2) sum over 0 != v, Y[v] <= bound, of Y[v]^(-s).
 
     Accepts 2x2 or 3x3 positive-definite input.  Terms are accumulated in
     ascending order of the form value, so two evaluations over term-wise
-    bijective index sets produce identical floating sums.
+    bijective index sets produce identical floating sums.  A sum that
+    overflows raises DomainError.
     """
     s = complex(s)
     arr = np.asarray(y)
     n = arr.shape[0]
     vals = _form_values_in_ball(arr, bound)
-    value = complex(0.5 * np.sum(np.exp(-s * np.log(vals.astype(float)))))
+    value = require_finite(0.5 * np.sum(np.exp(-s * np.log(vals.astype(float)))), "the Epstein sum")
     det = float(np.linalg.det(arr.astype(float)))
     lam_max = float(np.max(np.linalg.eigvalsh(arr.astype(float))))
     sigma = s.real
@@ -175,7 +179,7 @@ def epstein(y, s, bound):
         )
     else:
         tail = math.inf
-    return TruncatedValue(value=value, terms_used=int(vals.size), tail_estimate=tail)
+    return TruncatedValue(value=complex(value), terms_used=int(vals.size), tail_estimate=tail)
 
 
 def w_tau(tau):
@@ -282,16 +286,3 @@ def zeta_Z2_decomposition(s, tau, bound):
     recon = 2.0 * complex_zeta(2 * s) + main + 2.0 * star.value
     residual = abs(direct_value - recon) / abs(direct_value)
     return direct, complex(recon), residual
-
-
-def mu_parabolic(y: HalfIntegralForm, r, bound):
-    """Maximal-parabolic coset sum (det Y)^(2r/3) sum (adj(Y)[n])^(-r).
-
-    The sum runs over primitive plane normals n mod sign with
-    adj(Y)[n] <= bound; scale-invariant in Y.
-    """
-    r = float(r)
-    ns = _primitive_mod_sign(il.adj3(y.gram2()), 4 * Fraction(bound))
-    total = float(((ns["q"] / 4.0) ** (-r)).sum())
-    dety = float(y.det())
-    return TruncatedValue(value=dety ** (2.0 * r / 3.0) * total, terms_used=len(ns))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the work and ball ceilings."""
+"""Exception types shared across the package, the work and ball ceilings, and
+the one refusal of a non-finite result."""
+
+import cmath
 
 # Most lattice terms, candidate forms or candidate vectors one call may
 # evaluate; above it the call raises DomainError before it allocates.
@@ -58,3 +61,11 @@ class NonReducedKey(Siegel3Error):
 
 class DuplicateKey(Siegel3Error):
     pass
+
+
+def require_finite(value, what):
+    """``value`` if it is finite; else DomainError, since a sum of finite terms
+    that is not finite has overflowed (or met inf - inf)."""
+    if not cmath.isfinite(value):
+        raise DomainError("%s overflowed to %s" % (what, complex(value)))
+    return value

@@ -35,9 +35,6 @@ class Qk:
         c = Fraction(c)
         return Qk(c * self.a, c * self.b)
 
-    def substitute(self, k_value):
-        return self.a + self.b * Fraction(k_value)
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)
@@ -121,11 +118,6 @@ def generators():
     return g
 
 
-def compose(f, g):
-    """Apply g first, then f (right-to-left, matching the aw convention)."""
-    return f.compose(g)
-
-
 @dataclass
 class GroupTable:
     elements: list  # AffineMap, index 0 is the identity
@@ -154,7 +146,7 @@ class GroupTable:
         raise AssertionError("no inverse found")
 
 
-def closure(gens, cap=CLOSURE_CAP):
+def closure(gens):
     """BFS closure of the generators under composition, with Cayley table."""
     group = GroupTable(elements=[identity_map()], table=[])
     elements, frontier, gen_list = group.elements, [identity_map()], list(gens)
@@ -162,15 +154,15 @@ def closure(gens, cap=CLOSURE_CAP):
         new_frontier = []
         for e in frontier:
             for g in gen_list:
-                cand = compose(g, e)
+                cand = g.compose(e)
                 if group.index_of(cand) is None:
                     # keep the shortest generation word as the label
                     elements.append(cand)
                     new_frontier.append(cand)
-                    if len(elements) > cap:
-                        raise Diverged("closure exceeded cap %d" % cap)
+                    if len(elements) > CLOSURE_CAP:
+                        raise Diverged("closure exceeded cap %d" % CLOSURE_CAP)
         frontier = new_frontier
-    group.table = [[group.index_of(compose(x, y)) for y in elements] for x in elements]
+    group.table = [[group.index_of(x.compose(y)) for y in elements] for x in elements]
     if any(None in row for row in group.table):
         raise AssertionError("closure is not closed")
     return group
@@ -186,7 +178,7 @@ def certify_dihedral(table: GroupTable):
     if n != 12:
         return False, None
     gens = generators()
-    preferred_r = table.index_of(compose(gens["a"], gens["w"]))
+    preferred_r = table.index_of(gens["a"].compose(gens["w"]))
     preferred_f = table.index_of(gens["b"])
     candidates_r = [preferred_r] if preferred_r is not None else []
     candidates_r += [i for i in range(n) if i != preferred_r]
@@ -202,17 +194,3 @@ def certify_dihedral(table: GroupTable):
             if table.table[table.table[fi][ri]][fi] == r_inv:
                 return True, (table.elements[ri], table.elements[fi])
     return False, None
-
-
-def orbit(point, table: GroupTable, k_value=None):
-    """Set of images of an exact rational point under all maps in the table.
-
-    With k_value None the symbolic k is kept; points are tuples of Qk.
-    """
-    images = set()
-    for m in table.elements:
-        q = m(point)
-        if k_value is not None:
-            q = tuple(c.substitute(k_value) for c in q)
-        images.add(q)
-    return images

@@ -44,16 +44,9 @@ class HalfIntegralForm:
             [self.b13, self.b23, 2 * self.t3],
         ]
 
-    def matrix(self):
-        """Floating matrix T."""
-        return 0.5 * np.array(self.gram2(), dtype=float)
-
     def det(self):
         """Exact determinant of T: det T = det(2T) / 8."""
         return Fraction(il.det3(self.gram2()), 8)
-
-    def trace(self):
-        return self.t1 + self.t2 + self.t3
 
     def value2(self, v):
         """(2T)[v], an even non-negative integer for definite T."""

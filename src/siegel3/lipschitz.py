@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import _dets, _finite_exponents, _ipow, _is_small_int, power_terms
-from .errors import MAX_WORK, DomainError, PoleError
+from .errors import MAX_WORK, DomainError, PoleError, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
 from .specfun import complex_gamma
@@ -88,8 +88,7 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
         total += vals.sum()
         mags = np.abs(vals)
         shell_sum += float(mags.sum() if on_edge[list(idx)].any() else mags[edge].sum())
-    if not np.isfinite(total):
-        raise DomainError("the lattice sum overflowed: %r" % (total,))
+    require_finite(total, "the lattice sum")
     # crude integral-comparison estimate: boundary shell extrapolated by the
     # dominant polynomial decay; a one-term box has no shell to extrapolate
     p_eff = 2.0 * min(s.real, 2.0) + 1.0
@@ -148,9 +147,7 @@ def fourier_side_rhs(exponents, z, trace_bound):
                  + 2.0 * (h12 * z[0, 1] + h13 * z[0, 2] + h23 * z[1, 2]))
         total += (pw * np.exp(2j * np.pi * tr_tz)).sum()
         n_forms += len(t)
-    if not np.isfinite(pref * total):
-        raise DomainError("the fast side overflowed: %r" % (pref * total,))
-    return complex(pref * total), n_forms
+    return complex(require_finite(pref * total, "the fast side")), n_forms
 
 
 def lipschitz_report(exponents, z, max_abs, trace_bound, tail_correction=False):

@@ -118,11 +118,12 @@ def mobius(m, z):
     return 0.5 * (mz + mz.swapaxes(-1, -2)), jval
 
 
-def random_siegel(rng, min_im=0.5, real_scale=1.0):
-    """Random Siegel point with Im(Z) >= min_im * I (shifted Gram matrix)."""
+def random_siegel(rng, min_im=0.5):
+    """Random Siegel point with Im(Z) >= min_im * I (shifted Gram matrix) and
+    real part entries in [-1, 1)."""
     g = rng.standard_normal((3, 3))
     y = g @ g.T + min_im * np.eye(3)
-    x = real_scale * (rng.random((3, 3)) * 2 - 1)
+    x = rng.random((3, 3)) * 2 - 1
     x = 0.5 * (x + x.T)
     return x + 1j * y
 

@@ -16,9 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .eisenstein import TruncationSpec, selberg_E
-from .errors import DomainError, DuplicateKey, NonReducedKey, ParseError, PoleError
+from .errors import DomainError, DuplicateKey, NonReducedKey, ParseError
 from .forms import HalfIntegralForm, automorphism_count, minkowski_reduce, reduced_classes
-from .specfun import complex_gamma, xi2
 
 
 @dataclass
@@ -33,7 +32,6 @@ class CoefficientTable:
     k: int
     data: dict = field(default_factory=dict)
     provider: object = None
-    name: str = "table"
     misses: int = 0
 
     def coefficient(self, t: HalfIntegralForm):
@@ -48,16 +46,13 @@ class CoefficientTable:
 
 
 def ones_provider(k=24):
-    return CoefficientTable(k=k, provider=lambda red: 1.0 + 0.0j, name="ones")
+    return CoefficientTable(k=k, provider=lambda red: 1.0 + 0.0j)
 
 
 def det_power_provider(alpha, k=24):
     if not math.isfinite(alpha):
         raise DomainError("det_power exponent must be finite, got %r" % (alpha,))
-    return CoefficientTable(
-        k=k, provider=lambda red: float(red.det()) ** alpha + 0.0j,
-        name="det_power(%g)" % alpha,
-    )
+    return CoefficientTable(k=k, provider=lambda red: float(red.det()) ** alpha + 0.0j)
 
 
 def load_coefficients(path):
@@ -150,31 +145,3 @@ def km_twisted(table: CoefficientTable, exponents, det_bound, flag_spec: Truncat
             " (stricter variant requires Re(u)>k+1)"
         )
     return sv
-
-
-def lambda_completed(table: CoefficientTable, exponents, km_value):
-    """Completed-series gamma/xi factor applied to a series value.
-
-    (2 pi)^(-(s+2w+3u)) Gamma(s+w+u-1) Gamma(w+u-1/2) Gamma(u)
-        xi2(s) xi2(w) xi2(s+w-1/2) times km_value; a factor within 1e-10 of
-    one of its poles raises PoleError.
-    """
-    s, w, u = (complex(e) for e in exponents)
-    sigma = s + 2 * w + 3 * u
-    for g_arg in (s + w + u - 1, w + u - 0.5, u):
-        gr = round((g_arg).real)
-        if gr <= 0 and abs(g_arg - gr) <= 1e-10:
-            raise PoleError("gamma factor pole at %s" % g_arg)
-    for x_arg in (s, w, s + w - 0.5):
-        if min(abs(x_arg), abs(x_arg - 0.5)) <= 1e-10:
-            raise PoleError("xi factor pole at %s" % x_arg)
-    factor = (
-        np.exp(-sigma * math.log(2.0 * math.pi))
-        * complex_gamma(s + w + u - 1)
-        * complex_gamma(w + u - 0.5)
-        * complex_gamma(u)
-        * xi2(s)
-        * xi2(w)
-        * xi2(s + w - 0.5)
-    )
-    return complex(factor * km_value)

@@ -109,19 +109,6 @@ def complex_zeta(s):
     return complex(value)
 
 
-def xi2(s):
-    """Completed zeta combination pi^(-s) Gamma(s) zeta(2s)."""
-    s = complex(s)
-    if abs(s) <= POLE_TOL or abs(s - 0.5) <= POLE_TOL:
-        raise PoleError("xi2 pole at s = %s" % s)
-    return math.pi ** (-s) * complex_gamma(s) * complex_zeta(2.0 * s)
-
-
-def phi(s):
-    """Quartic s(1-s)(s-1/2)(1/2-s); kills the xi2 poles, phi(s) == phi(1-s)."""
-    return s * (1 - s) * (s - 0.5) * (0.5 - s)
-
-
 def gamma3(s, w, u):
     """Degree-3 matrix gamma factor in closed form.
 

@@ -20,9 +20,9 @@ from operator import mul
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import MAX_WORK, CompletionFailure, DomainError, NotCoprimePair
+from .errors import MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, require_finite
 from .eisenstein import TruncationSpec, selberg_E
-from .forms import HalfIntegralForm, automorphism_count, congruence_form, reduced_classes
+from .forms import HalfIntegralForm, automorphism_count, reduced_classes
 from .matrices import is_symplectic, mobius
 from .specfun import complex_gamma
 
@@ -232,6 +232,16 @@ def _coset_table(pairs, z_bytes, k):
     return entries, weights
 
 
+def _coset_coefficients(t: HalfIntegralForm, gl_ball):
+    """(t1, t2, t3, b12, b13, b23) of T[U] for each U of the ball, a float |ball| x 6
+    array, from the exact t(U) 2T U: int64 while an entry (nine products) is below
+    9 * 2^16 * 2^16 * 2^26 < 2^63, Python ints past that."""
+    u = il.exact_array(gl_ball, 2**16)
+    g = u.swapaxes(1, 2) @ il.exact_array(t.gram2(), 2**26) @ u
+    return np.asarray(g[:, _ENTRY_ROWS, _ENTRY_COLS] * (0.5, 0.5, 0.5, 1, 1, 1), dtype=float)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None):
     """Truncated weight-k Poincare sum over translation cosets.
 
@@ -239,29 +249,30 @@ def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None)
     of e^{2 pi i tr(T[U] M0 Z)} j(M0, Z)^(-k); M0 completes {C, D}.  The
     per-coset factors come from a table cached per (pairs, Z, k); the sum is
     one |ball| x |pairs| array summed over the ball, then weighted by
-    j^(-k).  The truncation error is not certified.
+    j^(-k).  The truncation error is not certified; a sum that overflows
+    raises DomainError.
     """
     _check_truncation(k, max_abs)
     z = np.asarray(z, dtype=complex)
     if pairs is None:
         pairs = enumerate_pairs(max_abs)
     if gl_ball is None:
-        gl_ball = il.unimodular_matrices_colnorm(max_abs * max_abs)
+        gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
     if not len(gl_ball) or not len(pairs):
         raise DomainError("empty truncation: %d matrices, %d pairs" % (len(gl_ball), len(pairs)))
     entries, weights = _coset_table(tuple(pairs), z.tobytes(), k)
-    coeffs = np.array([[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23]
-                       for f in (congruence_form(t, u) for u in gl_ball)], dtype=float)
-    per_pair = np.exp(2j * np.pi * (coeffs @ entries)).sum(axis=0)
-    return complex(0.5 * (weights * per_pair).sum()), len(gl_ball) * len(pairs)
+    per_pair = np.exp(2j * np.pi * (_coset_coefficients(t, gl_ball) @ entries)).sum(axis=0)
+    value = require_finite(0.5 * (weights * per_pair).sum(), "the Poincare sum")
+    return complex(value), len(gl_ball) * len(pairs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs):
     """Truncated kernel via the Poincare-series representation.
 
     prefactor * sum over classes of (1/eps_T) E(T | w, s, -s-w-u+2) P_{k,T}(Z),
     prefactor = (2/pi^(3/2)) (-2 pi i)^(s+2w+3u) / (Gamma(s+w+u-1)
-    Gamma(w+u-1/2) Gamma(u)).
+    Gamma(w+u-1/2) Gamma(u)); a value that overflows raises DomainError.
     """
     _check_truncation(k, max_abs)
     s, w, u = (complex(e) for e in exponents)
@@ -274,7 +285,7 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     )
     classes = reduced_classes(det_bound)
     pairs = enumerate_pairs(max_abs)
-    gl_ball = il.unimodular_matrices_colnorm(max_abs * max_abs)
+    gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
     total = 0.0 + 0.0j
     pk_terms = 0
     for t in classes:
@@ -293,7 +304,7 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
             "need not converge as det_bound grows"
         )
     return {
-        "value": complex(pref * total),
+        "value": complex(require_finite(pref * total, "the kernel sum")),
         "classes_used": len(classes),
         "pairs_used": len(pairs),
         "gl3_ball_size": len(gl_ball),

@@ -259,6 +259,14 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     # the exact f-direction sum needs Im Z > 0 (det Z_2 vanishes here)
     (["verify-lipschitz", "--max-abs", "1", "--z=-1j,0,0,1j,0,1j", "--tail-correction"],
      "input error:"),
+    # finite input whose truncated sum overflows: no NaN or inf payload
+    (["eval-eisenstein", "--form", "2,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "-2000",
+      "--bound", "4"], "input error:"),
+    (["eval-epstein", "--y", "1,0,1", "--s", "-200", "--bound", "100"], "input error:"),
+    (["eval-poincare", "--k", "400", "--form", "1,1,1,0,0,0", "--z", "0.01j,0,0,0.01j,0,0.01j"],
+     "input error:"),
+    (["eval-kernel", "--s", "1", "--w", "60", "--u", "100", "--z", Z1, "--k", "32",
+      "--det-bound", "1", "--bound", "4"], "input error:"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from siegel3 import _intlinalg as il
 from siegel3 import eisenstein as eis, forms
+from siegel3.acceptance import _canonical_sign
 from siegel3.errors import DomainError
 from siegel3.specfun import complex_zeta
 
@@ -52,7 +53,7 @@ def _old_primitive_mod_sign(gram, bound):
     seen = {}
     for q, v in zip(ball["q"].tolist(), map(tuple, ball["v"].tolist())):
         if math.gcd(*v) == 1:
-            seen.setdefault(il.canonical_sign(v), q)
+            seen.setdefault(_canonical_sign(v), q)
     return sorted(seen.items())
 
 
@@ -73,12 +74,6 @@ def _old_selberg_E(y, exponents, spec):
     return complex(np.exp(-u * math.log(float(y.det()))) * total), len(terms)
 
 
-def _old_mu_parabolic(y, r, bound):
-    ns = _old_primitive_mod_sign(il.adj3(y.gram2()), 4 * Fraction(bound))
-    total = sum((qn / 4.0) ** (-r) for _, qn in ns)
-    return float(y.det()) ** (2.0 * r / 3.0) * total, len(ns)
-
-
 SKEWED = forms.congruence_form(forms.HalfIntegralForm(1, 1, 2, 0, 0, 1),
                                [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]])
 
@@ -97,8 +92,6 @@ def test_flag_sums_match_the_double_loop(monkeypatch, chunk):
                 got, (value, terms) = eis.selberg_E(y, e, spec), _old_selberg_E(y, e, spec)
                 assert got.terms_used == terms
                 assert abs(got.value - value) <= 1e-12 * abs(value)
-            got, (value, terms) = eis.mu_parabolic(y, 2.0, g_bound), _old_mu_parabolic(y, 2.0, g_bound)
-            assert got.terms_used == terms and abs(got.value - value) <= 1e-12 * abs(value)
 
 
 def test_orthogonality_is_exact_past_int64():
@@ -235,19 +228,6 @@ def test_zeta_z2_star_decomposition_and_parity():
     z5 = eis.zeta_Z2_star(2.0, 0.3 + 5j).value
     z10 = eis.zeta_Z2_star(2.0, 0.3 + 10j).value
     assert abs(z10) <= 10 * math.exp(-10 * math.pi) * abs(z5)
-
-
-def test_mu_parabolic_invariance_and_scale():
-    y = forms.HalfIntegralForm(1, 2, 3, 1, 0, 1)
-    u = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
-    yu = forms.congruence_form(y, u)
-    a = eis.mu_parabolic(y, 2.0, 300.0)
-    b = eis.mu_parabolic(yu, 2.0, 300.0)
-    assert a.terms_used == b.terms_used
-    assert abs(a.value - b.value) / abs(a.value) <= 1e-12
-    doubled = forms.HalfIntegralForm(2, 4, 6, 2, 0, 2)
-    c = eis.mu_parabolic(doubled, 2.0, 4 * 300.0)
-    assert abs(a.value - c.value) / abs(a.value) <= 1e-12
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 5))

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from siegel3 import fegroup as fg
 from siegel3.errors import Diverged
@@ -24,20 +23,20 @@ def test_generators_are_involutions():
     g = fg.generators()
     idm = fg.identity_map()
     for m in g.values():
-        assert fg.compose(m, m).same_action(idm)
+        assert m.compose(m).same_action(idm)
 
 
 def test_compose_conventions():
     g = fg.generators()
     idm = fg.identity_map()
-    assert fg.compose(idm, g["a"]).same_action(g["a"])
+    assert idm.compose(g["a"]).same_action(g["a"])
     # aw means: apply w first, then a
-    aw = fg.compose(g["a"], g["w"])
+    aw = g["a"].compose(g["w"])
     img = aw((Fraction(2), Fraction(3), Fraction(5)))
     assert [str(x) for x in img] == ["9/2", "-1", "-17/2+k"]
     # b = a aba a
-    assert fg.compose(g["a"], fg.compose(g["aba"], g["a"])).same_action(g["b"])
-    assert fg.compose(g["a"], fg.compose(g["b"], g["a"])).same_action(g["aba"])
+    assert g["a"].compose(g["aba"].compose(g["a"])).same_action(g["b"])
+    assert g["a"].compose(g["b"].compose(g["a"])).same_action(g["aba"])
 
 
 def test_closure_is_dihedral_of_order_twelve():
@@ -49,7 +48,7 @@ def test_closure_is_dihedral_of_order_twelve():
     for i in range(n):
         assert sorted(table.table[i]) == list(range(n))
         assert sorted(table.table[j][i] for j in range(n)) == list(range(n))
-    aw = fg.compose(g["a"], g["w"])
+    aw = g["a"].compose(g["w"])
     awi = table.index_of(aw)
     assert table.order_of(awi) == 6
     bi = table.index_of(g["b"])
@@ -64,7 +63,7 @@ def test_closure_is_dihedral_of_order_twelve():
 def test_presentation_relations():
     g = fg.generators()
     table = fg.closure([g["w"], g["a"], g["aba"]])
-    aw = fg.compose(g["a"], g["w"])
+    aw = g["a"].compose(g["w"])
     r = table.index_of(aw)
     f = table.index_of(g["b"])
     # r^6 = f^2 = (f r)^2 = identity
@@ -88,7 +87,7 @@ def test_single_generator_closure_is_not_dihedral():
 def test_two_generator_closure_contains_order_six_element():
     g = fg.generators()
     table = fg.closure([g["a"], g["w"]])
-    aw = fg.compose(g["a"], g["w"])
+    aw = g["a"].compose(g["w"])
     assert table.order_of(table.index_of(aw)) == 6
 
 
@@ -99,7 +98,7 @@ def test_closure_diverges_on_non_involutive_generator():
         "t",
     )
     with pytest.raises(Diverged):
-        fg.closure([shift], cap=64)
+        fg.closure([shift])
 
 
 def test_random_words_stay_in_closure(rng):
@@ -109,7 +108,7 @@ def test_random_words_stay_in_closure(rng):
     names = list(g)
     cur = fg.identity_map()
     for _ in range(20):
-        cur = fg.compose(g[names[int(rng.integers(0, 4))]], cur)
+        cur = g[names[int(rng.integers(0, 4))]].compose(cur)
         assert table.index_of(cur) is not None
 
 
@@ -147,26 +146,3 @@ def test_w_map_consistency_of_truncated_kernel_sums():
     unc = abs(sides[1][0] - sides[0][0]) + abs(sides[1][1] - sides[0][1])
     assert diffs[1] <= unc
     assert diffs[1] / abs(sides[1][1]) < diffs[0] / abs(sides[0][1])
-
-
-@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
-       st.integers(1, 12))
-def test_orbit_size_divides_twelve(a, b, c, den):
-    g = fg.generators()
-    table = fg.closure([g["w"], g["a"], g["aba"]])
-    pt = (Fraction(a, den), Fraction(b, den), Fraction(c, den))
-    orb = fg.orbit(pt, table, k_value=24)
-    assert 12 % len(orb) == 0
-
-
-def test_orbit_sizes():
-    g = fg.generators()
-    table = fg.closure([g["w"], g["a"], g["aba"]])
-    generic = fg.orbit((Fraction(2), Fraction(3), Fraction(5)), table, k_value=24)
-    assert len(generic) == 12
-    a_only = fg.closure([g["a"]])
-    orb = fg.orbit((Fraction(2), Fraction(3), Fraction(5)), a_only, k_value=24)
-    assert len(orb) <= 2
-    # symbolic orbit keeps k as a formal coefficient
-    sym = fg.orbit((Fraction(1), Fraction(1), Fraction(1)), table)
-    assert any(any(x.b != 0 for x in pt) for pt in sym)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from siegel3 import _intlinalg as il
 from siegel3 import forms
+from siegel3.acceptance import _canonical_sign
 from siegel3.errors import MAX_BALL, DomainError, NotPositiveDefinite
 
 I3 = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
@@ -151,7 +152,7 @@ def test_reduced_classes_smallest_determinants():
     # equal determinants, no unimodular map between representatives
     classes2 = forms.reduced_classes(2)
     assert len({c.key() for c in classes2}) == len(classes2)
-    ball = il.unimodular_matrices_entrybound(1)
+    ball = il.unimodular_matrices(1)
     for i, a in enumerate(classes2):
         for b in classes2[i + 1:]:
             if a.det() != b.det():
@@ -273,7 +274,7 @@ def _recursive_minkowski_reduce(t):
     g = t.gram2()
     pool1 = _recursive_short_vectors(g, min(g[0][0], g[1][1], g[2][2]))
     m1 = pool1[0][0]
-    v1s = sorted({il.canonical_sign(v) for q, v in pool1 if q == m1})
+    v1s = sorted({_canonical_sign(v) for q, v in pool1 if q == m1})
     best = None
     for v1 in v1s:
         u0 = _complete_one(list(v1))
@@ -281,12 +282,12 @@ def _recursive_minkowski_reduce(t):
         pool2 = [(q, v) for q, v in _recursive_short_vectors(g, r2)
                  if gcd(*il.cross3(v1, v)) == 1]
         m2 = min(q for q, _ in pool2)
-        for v2 in sorted({il.canonical_sign(v) for q, v in pool2 if q == m2}):
+        for v2 in sorted({_canonical_sign(v) for q, v in pool2 if q == m2}):
             n = il.cross3(v1, v2)
             pool3 = [(q, v) for q, v in _recursive_short_vectors(g, t.value2(_solve_dot_one(n)))
                      if abs(n[0] * v[0] + n[1] * v[1] + n[2] * v[2]) == 1]
             m3 = min(q for q, _ in pool3)
-            for v3 in sorted({il.canonical_sign(v) for q, v in pool3 if q == m3}):
+            for v3 in sorted({_canonical_sign(v) for q, v in pool3 if q == m3}):
                 u = il.mat_t([list(v1), list(v2), list(v3)])
                 for e1, e2, e3 in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
                     ue = [[u[i][0] * e1, u[i][1] * e2, u[i][2] * e3] for i in range(3)]
@@ -336,7 +337,7 @@ def _box(det_bound):
 @lru_cache(maxsize=None)
 def _scrambles():
     """200 box forms of det <= 20 moved by spread-out matrices with entries in [-2, 2]."""
-    ball = il.unimodular_matrices_entrybound(2)
+    ball = il.unimodular_matrices(2)
     box = _box(20)
     return tuple(forms.congruence_form(box[(7 * i) % len(box)], ball[(677 * i) % len(ball)])
                  for i in range(200))

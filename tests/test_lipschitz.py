@@ -187,7 +187,7 @@ def test_rhs_termwise_exponential_bound():
             2j * np.pi * np.trace(g @ z)
         )
         # |p| <= (16/9) det(T)^9 since the negative-exponent corners are >= 3/4
-        bound = 2.0 * float(t.det()) ** 9 * math.exp(-2 * math.pi * lam_min * t.trace())
+        bound = 2.0 * float(t.det()) ** 9 * math.exp(-2 * math.pi * lam_min * (t.t1 + t.t2 + t.t3))
         assert abs(term) <= bound
 
 

@@ -49,11 +49,11 @@ def test_adjugate_property(vals):
 def test_unimodular_enumeration_order_is_pinned():
     # criterion 12's stride sample ball[i % 97::97] and poincare_trunc's
     # summation order depend on this order, so it is pinned by digest (of the
-    # nested lists, the same for the entry-bound stack as for its old lists)
+    # nested lists, the same as for the old entry-bound and column-norm lists)
     for ball, size, digest in (
-        (il.unimodular_matrices_entrybound(1).tolist(), 6960,
+        (il.unimodular_matrices(1).tolist(), 6960,
          "8841075d05c831d4d059ad4b43a9e89a5b128415fcfc4750456d3d9fd9e8e6b7"),
-        (il.unimodular_matrices_colnorm(2), 2352,
+        (il.unimodular_matrices(1, 2).tolist(), 2352,
          "1c6e026013e1b82a029c23621c98642b612e0e2cb67bf2708c5a175f3d35c71b"),
     ):
         assert len(ball) == size

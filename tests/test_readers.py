@@ -1,0 +1,52 @@
+"""Every module-level function and class of the library has a reader.
+
+A reader of ``forms.f`` is a reference from ``src``, ``scripts`` or
+``bench``: ``from .forms import f``, an attribute ``m.f`` where ``m`` is
+bound to the module by ``from . import forms as m`` (or ``from siegel3
+import ...``), a string ``"f"`` (``bench/spans.py`` wraps functions by name),
+or a bare name ``f`` in ``forms`` itself outside the body of ``f``.  A helper
+that only tests call fails here, so none can come back unnoticed.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reads(tree, module):
+    """Counter of (module, name) for every reference in ``tree``, a file or a
+    def; ``module`` is the library module the file belongs to, or None."""
+    aliases, out = {}, Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.level or n.module.startswith("siegel3")):
+            source = (n.module or "siegel3").rpartition(".")[2]
+            for a in n.names:
+                if source == "siegel3":
+                    aliases[a.asname or a.name] = a.name
+                else:
+                    out[source, a.name] += 1
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases:
+            out[aliases[n.value.id], n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[None, n.value] += 1
+        elif isinstance(n, ast.Name) and module:
+            out[module, n.id] += 1
+    return out
+
+
+def test_every_module_level_name_has_a_reader():
+    reads, defs = Counter(), []
+    for path in sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = path.stem if path.parent.name == "siegel3" else None
+        reads += _reads(tree, module)
+        if module:
+            defs += [(module, node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unread = ["%s.%s" % (module, node.name) for module, node in defs
+              if reads[module, node.name] + reads[None, node.name]
+              - _reads(node, module)[module, node.name] <= 0]
+    assert not unread, "no reader in src, scripts or bench: " + ", ".join(unread)

@@ -1,10 +1,9 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from siegel3 import eisenstein as eis, forms, series
-from siegel3.errors import DuplicateKey, NonReducedKey, ParseError, PoleError
+from siegel3.errors import DuplicateKey, NonReducedKey, ParseError
 
 I3 = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
 
@@ -105,9 +104,7 @@ def test_km_linearity_exact():
     alpha, beta = 1.5 - 2.0j, -0.75 + 0.5j
     ones = series.ones_provider(k=24)
     detp = series.det_power_provider(1.0, k=24)
-    mixed = series.CoefficientTable(
-        k=24, provider=lambda red: alpha + beta * float(red.det()), name="mixed"
-    )
+    mixed = series.CoefficientTable(k=24, provider=lambda red: alpha + beta * float(red.det()))
     for fn in (
         lambda t: series.km_classic(t, 9.0, 3).value,
         lambda t: series.km_twisted(t, (2.0, 2.0, 12.0), 2, eis.TruncationSpec(4, 4)).value,
@@ -115,19 +112,6 @@ def test_km_linearity_exact():
         combined = fn(mixed)
         split = alpha * fn(ones) + beta * fn(detp)
         assert abs(combined - split) <= 1e-13 * abs(combined)
-
-
-def test_lambda_completed_factor():
-    ones = series.ones_provider(k=24)
-    val = series.lambda_completed(ones, (2.0, 2.0, 14.0), 1.0)
-    assert val != 0 and np.isfinite(val.real) and np.isfinite(val.imag)
-    # linearity of the completion in the series value
-    v2 = series.lambda_completed(ones, (2.0, 2.0, 14.0), 2.0 - 1.0j)
-    assert abs(v2 - (2.0 - 1.0j) * val) <= 1e-13 * abs(v2)
-    with pytest.raises(PoleError):
-        series.lambda_completed(ones, (2.0, 2.0, 0.0), 1.0)  # Gamma(u) pole
-    with pytest.raises(PoleError):
-        series.lambda_completed(ones, (0.5, 2.0, 14.0), 1.0)  # xi2 pole
 
 
 def test_lambda_symmetry_image_leaves_region():

@@ -88,32 +88,6 @@ def test_zeta_pole():
         sf.complex_zeta(1.0)
 
 
-def test_xi2_values():
-    assert abs(sf.xi2(1.0) - math.pi / 6) < 1e-14
-    sf.xi2(0.25)  # finite: no pole at s = 1/4
-    with pytest.raises(PoleError):
-        sf.xi2(0.0)
-    with pytest.raises(PoleError):
-        sf.xi2(0.5)
-
-
-def test_phi_values_and_symmetry():
-    assert sf.phi(0.5) == 0.0
-    assert sf.phi(0.0) == 0.0
-    assert sf.phi(2.0) == 4.5
-    for s in (0.125, 0.75, 2.25, -1.5, 0.625 + 0.25j):
-        assert sf.phi(s) == sf.phi(1 - s)
-
-
-def test_phi_xi_product_regular_at_poles():
-    # phi kills the xi2 poles: the product stabilizes near s = 0 and s = 1/2
-    for s0 in (0.0, 0.5):
-        v1 = sf.phi(s0 + 1e-6) * sf.xi2(s0 + 1e-6)
-        v2 = sf.phi(s0 + 5e-7) * sf.xi2(s0 + 5e-7)
-        assert abs(v1 - v2) <= 1e-5 * max(abs(v1), 1.0)
-        assert abs(v1) < 10.0
-
-
 def test_gamma3_closed_form_values():
     assert abs(sf.gamma3(0, 0, 2) + math.pi**2 / 2) <= 1e-13 * math.pi**2 / 2
     target = 4.5j * math.pi**2

@@ -47,16 +47,29 @@ def _is_symplectic_list(m):
     return il.mat_mul(il.mat_t(m), il.mat_mul(j, m)) == j
 
 
+def _real_scaled(z, scale):
+    """z with its real part times a power of two, bit for bit as random_siegel
+    drew it when it took the scale as an argument."""
+    return scale * z.real + 1j * z.imag
+
+
 def _sha(matrices):
     return hashlib.sha256(json.dumps(matrices).encode()).hexdigest()
 
 
+def _list_coefficients(t, gl_ball):
+    """(t1, t2, t3, b12, b13, b23) of T[U] per U by the list congruence_form (oracle)."""
+    return np.array([[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23]
+                     for f in (forms.congruence_form(t, u) for u in np.asarray(gl_ball).tolist())],
+                    dtype=float)
+
+
 def _poincare_per_pair(k, t, z, max_abs, gl_ball=None, pairs=None):
     """The per-pair loop that poincare_trunc's coset table replaced (oracle)."""
-    gl_ball = gl_ball or il.unimodular_matrices_colnorm(max_abs * max_abs)
+    if gl_ball is None:
+        gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
     pairs = pairs or sp.enumerate_pairs(max_abs)
-    coeffs = np.array([[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23]
-                       for f in (forms.congruence_form(t, u) for u in gl_ball)], dtype=float)
+    coeffs = _list_coefficients(t, gl_ball)
     total = 0.0 + 0.0j
     for pair in pairs:
         if pair not in _COMPLETIONS:
@@ -100,7 +113,7 @@ def test_left_associated_iff_equal_canonical(rng):
     # equal canonical forms come with an explicit unimodular witness built
     # from the two HNF transforms; distinct canonical forms admit none in a
     # brute-force search ball
-    ball = il.unimodular_matrices_entrybound(1)
+    ball = il.unimodular_matrices(1)
     for _ in range(25):
         m1 = mx.random_symplectic(rng, max_entry=6, max_factors=4)
         _, _, c1, d1 = mx.blocks(m1)
@@ -191,7 +204,7 @@ def test_canonical_pair_hnf_coprimality_matches_minor_gcd(rng):
         a = [[int(rng.integers(-2, 3)) for _ in range(3)] for _ in range(3)]
         cases += [(c, d), (il.mat_mul(a, c), il.mat_mul(a, d))]
     cases += [(il.mat_mul(u, c), il.mat_mul(u, d))
-              for u in il.unimodular_matrices_entrybound(1)[::400] for c, d in cases[:4]]
+              for u in il.unimodular_matrices(1)[::400].tolist() for c, d in cases[:4]]
     verdicts = set()
     for c, d in cases:
         coprime = is_coprime_symmetric(c, d)
@@ -280,8 +293,8 @@ def test_poincare_dominant_coset():
 def test_poincare_table_matches_per_pair_loop(rng):
     t = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1)
     points = [Z_GENERIC, mx.random_siegel(rng, min_im=0.8),
-              mx.random_siegel(rng, min_im=1.2, real_scale=0.5)]
-    ball = il.unimodular_matrices_colnorm(1)[::5]
+              _real_scaled(mx.random_siegel(rng, min_im=1.2), 0.5)]
+    ball = il.unimodular_matrices(1, 1)[::5]
     pairs = sp.enumerate_pairs(1)[3::7]
     for z in points:
         for k in (8, 24, 30):
@@ -291,6 +304,16 @@ def test_poincare_table_matches_per_pair_loop(rng):
                 assert n == n_ref
                 assert abs(val - ref) <= 1e-12 * abs(ref)
                 assert sp.poincare_trunc(k, t, z, 1, **kw) == (val, n)  # cache hit, bit for bit
+
+
+def test_coset_coefficients_match_the_list_congruence():
+    # T[U] for the whole ball in one exact array expression, bit for bit the
+    # per-U list path; the last form's T[U] are past int64 (Python ints)
+    huge = forms.HalfIntegralForm(3, 2**62 + 5, 7, 1, -2, 3)
+    for ball in (il.unimodular_matrices(1, 1), il.unimodular_matrices(2)[::61]):
+        for t in forms.reduced_classes(2) + [huge]:
+            got = sp._coset_coefficients(t, ball)
+            assert got.tolist() == _list_coefficients(t, ball).tolist()
 
 
 def test_coset_tables_share_completions():
@@ -363,7 +386,7 @@ def test_stacked_is_symplectic_matches_list_check(rng):
 def test_stacked_mobius_is_bitwise_the_single_call(rng):
     stack = sp._completions(sp.enumerate_pairs(1))[::37]
     for z in (Z_GENERIC, mx.random_siegel(rng, min_im=0.8),
-              mx.random_siegel(rng, min_im=0.3, real_scale=2.0)):
+              _real_scaled(mx.random_siegel(rng, min_im=0.3), 2.0)):
         mz, jv = mx.mobius(stack, z)
         assert mz.shape == (len(stack), 3, 3) and jv.shape == (len(stack),)
         for i, m0 in enumerate(stack.tolist()):
@@ -399,7 +422,7 @@ def test_hnf_rows_matches_hnf_row(rng):
 
 
 def test_canonical_pairs_match_canonical_pair(rng):
-    ball = np.array(il.unimodular_matrices_entrybound(1))[::23]
+    ball = il.unimodular_matrices(1)[::23]
     for _ in range(5):
         _, _, c, d = mx.blocks(mx.random_symplectic(rng, max_entry=10, max_factors=6))
         uc, ud = ball @ np.array(c), ball @ np.array(d)
@@ -438,7 +461,7 @@ def test_poincare_matched_congruence_bijection():
     v = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     t = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1)
     tv = forms.congruence_form(t, v)
-    ball = il.unimodular_matrices_colnorm(1)
+    ball = il.unimodular_matrices(1, 1).tolist()
     vinv = il.inv_unimodular(v)
     mapped = [il.mat_mul(vinv, u) for u in ball]
     pairs = sp.enumerate_pairs(1)
@@ -499,7 +522,7 @@ def test_kernel_degenerate_and_det_shift():
     s, w, u = e
     total = 0.0 + 0.0j
     pairs = sp.enumerate_pairs(1)
-    ball = il.unimodular_matrices_colnorm(1)
+    ball = il.unimodular_matrices(1, 1)
     for t in forms.reduced_classes(1):
         ev = eis.selberg_E(t, (w, s, 0.0), spec).value * float(t.det()) ** (s + w + u - 2)
         pk, _ = sp.poincare_trunc(24, t, z, 1, gl_ball=ball, pairs=pairs)

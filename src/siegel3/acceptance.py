@@ -30,15 +30,19 @@ DEFAULT_SEED = 42
 class CriterionResult:
     cid: int
     title: str
-    passed: bool
-    runtime: float
+    passed: bool = False
+    runtime: float = 0.0
     clauses: list = field(default_factory=list)  # (name, ok, detail)
+    t0: float = field(default_factory=time.time)  # the criterion's clock starts here
 
     def add(self, name, ok, detail=""):
         self.clauses.append({"clause": name, "ok": bool(ok), "detail": str(detail)})
 
-    def finish(self, t0):
-        self.runtime = time.time() - t0
+    def elapsed(self):
+        return time.time() - self.t0
+
+    def finish(self):
+        self.runtime = self.elapsed()
         self.passed = all(c["ok"] for c in self.clauses)
         return self
 
@@ -70,21 +74,19 @@ def cone_integral_gaps(samples, seed):
 
 
 def criterion_1(seed=DEFAULT_SEED):
-    res = CriterionResult(1, "power-function inversion identity", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(1, "power-function inversion identity")
     worst = inversion_worst_gap(1000, seed)
     res.add("1000 samples gap <= 1e-10", worst <= 1e-10, "worst gap %.3g" % worst)
-    res.add("runtime < 10 s", time.time() - t0 < 10.0)
-    return res.finish(t0)
+    res.add("runtime < 10 s", res.elapsed() < 10.0)
+    return res.finish()
 
 
 def criterion_2(seed=DEFAULT_SEED):
-    res = CriterionResult(2, "cone integral vs closed-form gamma factor", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(2, "cone integral vs closed-form gamma factor")
     worst = max(cone_integral_gaps(10, seed))
     res.add("20 quadrature gaps <= 1e-8", worst <= 1e-8, "worst gap %.3g" % worst)
-    res.add("runtime < 60 s", time.time() - t0 < 60.0)
-    return res.finish(t0)
+    res.add("runtime < 60 s", res.elapsed() < 60.0)
+    return res.finish()
 
 
 def _fixed_lipschitz_points():
@@ -97,8 +99,7 @@ def _fixed_lipschitz_points():
 
 
 def criterion_3(seed=DEFAULT_SEED):
-    res = CriterionResult(3, "two-sided lattice summation identity", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(3, "two-sided lattice summation identity")
     for i, z in enumerate(_fixed_lipschitz_points()):
         r1 = lip.lipschitz_report((2.0, 4.0, 5.0), z, 8, 12, tail_correction=True)
         r2 = lip.lipschitz_report((2.0, 4.0, 5.0), z, 9, 13, tail_correction=True)
@@ -112,24 +113,22 @@ def criterion_3(seed=DEFAULT_SEED):
             r2.relative_gap < r1.relative_gap,
             "gap %.3g -> %.3g" % (r1.relative_gap, r2.relative_gap),
         )
-    res.add("runtime < 120 s", time.time() - t0 < 120.0)
-    return res.finish(t0)
+    res.add("runtime < 120 s", res.elapsed() < 120.0)
+    return res.finish()
 
 
 def criterion_4(seed=DEFAULT_SEED):
-    res = CriterionResult(4, "classical one-variable summation formula", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(4, "classical one-variable summation formula")
     for tau in (1j, 0.5 + 1j):
         rep, closed = lip.classical_lipschitz(tau, 2.0, 4000)
         gap = abs(rep.rhs - closed) / abs(closed)
         res.add("tau=%s rhs vs closed form <= 1e-12" % tau, gap <= 1e-12, "gap %.3g" % gap)
-    res.add("runtime < 1 s", time.time() - t0 < 1.0)
-    return res.finish(t0)
+    res.add("runtime < 1 s", res.elapsed() < 1.0)
+    return res.finish()
 
 
 def criterion_5(seed=DEFAULT_SEED):
-    res = CriterionResult(5, "degree-3 gamma factor closed form", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(5, "degree-3 gamma factor closed form")
     val = sf.gamma3(0.0, 0.0, 2.0)
     target = -math.pi**2 / 2.0
     gap = abs(val - target) / abs(target)
@@ -143,12 +142,11 @@ def criterion_5(seed=DEFAULT_SEED):
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     res.add("argument-swap identity on 100 triples <= 1e-12", worst <= 1e-12,
             "worst gap %.3g" % worst)
-    return res.finish(t0)
+    return res.finish()
 
 
 def criterion_6(seed=DEFAULT_SEED):
-    res = CriterionResult(6, "reduction, automorphisms and class list", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(6, "reduction, automorphisms and class list")
     e1 = forms.automorphism_count(forms.HalfIntegralForm(1, 1, 1, 0, 0, 0))
     e2 = forms.automorphism_count(forms.HalfIntegralForm(1, 1, 2, 0, 0, 0))
     res.add("eps(I3) == 24", e1 == 24, "got %d" % e1)
@@ -174,8 +172,8 @@ def criterion_6(seed=DEFAULT_SEED):
         "below det 1, so {I3} is only correct for integer off-diagonals, which would "
         "contradict the lattice identity of criterion 3" % (len(keys), keys),
     )
-    res.add("runtime < 30 s", time.time() - t0 < 30.0)
-    return res.finish(t0)
+    res.add("runtime < 30 s", res.elapsed() < 30.0)
+    return res.finish()
 
 
 def _random_unimodular_bounded(rng, max_entry):
@@ -223,8 +221,7 @@ def brute_force_flag_sum(y: forms.HalfIntegralForm, exponents, colnorm2):
 
 
 def criterion_7(seed=DEFAULT_SEED):
-    res = CriterionResult(7, "flag parametrization vs brute-force cosets", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(7, "flag parametrization vs brute-force cosets")
     rng = _rng(seed)
     ys = [forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)]
     while True:
@@ -279,13 +276,12 @@ def criterion_7(seed=DEFAULT_SEED):
     ev_yu = eis.selberg_E(yu, (2.0, 2.0, 0.0), spec0)
     gap = abs(ev_y.value - ev_yu.value) / abs(ev_y.value)
     res.add("GL3-invariance: values agree", gap <= 1e-12, "gap %.3g" % gap)
-    res.add("runtime < 60 s", time.time() - t0 < 60.0)
-    return res.finish(t0)
+    res.add("runtime < 60 s", res.elapsed() < 60.0)
+    return res.finish()
 
 
 def criterion_8(seed=DEFAULT_SEED):
-    res = CriterionResult(8, "Epstein zeta and real-analytic bridge", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(8, "Epstein zeta and real-analytic bridge")
     z = eis.epstein(np.eye(2), 2.0, 500.0**2)
     ref = 3.01340601984597006177313
     err = abs(z.value - ref)
@@ -300,12 +296,11 @@ def criterion_8(seed=DEFAULT_SEED):
         gap = abs(lhs - rhs) / abs(rhs)
         res.add("zeta(2s) E_s(i) = Z(I2,s) at s=%g to 1e-8" % s, gap <= 1e-8,
                 "gap %.3g" % gap)
-    return res.finish(t0)
+    return res.finish()
 
 
 def criterion_9(seed=DEFAULT_SEED):
-    res = CriterionResult(9, "Bessel tail of the real-analytic series", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(9, "Bessel tail of the real-analytic series")
     for (s, tau, bound) in ((2.3, 0.3 + 1.7j, 9.0e5), (3.0, 1j, 9.0e5)):
         _, _, residual = eis.zeta_Z2_decomposition(s, tau, bound)
         res.add("decomposition residual at (s=%g, tau=%s) <= 1e-8" % (s, tau),
@@ -315,12 +310,11 @@ def criterion_9(seed=DEFAULT_SEED):
     ratio = abs(z10) / abs(z5)
     res.add("exponential decay: |zeta*(t=10)| / |zeta*(t=5)| <= 10 exp(-10 pi)",
             ratio <= 10 * math.exp(-10 * math.pi), "ratio %.3g" % ratio)
-    return res.finish(t0)
+    return res.finish()
 
 
 def criterion_10(seed=DEFAULT_SEED):
-    res = CriterionResult(10, "functional-equation group is D12", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(10, "functional-equation group is D12")
     g = fg.generators()
     table = fg.closure([g["w"], g["a"], g["aba"]])
     res.add("closure has 12 elements", len(table.elements) == 12,
@@ -334,13 +328,12 @@ def criterion_10(seed=DEFAULT_SEED):
     res.add("b aw b == aw^-1", conj == table.inverse_of(awi))
     ok, witness = fg.certify_dihedral(table)
     res.add("certify_dihedral", ok)
-    res.add("runtime < 1 s", time.time() - t0 < 1.0)
-    return res.finish(t0)
+    res.add("runtime < 1 s", res.elapsed() < 1.0)
+    return res.finish()
 
 
 def criterion_11(seed=DEFAULT_SEED):
-    res = CriterionResult(11, "Koecher-Maass series plumbing", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(11, "Koecher-Maass series plumbing")
     ones = series.ones_provider(k=24)
     spec0 = eis.TruncationSpec(q_bound=8.0, g_bound=8.0)
     tw = series.km_twisted(ones, (2.5, 2.5, 13.5), 1, spec0)
@@ -391,12 +384,11 @@ def criterion_11(seed=DEFAULT_SEED):
     vm = series.km_classic(mixed, s, 4).value
     lin_gap = abs(vm - (alpha * va + beta * vb)) / abs(vm)
     res.add("linearity in the table", lin_gap <= 1e-14, "gap %.3g" % lin_gap)
-    return res.finish(t0)
+    return res.finish()
 
 
 def criterion_12(seed=DEFAULT_SEED):
-    res = CriterionResult(12, "symplectic completion and left-association", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(12, "symplectic completion and left-association")
     rng = _rng(seed)
     ok = 0
     for _ in range(500):
@@ -428,12 +420,11 @@ def criterion_12(seed=DEFAULT_SEED):
             stable,
             "%d orbit translates checked (ball size %d; full ball on 2 pairs, "
             "stride-sampled on 48)" % (checked, len(ball)))
-    return res.finish(t0)
+    return res.finish()
 
 
 def criterion_13(seed=DEFAULT_SEED):
-    res = CriterionResult(13, "per-coset kernel surrogate", False, 0.0)
-    t0 = time.time()
+    res = CriterionResult(13, "per-coset kernel surrogate")
     i3 = tuple(tuple(row) for row in il.identity(3))
     z3 = tuple(tuple([0] * 3) for _ in range(3))
     mixed_c = ((1, 0, 0), (0, 0, 0), (0, 0, 0))
@@ -459,7 +450,7 @@ def criterion_13(seed=DEFAULT_SEED):
             "gap %.3g, coset round-trip defect %.2g, min Im eigenvalue %.3g"
             % (rep.relative_gap, roundtrip, float(np.min(np.linalg.eigvalsh(zp.imag)))),
         )
-    return res.finish(t0)
+    return res.finish()
 
 
 def _symplectic_inverse(m):

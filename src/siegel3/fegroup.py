@@ -1,15 +1,17 @@
 """Exact affine symmetry maps of the three spectral variables.
 
-Each map acts on (s, w, u) as x -> M x + t where M is rational and the
-translation entries live in Q + Q k with a symbolic weight k.  The four
-generators are involutions; their closure is the dihedral group of order
-twelve, certified by exhibiting an order-6 rotation and a reflecting
-involution.
+Each map acts on (s, w, u) as x -> M x + a + b k with M rational, a rational
+translation and b the coefficients of the symbolic weight k.  It is stored as
+the exact 3x5 block [M | a | b], the top of the homogeneous matrix acting
+linearly on (s, w, u, 1, k), so composition is a block product and equal maps
+have equal blocks.  The four generators are involutions; their closure is
+the dihedral group of order twelve, certified by exhibiting an order-6
+rotation and a reflecting involution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Diverged
@@ -18,72 +20,29 @@ CLOSURE_CAP = 256
 
 
 @dataclass(frozen=True)
-class Qk:
-    """Element a + b*k of the coefficient ring Q + Q k (k symbolic)."""
-
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-
-    def __add__(self, other):
-        if isinstance(other, Qk):
-            return Qk(self.a + other.a, self.b + other.b)
-        return Qk(self.a + Fraction(other), self.b)
-
-    __radd__ = __add__
-
-    def scale(self, c):
-        c = Fraction(c)
-        return Qk(c * self.a, c * self.b)
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        bpart = "k" if self.b == 1 else ("-k" if self.b == -1 else "%sk" % self.b)
-        if self.a == 0:
-            return bpart
-        sign = "+" if self.b > 0 and not bpart.startswith("-") else ""
-        return "%s%s%s" % (self.a, sign, bpart)
-
-
-def _qk(a=0, b=0):
-    return Qk(Fraction(a), Fraction(b))
-
-
-@dataclass(frozen=True)
 class AffineMap:
-    """x -> matrix @ x + shift with exact coefficients; hashable for dedup."""
+    """The block [M | a | b] of x -> M x + a + b k; the label (a generation
+    word) takes no part in equality or hashing."""
 
-    matrix: tuple  # 3x3 of Fraction
-    shift: tuple  # 3 of Qk
-    label: str = ""
-
-    def __call__(self, point):
-        """Apply to a point of Fractions or Qk entries."""
-        p = [x if isinstance(x, Qk) else _qk(x) for x in point]
-        return tuple(sum((p[j].scale(self.matrix[i][j]) for j in range(3)), self.shift[i])
-                     for i in range(3))
+    block: tuple  # 3 rows of 5 rationals
+    label: str = field(default="", compare=False)
 
     def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        m = tuple(
-            tuple(
-                sum((self.matrix[i][t] * other.matrix[t][j] for t in range(3)), Fraction(0))
-                for j in range(3)
-            )
-            for i in range(3)
+        """self after other: [M1 M2 | M1 a2 + a1 | M1 b2 + b1]."""
+        block = tuple(
+            tuple(sum((r[t] * other.block[t][j] for t in range(3) if r[t]), r[j] if j > 2 else 0)
+                  for j in range(5))
+            for r in self.block
         )
-        return AffineMap(m, self(other.shift), self.label + other.label)
-
-    def same_action(self, other):
-        return self.matrix == other.matrix and self.shift == other.shift
+        return AffineMap(block, self.label + other.label)
 
 
-def _mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _map(label, *rows):
+    return AffineMap(tuple(tuple(Fraction(x) for x in row) for row in rows), label)
 
 
 def identity_map():
-    return AffineMap(_mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (_qk(), _qk(), _qk()), "")
+    return _map("", (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
 
 
 def generators():
@@ -94,28 +53,13 @@ def generators():
     aba : (s,w,u) -> (1-w, 1-s, s+w+u-1)
     b : (s,w,u) -> (1-s, s+w-1/2, u)
     """
-    g = {}
-    g["w"] = AffineMap(
-        _mat([[0, 1, 0], [1, 0, 0], [-1, -1, -1]]),
-        (_qk(), _qk(), _qk(0, 1)),
-        "w",
-    )
-    g["a"] = AffineMap(
-        _mat([[1, 1, 0], [0, -1, 0], [0, 1, 1]]),
-        (_qk(Fraction(-1, 2)), _qk(1), _qk(Fraction(-1, 2))),
-        "a",
-    )
-    g["aba"] = AffineMap(
-        _mat([[0, -1, 0], [-1, 0, 0], [1, 1, 1]]),
-        (_qk(1), _qk(1), _qk(-1)),
-        "aba",
-    )
-    g["b"] = AffineMap(
-        _mat([[-1, 0, 0], [1, 1, 0], [0, 0, 1]]),
-        (_qk(1), _qk(Fraction(-1, 2)), _qk()),
-        "b",
-    )
-    return g
+    h = Fraction(1, 2)
+    return {
+        "w": _map("w", (0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (-1, -1, -1, 0, 1)),
+        "a": _map("a", (1, 1, 0, -h, 0), (0, -1, 0, 1, 0), (0, 1, 1, -h, 0)),
+        "aba": _map("aba", (0, -1, 0, 1, 0), (-1, 0, 0, 1, 0), (1, 1, 1, -1, 0)),
+        "b": _map("b", (-1, 0, 0, 1, 0), (1, 1, 0, -h, 0), (0, 0, 1, 0, 0)),
+    }
 
 
 @dataclass
@@ -134,16 +78,10 @@ class GroupTable:
         return n
 
     def index_of(self, m):
-        for i, e in enumerate(self.elements):
-            if e.same_action(m):
-                return i
-        return None
+        return self.elements.index(m) if m in self.elements else None
 
     def inverse_of(self, idx):
-        for j in range(len(self.elements)):
-            if self.table[idx][j] == 0:
-                return j
-        raise AssertionError("no inverse found")
+        return self.table[idx].index(0)
 
 
 def closure(gens):
@@ -155,7 +93,7 @@ def closure(gens):
         for e in frontier:
             for g in gen_list:
                 cand = g.compose(e)
-                if group.index_of(cand) is None:
+                if cand not in elements:
                     # keep the shortest generation word as the label
                     elements.append(cand)
                     new_frontier.append(cand)

@@ -351,20 +351,28 @@ def reduced_classes(det_bound):
     Enumerates the reduced inequality box (with margin over the classical
     bound t1 t2 t3 <= 2 det T), canonicalizes and dedupes; a box form that an
     earlier reduction met as a candidate is in a known class and is skipped.
+    A box of more than MAX_WORK candidates is refused before any reduction.
     """
     return list(_reduced_classes_cached(Fraction(det_bound)))
 
 
 @lru_cache(maxsize=32)
 def _reduced_classes_cached(det_bound):
-    seen, covered, box = {}, set(), floor(4 * det_bound)  # t1 <= t2 <= t3, t1 t2 t3 <= 4 det T
+    box, diagonals, work = floor(4 * det_bound), [], 0  # t1 <= t2 <= t3, t1 t2 t3 <= 4 det T
     for t1 in range(1, box + 1):
         for t2 in range(t1, isqrt(box // t1) + 1):
-            for t3 in range(t2, box // (t1 * t2) + 1):
-                for b in product(range(t1 + 1), range(-t1, t1 + 1), range(t2 + 1)):
-                    f = HalfIntegralForm(t1, t2, t3, *b)
-                    if f.key() in covered or not f.is_positive_definite() or f.det() > det_bound:
-                        continue
-                    red = minkowski_reduce(f, cover=covered)
-                    seen.setdefault(red.form.key(), red.form)
+            diagonals.append((t1, t2, range(t2, box // (t1 * t2) + 1)))
+            work += len(diagonals[-1][2]) * (t1 + 1) * (2 * t1 + 1) * (t2 + 1)
+            if work > MAX_WORK:
+                raise DomainError("more than %d candidate forms with det T <= %s"
+                                  % (MAX_WORK, det_bound))
+    seen, covered = {}, set()
+    for t1, t2, t3s in diagonals:
+        for t3 in t3s:
+            for b in product(range(t1 + 1), range(-t1, t1 + 1), range(t2 + 1)):
+                f = HalfIntegralForm(t1, t2, t3, *b)
+                if f.key() in covered or not f.is_positive_definite() or f.det() > det_bound:
+                    continue
+                red = minkowski_reduce(f, cover=covered)
+                seen.setdefault(red.form.key(), red.form)
     return tuple(sorted(seen.values(), key=lambda f: (f.det(), f.key())))

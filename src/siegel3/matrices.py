@@ -23,23 +23,12 @@ from .errors import SingularDenominator
 POSDEF_REL_TOL = 1e-12
 
 
-def leading_minors(y):
-    y = np.asarray(y)
-    m1 = y[0, 0]
-    m2 = y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0]
-    m3 = (
-        y[0, 0] * (y[1, 1] * y[2, 2] - y[1, 2] * y[2, 1])
-        - y[0, 1] * (y[1, 0] * y[2, 2] - y[1, 2] * y[2, 0])
-        + y[0, 2] * (y[1, 0] * y[2, 1] - y[1, 1] * y[2, 0])
-    )
-    return m1, m2, m3
-
-
 def is_positive_definite(y):
     """Strict leading-minor test with the relative tolerance POSDEF_REL_TOL."""
     y = np.asarray(y, dtype=float)
     scale = max(1.0, float(np.max(np.abs(y))))
-    return all(m > POSDEF_REL_TOL * scale**k for k, m in enumerate(leading_minors(y), 1))
+    minors = y[0, 0], y[0, 0] * y[1, 1] - y[0, 1] * y[1, 0], il.det3(y)
+    return all(m > POSDEF_REL_TOL * scale**k for k, m in enumerate(minors, 1))
 
 
 def is_siegel_point(z):

@@ -3,8 +3,9 @@
 Coefficient data comes either from a text file (one reduced form and one
 complex value per line) or from synthetic providers; genuine degree-3 cusp
 form coefficients are out of desk reach, so providers exercise the series
-machinery.  Lookups canonicalize through Minkowski reduction; for even
-weight the unimodular sign ambiguity is invisible.
+machinery.  Lookups canonicalize through Minkowski reduction (the class sums
+read their canonical representatives directly); for even weight the
+unimodular sign ambiguity is invisible.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ class CoefficientTable:
     misses: int = 0
 
     def coefficient(self, t: HalfIntegralForm):
-        red = minkowski_reduce(t).form
+        return self.reduced_coefficient(minkowski_reduce(t).form)
+
+    def reduced_coefficient(self, red: HalfIntegralForm):
+        """The coefficient of a canonical reduced representative, as it stands."""
         if self.provider is not None:
             return complex(self.provider(red))
         key = red.key()
@@ -110,11 +114,13 @@ class SeriesValue:
 def _class_sum(table: CoefficientTable, det_bound, term):
     """sum over classes (det <= bound) of (A_T / eps_T) term(T), no warnings yet."""
     classes = reduced_classes(det_bound)
+    if not classes:
+        raise DomainError("empty truncation: no class with det T <= %s" % (det_bound,))
     misses0 = table.misses
     total = 0.0 + 0.0j
     max_det = Fraction(0)
     for t in classes:
-        a = table.coefficient(t)
+        a = table.reduced_coefficient(t)
         eps = automorphism_count(t)
         total += a / eps * term(t)
         max_det = max(max_det, t.det())

@@ -284,6 +284,8 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
         / (complex_gamma(s + w + u - 1) * complex_gamma(w + u - 0.5) * complex_gamma(u))
     )
     classes = reduced_classes(det_bound)
+    if not classes:
+        raise DomainError("empty truncation: no class with det T <= %s" % (det_bound,))
     pairs = enumerate_pairs(max_abs)
     gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
     total = 0.0 + 0.0j

@@ -226,7 +226,7 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     # the weight is checked by the library, also when no class is summed
     (["eval-poincare", "--k", "23", "--form", "1,1,1,0,0,0", "--z", Z1], "input error:"),
     (["eval-kernel", "--k", "6", "--s", "2", "--w", "4", "--u", "5", "--z", Z1,
-      "--det-bound", "1/4"], "input error:"),
+      "--det-bound", "1/4"], "input error: need even k"),
     # work above the ceiling is refused before anything is allocated
     (["verify-lipschitz", "--max-abs", "40"], "input error:"),
     (["verify-lipschitz", "--max-abs", "1", "--trace-bound", "100"], "input error:"),
@@ -245,6 +245,15 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", Z1, "--max-abs", "3"], "input error:"),
     (["eval-kernel", "--s", "2", "--w", "4", "--u", "5", "--z", Z1, "--max-abs", "3"],
      "input error:"),
+    # a class box above MAX_WORK candidate forms, counted before any reduction
+    (["classes", "--det-bound", "1e9"], "input error:"),
+    (["eval-km", "--s", "30", "--det-bound", "1e9"], "input error:"),
+    # a truncation with no class: no vacuous value 0
+    (["eval-km", "--s", "3", "--det-bound", "1/4"], "input error: empty truncation"),
+    (["eval-kernel", "--s", "2", "--w", "4", "--u", "5", "--z", Z1, "--det-bound", "1/4"],
+     "input error: empty truncation"),
+    (["eval-km-twisted", "--s", "3", "--w", "3", "--u", "20", "--det-bound", "1/4"],
+     "input error: empty truncation"),
     # a non-finite coefficient exponent: no NaN payload
     (["eval-km", "--coeffs", "det_power:nan", "--s", "16", "--det-bound", "2"], "input error:"),
     (["eval-km", "--coeffs", "det_power:inf", "--s", "16", "--det-bound", "2"], "input error:"),

@@ -5,38 +5,66 @@ import pytest
 from siegel3 import fegroup as fg
 from siegel3.errors import Diverged
 
+H = Fraction(1, 2)
+# the generators as the functional equations state them, in (s, w, u, k)
+FORMULAS = {
+    "w": lambda s, w, u, k: (w, s, -s - w - u + k),
+    "a": lambda s, w, u, k: (s + w - H, 1 - w, w + u - H),
+    "aba": lambda s, w, u, k: (1 - w, 1 - s, s + w + u - 1),
+    "b": lambda s, w, u, k: (1 - s, s + w - H, u),
+}
+PT = (Fraction(2), Fraction(3), Fraction(5))
+
+
+def image(m, point):
+    """Each coordinate of m(point) as (constant, k-coefficient)."""
+    return [(sum(r[j] * point[j] for j in range(3)) + r[3], r[4]) for r in m.block]
+
 
 def test_generator_formulas():
     g = fg.generators()
-    pt = (Fraction(2), Fraction(3), Fraction(5))
-    img = g["w"](pt)
-    assert [str(x) for x in img] == ["3", "2", "-10+k"]
-    img = g["a"](pt)
-    assert [str(x) for x in img] == ["9/2", "-2", "15/2"]
-    img = g["aba"](pt)
-    assert [str(x) for x in img] == ["-2", "-1", "9"]
-    img = g["b"](pt)
-    assert [str(x) for x in img] == ["-1", "9/2", "5"]
+    assert image(g["w"], PT) == [(3, 0), (2, 0), (-10, 1)]
+    assert image(g["a"], PT) == [(Fraction(9, 2), 0), (-2, 0), (Fraction(15, 2), 0)]
+    assert image(g["aba"], PT) == [(-2, 0), (-1, 0), (9, 0)]
+    assert image(g["b"], PT) == [(-1, 0), (Fraction(9, 2), 0), (5, 0)]
 
 
 def test_generators_are_involutions():
     g = fg.generators()
     idm = fg.identity_map()
-    for m in g.values():
-        assert m.compose(m).same_action(idm)
+    for name, m in g.items():
+        square = m.compose(m)
+        # the label is the generation word and takes no part in equality
+        assert square == idm and hash(square) == hash(idm) and square.label == name * 2
 
 
 def test_compose_conventions():
     g = fg.generators()
     idm = fg.identity_map()
-    assert idm.compose(g["a"]).same_action(g["a"])
+    assert idm.compose(g["a"]) == g["a"]
     # aw means: apply w first, then a
     aw = g["a"].compose(g["w"])
-    img = aw((Fraction(2), Fraction(3), Fraction(5)))
-    assert [str(x) for x in img] == ["9/2", "-1", "-17/2+k"]
+    assert image(aw, PT) == [(Fraction(9, 2), 0), (-1, 0), (Fraction(-17, 2), 1)]
     # b = a aba a
-    assert g["a"].compose(g["aba"].compose(g["a"])).same_action(g["b"])
-    assert g["a"].compose(g["b"].compose(g["a"])).same_action(g["aba"])
+    assert g["a"].compose(g["aba"].compose(g["a"])) == g["b"]
+    assert g["a"].compose(g["b"].compose(g["a"])) == g["aba"]
+
+
+def test_random_words_match_the_formulas(rng):
+    g = fg.generators()
+    names = list(g)
+
+    def rational():
+        return Fraction(int(rng.integers(-60, 61)), int(rng.integers(1, 13)))
+
+    for _ in range(60):
+        word = [names[int(i)] for i in rng.integers(0, 4, size=int(rng.integers(0, 9)))]
+        point, k = (rational(), rational(), rational()), rational()
+        cur, expected = fg.identity_map(), point
+        for name in word:
+            cur, expected = g[name].compose(cur), FORMULAS[name](*expected, k)
+        assert [c + kc * k for c, kc in image(cur, point)] == list(expected)
+        assert cur.label == "".join(reversed(word))
 
 
 def test_closure_is_dihedral_of_order_twelve():
@@ -57,7 +85,7 @@ def test_closure_is_dihedral_of_order_twelve():
     ok, witness = fg.certify_dihedral(table)
     assert ok
     r, f = witness
-    assert r.same_action(aw) and f.same_action(g["b"])
+    assert r == aw and f == g["b"]
 
 
 def test_presentation_relations():
@@ -92,11 +120,8 @@ def test_two_generator_closure_contains_order_six_element():
 
 
 def test_closure_diverges_on_non_involutive_generator():
-    shift = fg.AffineMap(
-        fg.identity_map().matrix,
-        (fg.Qk(Fraction(1)), fg.Qk(), fg.Qk()),
-        "t",
-    )
+    shift = fg.AffineMap(tuple(tuple(Fraction(x) for x in row) for row in
+                               ((1, 0, 0, 1, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))), "t")
     with pytest.raises(Diverged):
         fg.closure([shift])
 

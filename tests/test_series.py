@@ -62,6 +62,23 @@ def test_coefficient_is_class_function(rng, tmp_path):
     assert table.coefficient(forms.congruence_form(t0, u)) == table.coefficient(t0)
 
 
+def test_class_sums_read_the_cached_representatives_without_reducing(monkeypatch):
+    table = series.det_power_provider(-1.5)
+    classes = forms.reduced_classes(4)  # builds and caches the class list
+    # the representatives are canonical, so reading them as they stand changes no value
+    assert all(table.reduced_coefficient(t) == table.coefficient(t) for t in classes)
+    calls, reduce = [], forms.minkowski_reduce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "minkowski_reduce", counting)
+    monkeypatch.setattr(series, "minkowski_reduce", counting)
+    assert series.km_classic(table, 5.0, 4).classes_used == len(classes)
+    assert calls == []
+
+
 def test_km_classic_single_smallest_class():
     # restrict to the unique class of smallest determinant (det 1/2, eps 24)
     ones = series.ones_provider(k=24)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -45,7 +46,6 @@ def test_gamma_recurrence(rng):
 
 
 def test_gamma_matches_mpmath_up_to_overflow():
-    mpmath = pytest.importorskip("mpmath")
     for im in (0.0, 0.3, 5.0, 50.0):
         for re in np.linspace(0.6, 171.5, 120):
             ref = complex(mpmath.gamma(mpmath.mpc(re, im)))
@@ -131,7 +131,6 @@ def test_cone_integral_gap_examples(rng):
 
 @given(st.floats(-10, 10), st.floats(-3, 3), st.floats(0.1, 60))
 def test_besselk_matches_mpmath(re, im, x):
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         ref = complex(mpmath.besselk(complex(re, im), x))
         l1 = float(mpmath.besselk(re, x))  # 1/2 e^-x times the integral of the modulus
@@ -140,7 +139,6 @@ def test_besselk_matches_mpmath(re, im, x):
 
 @given(st.floats(-1, 8, exclude_min=True), st.floats(-3, 3), st.floats(0.3, 3), st.floats(-1, 1))
 def test_decaying_power_integral_matches_gamma_closed_form(re, im, y, x_over_y):
-    mpmath = pytest.importorskip("mpmath")
     alpha, c = complex(re, im), 2j * math.pi * complex(x_over_y * y, y)
     with mpmath.workdps(30):
         ref = complex(mpmath.gamma(alpha + 1) * mpmath.power(-c, -(alpha + 1)))
@@ -159,7 +157,6 @@ def _off_the_poles(z):
 
 @given(st.floats(-20, 20), st.floats(-20, 20))
 def test_gamma_matches_mpmath(re, im):
-    mpmath = pytest.importorskip("mpmath")
     z = complex(re, im)
     assume(_off_the_poles(z))
     with mpmath.workdps(30):
@@ -169,7 +166,6 @@ def test_gamma_matches_mpmath(re, im):
 
 @given(st.floats(-8, 8), st.floats(-50, 50))
 def test_zeta_matches_mpmath(re, im):
-    mpmath = pytest.importorskip("mpmath")
     s = complex(re, im)
     assume(abs(s - 1) >= 0.1)
     with mpmath.workdps(30):
@@ -183,7 +179,6 @@ _swu = st.tuples(*[st.floats(0.2, 2.5)] * 3, *[st.floats(-1.5, 1.5)] * 3)
 
 @given(_swu)
 def test_gamma3_matches_mpmath(parts):
-    mpmath = pytest.importorskip("mpmath")
     s, w, u = (complex(re, im) for re, im in zip(parts[:3], parts[3:]))
     assume(all(map(_off_the_poles, (s + w + u, w + u - 0.5, u - 1.0))))
     with mpmath.workdps(30):

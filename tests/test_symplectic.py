@@ -444,8 +444,8 @@ def test_poincare_and_kernel_reject_bad_input():
     for k in (23, 6, 0):
         with pytest.raises(DomainError):
             sp.poincare_trunc(k, I3F, z, 1)
-        with pytest.raises(DomainError):
-            sp.kernel_trunc(k, (2.0, 4.0, 5.0), z, 0.25, spec, 1)  # no classes
+        with pytest.raises(DomainError, match="need even k"):  # before the empty class list
+            sp.kernel_trunc(k, (2.0, 4.0, 5.0), z, 0.25, spec, 1)
     with pytest.raises(DomainError):
         sp.poincare_trunc(24, I3F, z, 0)
     with pytest.raises(DomainError):
@@ -514,8 +514,9 @@ def test_cocycle_with_translations_is_block_exact(rng):
 def test_kernel_degenerate_and_det_shift():
     z = 1j * np.eye(3)
     spec = eis.TruncationSpec(4, 4)
-    out = sp.kernel_trunc(24, (2.0, 4.0, 5.0), z, 0.25, spec, 1)
-    assert out["value"] == 0 and out["classes_used"] == 0
+    # a truncation with no class is refused, not summed to a vacuous 0
+    with pytest.raises(DomainError, match="empty truncation"):
+        sp.kernel_trunc(24, (2.0, 4.0, 5.0), z, 0.25, spec, 1)
     # replacing E(T|w,s,-s-w-u+2) by E(T|w,s,0) det(T)^(s+w+u-2) changes nothing
     e = (2.0, 4.0, 5.0)
     out1 = sp.kernel_trunc(24, e, z, 1, spec, 1)

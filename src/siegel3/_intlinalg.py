@@ -35,11 +35,8 @@ def mat_neg(a):
 
 
 def det3(a):
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
+    c = cross3(a[1], a[2])
+    return a[0][0] * c[0] + a[0][1] * c[1] + a[0][2] * c[2]
 
 
 def cross3(a, b):
@@ -57,15 +54,9 @@ def bilinear3(g, v, w):
 
 
 def adj3(a):
-    """Adjugate of a 3x3 matrix, so that a @ adj3(a) == det3(a) * I."""
-    c = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            r = [r_ for r_ in range(3) if r_ != j]
-            s = [c_ for c_ in range(3) if c_ != i]
-            minor = a[r[0]][s[0]] * a[r[1]][s[1]] - a[r[0]][s[1]] * a[r[1]][s[0]]
-            c[i][j] = (-1) ** (i + j) * minor
-    return c
+    """Adjugate of a 3x3 matrix, so that a @ adj3(a) == det3(a) * I: its columns
+    are the cross products of the row pairs."""
+    return [list(row) for row in zip(cross3(a[1], a[2]), cross3(a[2], a[0]), cross3(a[0], a[1]))]
 
 
 def inv_unimodular(u):

@@ -208,20 +208,18 @@ def real_analytic_E(tau, s, bound):
 
 
 def zeta_Z2(s, tau, bound):
-    """Truncated direct sum over (a, c) != 0 of |a + c tau|^(-2s)."""
-    s = complex(s)
+    """Truncated direct sum over (a, c) != 0 of |a + c tau|^(-2s): twice the
+    Epstein zeta of the binary form |a + c tau|^2."""
     tau = complex(tau)
     sigma, t = tau.real, tau.imag
     if t <= 0:
         raise DomainError("not an upper half-plane point")
-    g = np.array([[1.0, sigma], [sigma, sigma * sigma + t * t]])
-    vals = _form_values_in_ball(g, bound)
-    total = complex(np.sum(np.exp(-s * np.log(vals))))
+    z = epstein(np.array([[1.0, sigma], [sigma, sigma * sigma + t * t]]), s, bound)
     sigma_r = s.real
     tail = math.inf
     if sigma_r > 1:
         tail = (math.pi / t) * float(bound) ** (1 - sigma_r) / (sigma_r - 1)
-    return TruncatedValue(value=total, terms_used=int(vals.size), tail_estimate=tail)
+    return TruncatedValue(value=2 * z.value, terms_used=z.terms_used, tail_estimate=tail)
 
 
 def _divisor_power_sum(n, a):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, permutations
 from math import floor, inf, isqrt
 from operator import index
 
@@ -100,6 +100,8 @@ _CHUNK = 1 << 17
 _INT64_COORD = 1 << 20
 # A short-vector ball: the record array of q = g[v] and v, 32 B per row.
 _BALL = np.dtype([("q", np.int64), ("v", np.int64, (3,))])
+# A row of forms: the fields of key(), 48 B per row.
+_KEY = np.dtype([(name, np.int64) for name in ("t1", "t2", "t3", "b12", "b13", "b23")])
 
 
 def _pairwise_reduced(g):
@@ -324,25 +326,30 @@ def _diagonal_runs(trace_bound, size=_CHUNK, stop=inf):
     return runs, total
 
 
+def _definite_rows(t1, t2, t3, lo, hi, det2_max=inf):
+    """The forms (t1, t2, t3, b12, b13, b23) with lo <= b <= hi entrywise and
+    0 < det(2T) <= det2_max, as an int64 N x 6 array of key() rows in
+    lexicographic order.  For a box where 2 t1 and 4 t1 t2 - b12^2 are
+    positive, the exact det(2T) > 0 decides definiteness."""
+    b12, b13, b23 = np.ogrid[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
+    det2 = (8 * t1 * t2 * t3 + 2 * b12 * b13 * b23
+            - 2 * t1 * b23 * b23 - 2 * t2 * b13 * b13 - 2 * t3 * b12 * b12)
+    b = np.argwhere((det2 > 0) & (det2 <= det2_max)) + lo
+    return np.column_stack([np.full((len(b), 3), (t1, t2, t3)), b])
+
+
 def enumerate_J(trace_bound, run=None):
     """All positive-definite half-integral forms with trace <= trace_bound,
     sorted by key().  Given one run of _diagonal_runs(trace_bound), only the
     forms on its diagonals, as an int64 record array with the fields of key()
     in key() order, which the fast side of the summation identity reads run
-    by run.  The box makes 2 t1 and 4 t1 t2 - b12^2 positive, so the exact
-    det(2T) > 0 decides."""
+    by run.  The box keeps b_ij^2 < 4 t_i t_j."""
     if run is None:
         return [HalfIntegralForm(*row) for run in _diagonal_runs(trace_bound)[0]
                 for row in enumerate_J(trace_bound, run).tolist()]
-    cols = []
-    for t1, t2, t3, a12, a13, a23 in run:
-        b12, b13, b23 = np.ogrid[-a12:a12 + 1, -a13:a13 + 1, -a23:a23 + 1]
-        det2 = (8 * t1 * t2 * t3 + 2 * b12 * b13 * b23
-                - 2 * t1 * b23 * b23 - 2 * t2 * b13 * b13 - 2 * t3 * b12 * b12)
-        i, j, k = np.nonzero(det2 > 0)
-        cols.append([np.full(len(i), t) for t in (t1, t2, t3)] + [i - a12, j - a13, k - a23])
-    return np.rec.fromarrays([np.concatenate(c).astype(np.int64, copy=False) for c in zip(*cols)],
-                             names="t1,t2,t3,b12,b13,b23")
+    rows = np.concatenate([_definite_rows(t1, t2, t3, (-a12, -a13, -a23), (a12, a13, a23))
+                           for t1, t2, t3, a12, a13, a23 in run])
+    return rows.view(_KEY)[:, 0].view(np.recarray)
 
 
 def reduced_classes(det_bound):
@@ -366,13 +373,11 @@ def _reduced_classes_cached(det_bound):
             if work > MAX_WORK:
                 raise DomainError("more than %d candidate forms with det T <= %s"
                                   % (MAX_WORK, det_bound))
-    seen, covered = {}, set()
-    for t1, t2, t3s in diagonals:
+    seen, covered, det2_max = {}, set(), floor(8 * det_bound)
+    for t1, t2, t3s in diagonals:  # b12 <= t1 <= t2 keeps 4 t1 t2 - b12^2 > 0
         for t3 in t3s:
-            for b in product(range(t1 + 1), range(-t1, t1 + 1), range(t2 + 1)):
-                f = HalfIntegralForm(t1, t2, t3, *b)
-                if f.key() in covered or not f.is_positive_definite() or f.det() > det_bound:
-                    continue
-                red = minkowski_reduce(f, cover=covered)
-                seen.setdefault(red.form.key(), red.form)
+            for key in _definite_rows(t1, t2, t3, (0, -t1, 0), (t1, t1, t2), det2_max).tolist():
+                if tuple(key) not in covered:
+                    red = minkowski_reduce(HalfIntegralForm(*key), cover=covered)
+                    seen.setdefault(red.form.key(), red.form)
     return tuple(sorted(seen.values(), key=lambda f: (f.det(), f.key())))

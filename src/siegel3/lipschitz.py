@@ -20,7 +20,7 @@ from .branch import _dets, _finite_exponents, _ipow, _is_small_int, power_terms
 from .errors import MAX_WORK, DomainError, PoleError, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
-from .specfun import complex_gamma
+from .specfun import complex_gamma, lipschitz_factor
 
 # MAX_WORK is far above max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5
 # candidates), the largest in use; _CHUNK terms make 2 MB complex arrays.
@@ -124,18 +124,10 @@ def fourier_side_rhs(exponents, z, trace_bound):
                           % (trace_bound, MAX_WORK))
     s, w, u = _finite_exponents(exponents)
     z = np.asarray(z, dtype=complex)
-    sigma = s + 2 * w + 3 * u
     # The 1/8 is the coordinate covolume of the half-integral lattice in the
     # entry measure dx1..dx6 used by the Fourier transform (Poisson
     # normalization); without it the two sides differ by exactly 8.
-    pref = -(
-        1.0
-        / 8.0
-        / math.pi**1.5
-        * np.exp(sigma * (math.log(2.0 * math.pi) - 0.5j * math.pi))
-        * np.exp(-0.5j * np.pi * sigma)
-        / (complex_gamma(s + w + u - 1.0) * complex_gamma(w + u - 0.5) * complex_gamma(u))
-    )
+    pref = -0.125 * np.exp(-0.5j * np.pi * (s + 2 * w + 3 * u)) * lipschitz_factor(s, w, u)
     total, n_forms = 0.0 + 0.0j, 0
     for run in runs:
         t = enumerate_J(trace_bound, run)

@@ -3,9 +3,9 @@
 Coefficient data comes either from a text file (one reduced form and one
 complex value per line) or from synthetic providers; genuine degree-3 cusp
 form coefficients are out of desk reach, so providers exercise the series
-machinery.  Lookups canonicalize through Minkowski reduction (the class sums
-read their canonical representatives directly); for even weight the
-unimodular sign ambiguity is invisible.
+machinery, and the kernel sums the class loop with Poincare series as its
+coefficients.  Coefficients are read at the canonical reduced representatives
+the class sums hold; for even weight the sign ambiguity is invisible.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class CoefficientTable:
     data: dict = field(default_factory=dict)
     provider: object = None
     misses: int = 0
-
-    def coefficient(self, t: HalfIntegralForm):
-        return self.reduced_coefficient(minkowski_reduce(t).form)
 
     def reduced_coefficient(self, red: HalfIntegralForm):
         """The coefficient of a canonical reduced representative, as it stands."""
@@ -111,23 +108,22 @@ class SeriesValue:
     warnings: list = field(default_factory=list)
 
 
-def _class_sum(table: CoefficientTable, det_bound, term):
-    """sum over classes (det <= bound) of (A_T / eps_T) term(T), no warnings yet."""
+def class_sum(table: CoefficientTable, det_bound, term):
+    """sum over classes (det <= bound) of (A_T / eps_T) term(T), no warnings yet;
+    a truncation with no class raises DomainError."""
     classes = reduced_classes(det_bound)
     if not classes:
         raise DomainError("empty truncation: no class with det T <= %s" % (det_bound,))
     misses0 = table.misses
     total = 0.0 + 0.0j
-    max_det = Fraction(0)
     for t in classes:
         a = table.reduced_coefficient(t)
         eps = automorphism_count(t)
         total += a / eps * term(t)
-        max_det = max(max_det, t.det())
     return SeriesValue(
         value=complex(total),
         classes_used=len(classes),
-        max_det=max_det,
+        max_det=classes[-1].det(),  # the classes are sorted by det
         misses=table.misses - misses0,
     )
 
@@ -135,7 +131,7 @@ def _class_sum(table: CoefficientTable, det_bound, term):
 def km_classic(table: CoefficientTable, s, det_bound):
     """sum over classes (det <= bound) of A_T / (eps_T det(T)^s)."""
     s = complex(s)
-    sv = _class_sum(table, det_bound, lambda t: np.exp(-s * math.log(float(t.det()))))
+    sv = class_sum(table, det_bound, lambda t: np.exp(-s * math.log(float(t.det()))))
     if not s.real > 2 + table.k / 2:
         sv.warnings.append("outside the absolute-convergence region Re(s) > 2 + k/2")
     return sv
@@ -144,7 +140,7 @@ def km_classic(table: CoefficientTable, s, det_bound):
 def km_twisted(table: CoefficientTable, exponents, det_bound, flag_spec: TruncationSpec):
     """sum over classes of (A_T / eps_T) E(T | s, w, u), all truncated."""
     s, w, u = (complex(e) for e in exponents)
-    sv = _class_sum(table, det_bound, lambda t: selberg_E(t, (s, w, u), flag_spec).value)
+    sv = class_sum(table, det_bound, lambda t: selberg_E(t, (s, w, u), flag_spec).value)
     if not (s.real > 1 and w.real > 1 and u.real > table.k / 2 + 1):
         sv.warnings.append(
             "outside region Re(s)>1, Re(w)>1, Re(u)>k/2+1"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -123,6 +124,22 @@ def gamma3(s, w, u):
         * complex_gamma(w + u - 0.5)
         * complex_gamma(u - 1.0)
     )
+
+
+def lipschitz_factor(s, w, u):
+    """F = (-2 pi i)^sigma / (pi^(3/2) Gamma(s+w+u-1) Gamma(w+u-1/2) Gamma(u)),
+    sigma = s + 2w + 3u, the Gamma factor of the degree-3 Lipschitz formula,
+    summed in logs so that no partial product overflows.  An F outside the
+    normal double range raises DomainError."""
+    gammas = [complex_gamma(x) for x in (s + w + u - 1.0, w + u - 0.5, u)]
+    if 0 in gammas:
+        raise DomainError("the Lipschitz factor overflowed: a gamma factor underflowed to 0")
+    log_f = ((s + 2 * w + 3 * u) * complex(math.log(2.0 * math.pi), -0.5 * math.pi)
+             - 1.5 * math.log(math.pi) - sum(map(cmath.log, gammas)))
+    if not math.log(sys.float_info.min) <= log_f.real < math.log(sys.float_info.max):
+        raise DomainError("the Lipschitz factor e^(%.6g) %s the double range" % (
+            log_f.real, "overflowed" if log_f.real > 0 else "underflowed"))
+    return cmath.exp(log_f)
 
 
 def _trapezoid(f, lo, hi, epsrel):

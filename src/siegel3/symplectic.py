@@ -22,9 +22,10 @@ import numpy as np
 from . import _intlinalg as il
 from .errors import MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, require_finite
 from .eisenstein import TruncationSpec, selberg_E
-from .forms import HalfIntegralForm, automorphism_count, reduced_classes
+from .forms import HalfIntegralForm
 from .matrices import is_symplectic, mobius
-from .specfun import complex_gamma
+from .series import CoefficientTable, class_sum
+from .specfun import lipschitz_factor
 
 
 # candidates per numpy symmetry test in enumerate_pairs
@@ -266,36 +267,20 @@ def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None)
     return complex(value), len(gl_ball) * len(pairs)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs):
-    """Truncated kernel via the Poincare-series representation.
-
-    prefactor * sum over classes of (1/eps_T) E(T | w, s, -s-w-u+2) P_{k,T}(Z),
-    prefactor = (2/pi^(3/2)) (-2 pi i)^(s+2w+3u) / (Gamma(s+w+u-1)
-    Gamma(w+u-1/2) Gamma(u)); a value that overflows raises DomainError.
-    """
+    """Truncated kernel via the Poincare-series representation: 2 F(s, w, u)
+    times the twisted Koecher-Maass class sum of E(T | w, s, -s-w-u+2) with the
+    Poincare series P_{k,T}(Z) as coefficients, F = specfun.lipschitz_factor.
+    A value that overflows raises DomainError."""
     _check_truncation(k, max_abs)
     s, w, u = (complex(e) for e in exponents)
-    sigma = s + 2 * w + 3 * u
-    pref = (
-        2.0
-        / math.pi**1.5
-        * np.exp(sigma * (math.log(2.0 * math.pi) - 0.5j * np.pi))
-        / (complex_gamma(s + w + u - 1) * complex_gamma(w + u - 0.5) * complex_gamma(u))
-    )
-    classes = reduced_classes(det_bound)
-    if not classes:
-        raise DomainError("empty truncation: no class with det T <= %s" % (det_bound,))
+    pref = 2.0 * lipschitz_factor(s, w, u)
     pairs = enumerate_pairs(max_abs)
     gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
-    total = 0.0 + 0.0j
-    pk_terms = 0
-    for t in classes:
-        eps = automorphism_count(t)
-        ev = selberg_E(t, (w, s, -s - w - u + 2.0), flag_spec)
-        pk, n_terms = poincare_trunc(k, t, z, max_abs, gl_ball=gl_ball, pairs=pairs)
-        pk_terms += n_terms
-        total += ev.value * pk / eps
+    poincare = CoefficientTable(
+        k=k, provider=lambda t: poincare_trunc(k, t, z, max_abs, gl_ball=gl_ball, pairs=pairs)[0])
+    sv = class_sum(poincare, det_bound,
+                   lambda t: selberg_E(t, (w, s, -s - w - u + 2.0), flag_spec).value)
     warnings = []
     if not (
         s.real > 1 and w.real > 3 and u.real > 4
@@ -306,10 +291,10 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
             "need not converge as det_bound grows"
         )
     return {
-        "value": complex(require_finite(pref * total, "the kernel sum")),
-        "classes_used": len(classes),
+        "value": complex(require_finite(pref * sv.value, "the kernel sum")),
+        "classes_used": sv.classes_used,
         "pairs_used": len(pairs),
         "gl3_ball_size": len(gl_ball),
-        "poincare_terms": pk_terms,
+        "poincare_terms": sv.classes_used * len(gl_ball) * len(pairs),
         "warnings": warnings,
     }

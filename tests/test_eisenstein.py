@@ -215,6 +215,14 @@ def test_zeta_z2_bridge_to_epstein(rng):
         assert abs(lhs - rhs) / abs(lhs) <= 1e-12
 
 
+def test_zeta_z2_is_twice_the_epstein_sum_exactly():
+    cases = (2.5, 0.3 + 1.4j, 700.0), (2.3, 0.3 + 1.7j, 9e5), (1.5 + 2j, -0.4 + 0.9j, 50.0)
+    for s, tau, bound in cases:
+        g = [[1.0, tau.real], [tau.real, tau.real * tau.real + tau.imag * tau.imag]]
+        z, e = eis.zeta_Z2(s, tau, bound), eis.epstein(g, s, bound)
+        assert z.value == 2 * e.value and z.terms_used == e.terms_used
+
+
 def test_zeta_z2_star_decomposition_and_parity():
     for (s, tau, bound, tol) in (
         (2.3, 0.3 + 1.7j, 2.0e5, 1e-8),

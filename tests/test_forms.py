@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import product
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -459,6 +460,39 @@ def test_reduced_classes_cover_matches_uncovered_dedupe():
         assert red.form.key() in cover  # every candidate is in the class of t
         assert {forms.minkowski_reduce(forms.HalfIntegralForm(*k)).form
                 for k in cover} == {red.form}
+
+
+def _old_class_box_sequence(det_bound, reduce):
+    """The forms that the per-candidate class box loop, which the array box
+    kernel replaced, hands to ``reduce`` in order (oracle)."""
+    box, covered, out = floor(4 * det_bound), set(), []
+    for t1 in range(1, box + 1):
+        for t2 in range(t1, isqrt(box // t1) + 1):
+            for t3 in range(t2, box // (t1 * t2) + 1):
+                for b in product(range(t1 + 1), range(-t1, t1 + 1), range(t2 + 1)):
+                    f = forms.HalfIntegralForm(t1, t2, t3, *b)
+                    if f.key() in covered or not f.is_positive_definite() or f.det() > det_bound:
+                        continue
+                    out.append(f)
+                    reduce(f, cover=covered)
+    return out
+
+
+def test_class_box_kernel_hands_reduction_the_old_sequence(monkeypatch):
+    bounds = [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(7, 2), Fraction(10),
+              Fraction(20)]
+    expected = [_old_class_box_sequence(b, forms.minkowski_reduce) for b in bounds]
+    calls, reduce = [], forms.minkowski_reduce
+
+    def recording(t, cover=None):
+        calls.append(t)
+        return reduce(t, cover=cover)
+
+    monkeypatch.setattr(forms, "minkowski_reduce", recording)
+    for det_bound, sequence in zip(bounds, expected):
+        calls.clear()
+        forms._reduced_classes_cached.__wrapped__(det_bound)  # the uncached body
+        assert calls == sequence, det_bound
 
 
 def test_automorphism_count_rejects_indefinite_forms():

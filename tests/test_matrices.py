@@ -46,6 +46,33 @@ def test_adjugate_property(vals):
     assert prod == [[d if i == j else 0 for j in range(3)] for i in range(3)]
 
 
+def _minors_det3(a):
+    """The cofactor expansion that det3 replaced (oracle)."""
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+
+def _minors_adj3(a):
+    """The signed-minor loop that adj3 replaced (oracle)."""
+    c = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            r = [r_ for r_ in range(3) if r_ != j]
+            s = [c_ for c_ in range(3) if c_ != i]
+            minor = a[r[0]][s[0]] * a[r[1]][s[1]] - a[r[0]][s[1]] * a[r[1]][s[0]]
+            c[i][j] = (-1) ** (i + j) * minor
+    return c
+
+
+def test_cross_product_det_and_adjugate_match_the_minors(rng):
+    for _ in range(200):
+        ints, floats = rng.integers(-10**6, 10**6, (3, 3)), rng.standard_normal((3, 3))
+        for a in (ints.tolist(), floats.tolist(), floats):
+            assert il.det3(a) == _minors_det3(a)  # the same products, bit for bit on floats
+            assert il.adj3(a) == _minors_adj3(a)
+
+
 def test_unimodular_enumeration_order_is_pinned():
     # criterion 12's stride sample ball[i % 97::97] and poincare_trunc's
     # summation order depend on this order, so it is pinned by digest (of the

@@ -4,11 +4,15 @@ A reader of ``forms.f`` is a reference from ``src``, ``scripts`` or
 ``bench``: ``from .forms import f``, an attribute ``m.f`` where ``m`` is
 bound to the module by ``from . import forms as m`` (or ``from siegel3
 import ...``), a string ``"f"`` (``bench/spans.py`` wraps functions by name),
-or a bare name ``f`` in ``forms`` itself outside the body of ``f``.  A helper
-that only tests call fails here, so none can come back unnoticed.
+or a bare name ``f`` in ``forms`` itself outside the body of ``f``.  A reader
+of a method ``C.m`` is an attribute ``x.m`` or a string ``"m"`` outside the
+body of ``m``; a method that overrides one of a base class (``cli.Parser.error``)
+is read through the base class.  A helper that only tests call fails here, so
+none can come back unnoticed.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -37,9 +41,20 @@ def _reads(tree, module):
     return out
 
 
+def _sources():
+    return sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py"))
+
+
+def _attribute_reads(tree):
+    """Counter of every attribute name and string constant in ``tree``."""
+    return Counter(n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute)
+                   or isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
 def test_every_module_level_name_has_a_reader():
     reads, defs = Counter(), []
-    for path in sorted(p for d in ("src", "scripts", "bench") for p in (ROOT / d).rglob("*.py")):
+    for path in _sources():
         tree = ast.parse(path.read_text())
         module = path.stem if path.parent.name == "siegel3" else None
         reads += _reads(tree, module)
@@ -50,3 +65,22 @@ def test_every_module_level_name_has_a_reader():
               if reads[module, node.name] + reads[None, node.name]
               - _reads(node, module)[module, node.name] <= 0]
     assert not unread, "no reader in src, scripts or bench: " + ", ".join(unread)
+
+
+def test_every_method_has_a_reader():
+    reads, methods = Counter(), []
+    for path in _sources():
+        tree = ast.parse(path.read_text())
+        reads += _attribute_reads(tree)
+        if path.parent.name == "siegel3":
+            methods += [(path.stem, cls.name, node) for cls in tree.body
+                        if isinstance(cls, ast.ClassDef) for node in cls.body
+                        if isinstance(node, ast.FunctionDef)]
+    unread = []
+    for module, cls, node in methods:
+        bases = getattr(importlib.import_module("siegel3." + module), cls).__mro__[1:]
+        if (reads[node.name] - _attribute_reads(node)[node.name] <= 0
+                and not any(hasattr(base, node.name) for base in bases)):
+            unread.append("%s.%s.%s" % (module, cls, node.name))
+    assert not unread, "no reader in src, scripts or bench: " + ", ".join(unread)
+

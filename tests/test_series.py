@@ -18,7 +18,7 @@ def test_load_simple_table(tmp_path):
     path = _write(tmp_path, "k 24\n1 1 1 0 0 0 1.0 0.0\n")
     table = series.load_coefficients(path)
     assert table.k == 24
-    assert table.coefficient(I3) == 1.0
+    assert table.reduced_coefficient(forms.minkowski_reduce(I3).form) == 1.0
     assert table.misses == 0
 
 
@@ -50,7 +50,7 @@ def test_missing_class_counts_misses(tmp_path):
     path = _write(tmp_path, "k 24\n1 1 1 0 0 0 1.0 0.0\n")
     table = series.load_coefficients(path)
     other = forms.HalfIntegralForm(1, 1, 2, 0, 0, 0)
-    assert table.coefficient(other) == 0.0
+    assert table.reduced_coefficient(forms.minkowski_reduce(other).form) == 0.0
     assert table.misses == 1
 
 
@@ -59,14 +59,18 @@ def test_coefficient_is_class_function(rng, tmp_path):
     table = series.load_coefficients(path)
     t0 = forms.HalfIntegralForm(1, 2, 3, 0, 0, 0)
     u = [[1, 1, 0], [0, 1, 0], [-1, 0, 1]]
-    assert table.coefficient(forms.congruence_form(t0, u)) == table.coefficient(t0)
+    moved = forms.congruence_form(t0, u)
+    assert moved != t0
+    assert (table.reduced_coefficient(forms.minkowski_reduce(moved).form)
+            == table.reduced_coefficient(forms.minkowski_reduce(t0).form) == 2.5 - 1.0j)
 
 
 def test_class_sums_read_the_cached_representatives_without_reducing(monkeypatch):
     table = series.det_power_provider(-1.5)
     classes = forms.reduced_classes(4)  # builds and caches the class list
     # the representatives are canonical, so reading them as they stand changes no value
-    assert all(table.reduced_coefficient(t) == table.coefficient(t) for t in classes)
+    assert all(table.reduced_coefficient(t)
+               == table.reduced_coefficient(forms.minkowski_reduce(t).form) for t in classes)
     calls, reduce = [], forms.minkowski_reduce
 
     def counting(*args, **kwargs):

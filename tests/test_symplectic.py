@@ -4,12 +4,14 @@ import math
 import time
 from itertools import combinations, product
 
+import mpmath
 import numpy as np
 import pytest
 
 from siegel3 import _intlinalg as il
 from siegel3 import acceptance, eisenstein as eis, forms, matrices as mx, symplectic as sp
 from siegel3.errors import CompletionFailure, DomainError, NotCoprimePair, SingularDenominator
+from siegel3.specfun import lipschitz_factor
 
 I3 = il.identity(3)
 Z3 = [[0] * 3 for _ in range(3)]
@@ -533,3 +535,41 @@ def test_kernel_degenerate_and_det_shift():
     pref = (2.0 / math.pi**1.5 * np.exp(sigma * (math.log(2 * math.pi) - 0.5j * np.pi))
             / (complex_gamma(s + w + u - 1) * complex_gamma(w + u - 0.5) * complex_gamma(u)))
     assert abs(out1["value"] - pref * total) <= 1e-12 * abs(out1["value"])
+
+
+def _kernel_class_sum(k, exponents, z, det_bound, spec):
+    """sum over classes of P_{k,T}(Z) / eps_T * E(T | w, s, -s-w-u+2), assembled
+    from its layers in the class loop's order and arithmetic (oracle)."""
+    s, w, u = (complex(e) for e in exponents)
+    pairs, ball = sp.enumerate_pairs(1), il.unimodular_matrices(1, 1)
+    total = 0.0 + 0.0j
+    for t in forms.reduced_classes(det_bound):
+        pk, _ = sp.poincare_trunc(k, t, z, 1, gl_ball=ball, pairs=pairs)
+        total += pk / forms.automorphism_count(t) * eis.selberg_E(t, (w, s, -s - w - u + 2.0),
+                                                                  spec).value
+    return total
+
+
+def test_kernel_is_twice_the_lipschitz_factor_times_the_class_sum():
+    spec = eis.TruncationSpec(4, 4)
+    for e in ((2.0, 4.0, 5.0), (2.5, 4.0 + 1j, 6.0)):
+        out = sp.kernel_trunc(32, e, Z_GENERIC, 2, spec, 1)
+        pref = 2 * lipschitz_factor(*map(complex, e))
+        assert out["value"] == pref * _kernel_class_sum(32, e, Z_GENERIC, 2, spec)
+        assert out["poincare_terms"] == out["classes_used"] * 48 * 1096
+
+
+@pytest.mark.parametrize("u", [40, 60, 80])
+def test_kernel_matches_an_mpmath_prefactor_where_the_gamma_product_overflows(u):
+    # at u = 80, Gamma(85) Gamma(83.5) Gamma(80) ~ 1e365 is past the double range
+    z = np.diag([1j, 1.1j, 1.2j])
+    spec, e = eis.TruncationSpec(6, 6), (2.0, 4.0, float(u))
+    value = sp.kernel_trunc(600, e, z, 1, spec, 1)["value"]
+    with mpmath.workdps(30):
+        s, w, u = (mpmath.mpf(x) for x in e)
+        pref = 2 * (-2j * mpmath.pi) ** (s + 2 * w + 3 * u) / (
+            mpmath.pi**1.5 * mpmath.gamma(s + w + u - 1) * mpmath.gamma(w + u - 0.5)
+            * mpmath.gamma(u))
+        expected = complex(pref * _kernel_class_sum(600, e, z, 1, spec))
+    assert value != 0 and abs(value - expected) <= 1e-12 * abs(expected)
+

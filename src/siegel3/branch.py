@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, DomainError
+from .errors import BranchCutError, finite_exponents, require_finite
 
 CUT_TOL = 1e-14
 
@@ -87,32 +87,21 @@ def branch_h_inverse(z):
     return BranchValue(complex(h1), complex(h2), complex(h3))
 
 
-def _finite_exponents(exponents):
-    """The exponents (s, w, u) as complex numbers; DomainError unless all are finite."""
-    s, w, u = (complex(e) for e in exponents)
-    if not all(np.isfinite((s, w, u))):
-        raise DomainError("exponents must be finite, got %r" % (tuple(exponents),))
-    return s, w, u
-
-
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused instead
 def _power(exponents, h):
     """exp(s h1 + w h2 + u h3); DomainError unless the value is finite."""
     s, w, u = exponents
-    with np.errstate(all="ignore"):
-        value = complex(np.exp(s * h.h1 + w * h.h2 + u * h.h3))
-    if not np.isfinite(value):
-        raise DomainError("p_{s,w,u} is not finite at exponents %r" % (exponents,))
-    return value
+    return complex(require_finite(np.exp(s * h.h1 + w * h.h2 + u * h.h3), "p_{s,w,u}"))
 
 
 def power_p(exponents, z):
     """The power function p_{s,w,u}(Z) = exp(s h1 + w h2 + u h3)."""
-    return _power(_finite_exponents(exponents), branch_h(z))
+    return _power(finite_exponents(*exponents), branch_h(z))
 
 
 def power_p_at_inverse(exponents, z):
     """p_{s,w,u}(-Z^(-1)) without forming the inverse matrix."""
-    return _power(_finite_exponents(exponents), branch_h_inverse(z))
+    return _power(finite_exponents(*exponents), branch_h_inverse(z))
 
 
 def power_inversion_gap(exponents, z):
@@ -156,7 +145,7 @@ def power_terms(exponents, tau1, z1, z2, tau2, z3, tau3):
     algebraic n-th power of det Z_j), which avoids all transcendental calls
     in large lattice sums.
     """
-    s, w, u = _finite_exponents(exponents)
+    s, w, u = finite_exponents(*exponents)
     if all(_is_small_int(e) for e in (s, w, u)):
         d1, d2, d3, _ = _dets(tau1, z1, z2, tau2, z3, tau3)
         if np.any(d1 == 0) or np.any(d2 == 0) or np.any(d3 == 0):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import MAX_WORK, DomainError, PoleError, require_finite
+from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import (_CHUNK, HalfIntegralForm, _short_vectors, first_nonzero_positive,
                     short_vectors_gram)
 from .specfun import complex_gamma, complex_zeta, besselK
@@ -104,7 +104,7 @@ def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
     still the truncated sum but carries a warning flag.  A sum that overflows
     raises DomainError.
     """
-    s, w, u = (complex(e) for e in exponents)
+    s, w, u = finite_exponents(*exponents)
     vs, ns = _flag_vectors(y, spec)
     pv, pn = np.exp(-s * np.log(vs["q"] / 2.0)), np.exp(-w * np.log(ns["q"] / 4.0))
     total, terms = 0.0 + 0.0j, 0
@@ -160,7 +160,7 @@ def epstein(y, s, bound):
     bijective index sets produce identical floating sums.  A sum that
     overflows raises DomainError.
     """
-    s = complex(s)
+    (s,) = finite_exponents(s)
     arr = np.asarray(y)
     n = arr.shape[0]
     vals = _form_values_in_ball(arr, bound)
@@ -195,31 +195,25 @@ def w_tau(tau):
 
 def real_analytic_E(tau, s, bound):
     """Real-analytic Eisenstein series via the Epstein zeta of W_tau."""
-    s = complex(s)
+    (s,) = finite_exponents(s)
     zeta2s = complex_zeta(2 * s)
     if abs(zeta2s) < 1e-12:
         raise PoleError("zeta(2s) vanishes; cannot divide")
     z = epstein(w_tau(tau), s, bound)
-    return TruncatedValue(
-        value=z.value / zeta2s,
-        terms_used=z.terms_used,
-        tail_estimate=(z.tail_estimate / abs(zeta2s)) if z.tail_estimate is not None else None,
-    )
+    return TruncatedValue(value=z.value / zeta2s, terms_used=z.terms_used,
+                          tail_estimate=z.tail_estimate / abs(zeta2s))
 
 
 def zeta_Z2(s, tau, bound):
     """Truncated direct sum over (a, c) != 0 of |a + c tau|^(-2s): twice the
-    Epstein zeta of the binary form |a + c tau|^2."""
+    Epstein zeta of the binary form |a + c tau|^2, tail estimate included."""
     tau = complex(tau)
     sigma, t = tau.real, tau.imag
     if t <= 0:
         raise DomainError("not an upper half-plane point")
     z = epstein(np.array([[1.0, sigma], [sigma, sigma * sigma + t * t]]), s, bound)
-    sigma_r = s.real
-    tail = math.inf
-    if sigma_r > 1:
-        tail = (math.pi / t) * float(bound) ** (1 - sigma_r) / (sigma_r - 1)
-    return TruncatedValue(value=2 * z.value, terms_used=z.terms_used, tail_estimate=tail)
+    return TruncatedValue(value=2 * z.value, terms_used=z.terms_used,
+                          tail_estimate=2 * z.tail_estimate)
 
 
 def _divisor_power_sum(n, a):
@@ -243,7 +237,7 @@ def zeta_Z2_star(s, tau):
     Validated against the direct-sum decomposition in the test suite for
     Re(s) > 1.
     """
-    s, tau = complex(s), complex(tau)
+    (s,), tau = finite_exponents(s), complex(tau)
     sigma, t = tau.real, tau.imag
     if t < 0.1:
         raise DomainError("Bessel expansion wants Im(tau) >= 0.1")
@@ -272,7 +266,7 @@ def zeta_Z2_decomposition(s, tau, bound):
     relative difference against the direct sum, completed by its integral
     tail (pi/t) B^(1-s)/(s-1) so that only the boundary fluctuation is left.
     """
-    s, t = complex(s), complex(tau).imag
+    (s,), t = finite_exponents(s), complex(tau).imag
     direct = zeta_Z2(s, tau, bound)
     direct_value = direct.value + (math.pi / t) * np.exp((1 - s) * math.log(bound)) / (s - 1)
     main = (

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the work and ball ceilings, and
-the one refusal of a non-finite result."""
+"""Exception types, the work and ball ceilings, and the non-finite contract:
+one intake check of exponents and one refusal of a non-finite result."""
 
 import cmath
 
@@ -63,9 +63,17 @@ class DuplicateKey(Siegel3Error):
     pass
 
 
+def finite_exponents(*values):
+    """The values as complex numbers; DomainError unless all are finite."""
+    out = tuple(map(complex, values))
+    if not all(map(cmath.isfinite, out)):
+        raise DomainError("exponents must be finite, got %r" % (values,))
+    return out
+
+
 def require_finite(value, what):
     """``value`` if it is finite; else DomainError, since a sum of finite terms
     that is not finite has overflowed (or met inf - inf)."""
     if not cmath.isfinite(value):
-        raise DomainError("%s overflowed to %s" % (what, complex(value)))
+        raise DomainError("%s is not finite: it overflowed to %s" % (what, complex(value)))
     return value

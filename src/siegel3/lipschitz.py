@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import _dets, _finite_exponents, _ipow, _is_small_int, power_terms
-from .errors import MAX_WORK, DomainError, PoleError, require_finite
+from .branch import _dets, _ipow, _is_small_int, power_terms
+from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
-from .specfun import complex_gamma, lipschitz_factor
+from .specfun import POLE_TOL, complex_gamma, lipschitz_factor
 
 # MAX_WORK is far above max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5
 # candidates), the largest in use; _CHUNK terms make 2 MB complex arrays.
@@ -59,7 +59,7 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     """
     if max_abs < 0:
         raise DomainError("max_abs must be >= 0, got %r" % (max_abs,))
-    s, w, u = _finite_exponents(exponents)
+    s, w, u = finite_exponents(*exponents)
     exact_f = (tail_correction and all(map(_is_small_int, (s, w, u)))
                and 2 <= u.real <= EXACT_F_MAX_U)
     n, axes = 2 * max_abs + 1, 5 if exact_f else 6
@@ -122,7 +122,7 @@ def fourier_side_rhs(exponents, z, trace_bound):
     if candidates > MAX_WORK:
         raise DomainError("the fast side at trace_bound %d tests more than %d candidate forms"
                           % (trace_bound, MAX_WORK))
-    s, w, u = _finite_exponents(exponents)
+    s, w, u = finite_exponents(*exponents)
     z = np.asarray(z, dtype=complex)
     # The 1/8 is the coordinate covolume of the half-integral lattice in the
     # entry measure dx1..dx6 used by the Fourier transform (Poisson
@@ -159,25 +159,32 @@ def lipschitz_report(exponents, z, max_abs, trace_bound, tail_correction=False):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite side is refused instead
 def classical_lipschitz(tau, s, n_bound):
     """Classical one-variable summation formula, both sides truncated.
 
     lhs = sum over |n| <= N of (tau + n)^(-s) plus its midpoint-rule integral
     tails on both ends, which always run,
     rhs = ((-2 pi i)^s / Gamma(s)) sum over 1 <= n <= N of n^(s-1) e(n tau).
+    The tails divide by s - 1: s within POLE_TOL of 1 raises PoleError, and
+    a side that overflows raises DomainError.
     """
     tau = complex(tau)
-    s = complex(s)
+    (s,) = finite_exponents(s)
     if tau.imag <= 0:
         raise PoleError("tau must be in the upper half-plane")
+    if abs(s - 1.0) <= POLE_TOL:
+        raise PoleError("the integral tails have a pole at s = 1")
     n = np.arange(-n_bound, n_bound + 1)
     lhs = complex(np.sum(np.exp(-s * np.log(tau + n))))
     edge = n_bound + 0.5
     lhs += np.exp((1 - s) * np.log(tau + edge)) / (s - 1)
     lhs -= np.exp((1 - s) * np.log(tau - edge)) / (s - 1)
+    lhs = complex(require_finite(lhs, "the lattice side"))
     m = np.arange(1, n_bound + 1)
     pref = np.exp(s * (math.log(2.0 * math.pi) - 0.5j * np.pi)) / complex_gamma(s)
-    rhs = complex(pref * np.sum(np.exp((s - 1) * np.log(m) + 2j * np.pi * m * tau)))
+    rhs = complex(require_finite(
+        pref * np.sum(np.exp((s - 1) * np.log(m) + 2j * np.pi * m * tau)), "the Fourier side"))
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     closed_form = None
     if abs(s - 2.0) < 1e-14:

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .eisenstein import TruncationSpec, selberg_E
-from .errors import DomainError, DuplicateKey, NonReducedKey, ParseError
+from .errors import (DomainError, DuplicateKey, NonReducedKey, ParseError, finite_exponents,
+                     require_finite)
 from .forms import HalfIntegralForm, automorphism_count, minkowski_reduce, reduced_classes
 
 
@@ -51,8 +52,7 @@ def ones_provider(k=24):
 
 
 def det_power_provider(alpha, k=24):
-    if not math.isfinite(alpha):
-        raise DomainError("det_power exponent must be finite, got %r" % (alpha,))
+    finite_exponents(alpha)
     return CoefficientTable(k=k, provider=lambda red: float(red.det()) ** alpha + 0.0j)
 
 
@@ -108,9 +108,10 @@ class SeriesValue:
     warnings: list = field(default_factory=list)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def class_sum(table: CoefficientTable, det_bound, term):
     """sum over classes (det <= bound) of (A_T / eps_T) term(T), no warnings yet;
-    a truncation with no class raises DomainError."""
+    a truncation with no class, or a sum that overflows, raises DomainError."""
     classes = reduced_classes(det_bound)
     if not classes:
         raise DomainError("empty truncation: no class with det T <= %s" % (det_bound,))
@@ -121,7 +122,7 @@ def class_sum(table: CoefficientTable, det_bound, term):
         eps = automorphism_count(t)
         total += a / eps * term(t)
     return SeriesValue(
-        value=complex(total),
+        value=complex(require_finite(total, "the Koecher-Maass sum")),
         classes_used=len(classes),
         max_det=classes[-1].det(),  # the classes are sorted by det
         misses=table.misses - misses0,
@@ -130,7 +131,7 @@ def class_sum(table: CoefficientTable, det_bound, term):
 
 def km_classic(table: CoefficientTable, s, det_bound):
     """sum over classes (det <= bound) of A_T / (eps_T det(T)^s)."""
-    s = complex(s)
+    (s,) = finite_exponents(s)
     sv = class_sum(table, det_bound, lambda t: np.exp(-s * math.log(float(t.det()))))
     if not s.real > 2 + table.k / 2:
         sv.warnings.append("outside the absolute-convergence region Re(s) > 2 + k/2")
@@ -139,7 +140,7 @@ def km_classic(table: CoefficientTable, s, det_bound):
 
 def km_twisted(table: CoefficientTable, exponents, det_bound, flag_spec: TruncationSpec):
     """sum over classes of (A_T / eps_T) E(T | s, w, u), all truncated."""
-    s, w, u = (complex(e) for e in exponents)
+    s, w, u = finite_exponents(*exponents)
     sv = class_sum(table, det_bound, lambda t: selberg_E(t, (s, w, u), flag_spec).value)
     if not (s.real > 1 and w.real > 1 and u.real > table.k / 2 + 1):
         sv.warnings.append(

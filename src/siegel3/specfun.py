@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .branch import power_p_at_inverse
-from .errors import DomainError, PoleError, QuadratureFailure
+from .errors import DomainError, PoleError, QuadratureFailure, finite_exponents
 
 # Lanczos g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -62,7 +62,7 @@ POLE_TOL = 1e-12
 
 def complex_gamma(z):
     """Euler gamma for complex argument (Lanczos + reflection)."""
-    z = complex(z)
+    (z,) = finite_exponents(z)
     if round(z.real) <= 0 and abs(z - round(z.real)) <= POLE_TOL:
         raise PoleError("gamma pole at non-positive integer %s" % z)
     if z.real < 0.5:
@@ -84,7 +84,7 @@ def complex_gamma(z):
 
 def complex_zeta(s):
     """Riemann zeta by Euler-Maclaurin, reflection for Re(s) < -1."""
-    s = complex(s)
+    (s,) = finite_exponents(s)
     if abs(s - 1.0) <= POLE_TOL:
         raise PoleError("zeta pole at s = 1")
     if s.real < -1.0:
@@ -110,36 +110,36 @@ def complex_zeta(s):
     return complex(value)
 
 
-def gamma3(s, w, u):
-    """Degree-3 matrix gamma factor in closed form.
+def _log_gamma3(s, w, u):
+    """log Gamma3 = (3/2) log pi + i pi sigma/2 + the log Gammas at (s+w+u, w+u-1/2,
+    u-1), sigma = s + 2w + 3u; a Gamma that underflows to 0 raises DomainError."""
+    s, w, u = finite_exponents(s, w, u)
+    gammas = [complex_gamma(x) for x in (s + w + u, w + u - 0.5, u - 1.0)]
+    if 0 in gammas:
+        raise DomainError("a gamma factor of Gamma3 underflowed to 0")
+    return (1.5 * math.log(math.pi) + 0.5j * math.pi * (s + 2 * w + 3 * u)
+            + sum(map(cmath.log, gammas)))
 
-    pi^(3/2) exp(i pi (s+2w+3u)/2) Gamma(s+w+u) Gamma(w+u-1/2) Gamma(u-1).
-    """
-    s, w, u = complex(s), complex(w), complex(u)
-    sigma = s + 2 * w + 3 * u
-    return (
-        math.pi**1.5
-        * np.exp(0.5j * np.pi * sigma)
-        * complex_gamma(s + w + u)
-        * complex_gamma(w + u - 0.5)
-        * complex_gamma(u - 1.0)
-    )
+
+def _exp_in_range(log_value, what):
+    """exp(log_value); DomainError outside the normal double range."""
+    if not math.log(sys.float_info.min) <= log_value.real < math.log(sys.float_info.max):
+        raise DomainError("%s e^(%.6g) %s the double range" % (
+            what, log_value.real, "overflowed" if log_value.real > 0 else "underflowed"))
+    return cmath.exp(log_value)
+
+
+def gamma3(s, w, u):
+    """Degree-3 matrix gamma factor in closed form, summed in logs:
+    pi^(3/2) exp(i pi (s+2w+3u)/2) Gamma(s+w+u) Gamma(w+u-1/2) Gamma(u-1)."""
+    return _exp_in_range(_log_gamma3(s, w, u), "Gamma3")
 
 
 def lipschitz_factor(s, w, u):
-    """F = (-2 pi i)^sigma / (pi^(3/2) Gamma(s+w+u-1) Gamma(w+u-1/2) Gamma(u)),
-    sigma = s + 2w + 3u, the Gamma factor of the degree-3 Lipschitz formula,
-    summed in logs so that no partial product overflows.  An F outside the
-    normal double range raises DomainError."""
-    gammas = [complex_gamma(x) for x in (s + w + u - 1.0, w + u - 0.5, u)]
-    if 0 in gammas:
-        raise DomainError("the Lipschitz factor overflowed: a gamma factor underflowed to 0")
-    log_f = ((s + 2 * w + 3 * u) * complex(math.log(2.0 * math.pi), -0.5 * math.pi)
-             - 1.5 * math.log(math.pi) - sum(map(cmath.log, gammas)))
-    if not math.log(sys.float_info.min) <= log_f.real < math.log(sys.float_info.max):
-        raise DomainError("the Lipschitz factor e^(%.6g) %s the double range" % (
-            log_f.real, "overflowed" if log_f.real > 0 else "underflowed"))
-    return cmath.exp(log_f)
+    """The Gamma factor of the degree-3 Lipschitz formula, summed in logs:
+    F = (2 pi)^sigma / Gamma3(s-1, w-1, u+1), sigma = s + 2w + 3u."""
+    return _exp_in_range((s + 2 * w + 3 * u) * math.log(2.0 * math.pi)
+                         - _log_gamma3(s - 1, w - 1, u + 1), "the Lipschitz factor")
 
 
 def _trapezoid(f, lo, hi, epsrel):
@@ -195,7 +195,7 @@ def cone_integral_gap(exponents, z):
     trapezoid rule of _decaying_power_integral.  The right side is
     (2 pi i)^(-s-2w-3u) Gamma3(s,w,u) p_{s,w,u}(-Z^(-1)).
     """
-    s, w, u = (complex(e) for e in exponents)
+    s, w, u = finite_exponents(*exponents)
     if not ((s + w + u).real > 0 and (w + u).real > 0.5 and u.real > 1.0):
         raise DomainError("outside the convergence region of the cone integral")
     z = np.asarray(z, dtype=complex)

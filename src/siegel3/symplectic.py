@@ -20,7 +20,8 @@ from operator import mul
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, require_finite
+from .errors import (MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, finite_exponents,
+                     require_finite)
 from .eisenstein import TruncationSpec, selberg_E
 from .forms import HalfIntegralForm
 from .matrices import is_symplectic, mobius
@@ -273,7 +274,7 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     Poincare series P_{k,T}(Z) as coefficients, F = specfun.lipschitz_factor.
     A value that overflows raises DomainError."""
     _check_truncation(k, max_abs)
-    s, w, u = (complex(e) for e in exponents)
+    s, w, u = finite_exponents(*exponents)
     pref = 2.0 * lipschitz_factor(s, w, u)
     pairs = enumerate_pairs(max_abs)
     gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)

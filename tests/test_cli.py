@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,12 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
      "input error:"),
     (["eval-kernel", "--s", "1", "--w", "60", "--u", "100", "--z", Z1, "--k", "32",
       "--det-bound", "1", "--bound", "4"], "input error:"),
+    (["eval-gamma3", "--s", "0", "--w", "0", "--u", "100"], "input error:"),  # ~1e465
+    (["eval-km", "--s", "-400", "--det-bound", "10"], "input error:"),
+    (["eval-km", "--s", "1e300", "--det-bound", "2"], "input error:"),
+    (["classical-lipschitz", "--tau", "1j", "--s", "2+1000j", "--bound", "10"], "input error:"),
+    # the integral tails of the classical formula divide by s - 1
+    (["classical-lipschitz", "--tau", "1j", "--s", "1"], "input error:"),
 ]
 
 
@@ -321,11 +328,15 @@ def _no_constants(name):
 
 @pytest.mark.parametrize("argv,prefix", REJECTED, ids=[" ".join(a) for a, _ in REJECTED])
 def test_bad_input_is_rejected(capsys, argv, prefix):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    # a refusal prints only its message: no numpy RuntimeWarning before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     assert err.startswith(prefix) and "Traceback" not in err
     if out:

@@ -187,6 +187,32 @@ def test_gamma3_matches_mpmath(parts):
     assert abs(sf.gamma3(s, w, u) - ref) <= 1e-13 * abs(ref)
 
 
+def test_gamma3_where_the_gamma_product_overflows():
+    # Gamma(170.5) Gamma(160) is past the double range, Gamma3 itself is not
+    s, w, u = 10, 320, -159.5
+    with mpmath.workdps(30):
+        ref = complex(mpmath.pi**1.5 * mpmath.expjpi(mpmath.mpf(s + 2 * w + 3 * u) / 2)
+                      * mpmath.gamma(s + w + u) * mpmath.gamma(w + u - 0.5) * mpmath.gamma(u - 1))
+    assert abs(sf.gamma3(s, w, u) - ref) <= 1e-12 * abs(ref)
+
+
+def test_lipschitz_factor_matches_the_mpmath_product(rng):
+    for _ in range(50):
+        s, w, u = rng.uniform(1, 8, 3) + 1j * rng.uniform(-3, 3, 3)
+        with mpmath.workdps(30):
+            ref = complex((-2j * mpmath.pi) ** (s + 2 * w + 3 * u) / (
+                mpmath.pi**1.5 * mpmath.gamma(s + w + u - 1) * mpmath.gamma(w + u - 0.5)
+                * mpmath.gamma(u)))
+        assert abs(sf.lipschitz_factor(s, w, u) - ref) <= 1e-13 * abs(ref)
+
+
+def test_gamma3_and_lipschitz_factor_refuse_the_range_ends():
+    with pytest.raises(DomainError, match="overflowed"):
+        sf.gamma3(0, 0, 100)  # ~1e465
+    with pytest.raises(DomainError, match="underflowed"):
+        sf.lipschitz_factor(1, 60, 100)  # ~e^-885
+
+
 def test_unsettled_sums_are_refused():
     # the integrand turns through 100 and 5000 radians per decay length 1/|Re c|,
     # more than a sum of 2^14 steps resolves

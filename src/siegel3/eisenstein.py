@@ -24,7 +24,7 @@ from . import _intlinalg as il
 from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import (_CHUNK, HalfIntegralForm, _short_vectors, first_nonzero_positive,
                     short_vectors_gram)
-from .specfun import complex_gamma, complex_zeta, besselK
+from .specfun import _exp_in_range, besselK, complex_zeta, log_gamma
 
 
 @dataclass(frozen=True)
@@ -242,19 +242,11 @@ def zeta_Z2_star(s, tau):
     if t < 0.1:
         raise DomainError("Bessel expansion wants Im(tau) >= 0.1")
     n_max = max(1, int(math.ceil(-math.log(1e-16) / (2 * math.pi * t))) + 3)
-    total = 0.0 + 0.0j
-    for n in range(1, n_max + 1):
-        kb = besselK(s - 0.5, 2 * math.pi * n * t)
-        term = (
-            np.exp((s - 0.5) * math.log(n))
-            * _divisor_power_sum(n, 1 - 2 * s)
-            * kb
-            * math.cos(2 * math.pi * n * sigma)
-        )
-        total += term
-    pref = 4.0 * np.exp(s * math.log(math.pi)) / complex_gamma(s) * np.exp(
-        (0.5 - s) * math.log(t)
-    )
+    total = sum(np.exp((s - 0.5) * math.log(n)) * _divisor_power_sum(n, 1 - 2 * s)
+                * besselK(s - 0.5, 2 * math.pi * n * t) * math.cos(2 * math.pi * n * sigma)
+                for n in range(1, n_max + 1))
+    pref = _exp_in_range(math.log(4.0) + s * math.log(math.pi) + (0.5 - s) * math.log(t)
+                         - log_gamma(s), "the Bessel tail's factor 4 pi^s t^(1/2-s) / Gamma(s)")
     return TruncatedValue(value=complex(pref * total), terms_used=n_max)
 
 
@@ -267,14 +259,13 @@ def zeta_Z2_decomposition(s, tau, bound):
     tail (pi/t) B^(1-s)/(s-1) so that only the boundary fluctuation is left.
     """
     (s,), t = finite_exponents(s), complex(tau).imag
+    star = zeta_Z2_star(s, tau)  # first: its Bessel order range is the narrowest
+    # then the main term, whose zeta(2s-1) refuses the pole s = 1 of the tail below
+    main = 2.0 * math.sqrt(math.pi) * complex_zeta(2 * s - 1) * _exp_in_range(
+        log_gamma(s - 0.5) - log_gamma(s) + (1 - 2 * s) * math.log(t),
+        "the main term's Gamma(s-1/2) t^(1-2s) / Gamma(s)")
     direct = zeta_Z2(s, tau, bound)
     direct_value = direct.value + (math.pi / t) * np.exp((1 - s) * math.log(bound)) / (s - 1)
-    main = (
-        2.0 * math.sqrt(math.pi)
-        * complex_gamma(s - 0.5) * complex_zeta(2 * s - 1) / complex_gamma(s)
-        * np.exp((1 - 2 * s) * math.log(t))
-    )
-    star = zeta_Z2_star(s, tau)
     recon = 2.0 * complex_zeta(2 * s) + main + 2.0 * star.value
     residual = abs(direct_value - recon) / abs(direct_value)
     return direct, complex(recon), residual

@@ -20,7 +20,7 @@ from .branch import _dets, _ipow, _is_small_int, power_terms
 from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
-from .specfun import POLE_TOL, complex_gamma, lipschitz_factor
+from .specfun import POLE_TOL, _exp_in_range, lipschitz_factor, log_gamma
 
 # MAX_WORK is far above max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5
 # candidates), the largest in use; _CHUNK terms make 2 MB complex arrays.
@@ -182,7 +182,8 @@ def classical_lipschitz(tau, s, n_bound):
     lhs -= np.exp((1 - s) * np.log(tau - edge)) / (s - 1)
     lhs = complex(require_finite(lhs, "the lattice side"))
     m = np.arange(1, n_bound + 1)
-    pref = np.exp(s * (math.log(2.0 * math.pi) - 0.5j * np.pi)) / complex_gamma(s)
+    pref = _exp_in_range(s * (math.log(2.0 * math.pi) - 0.5j * math.pi) - log_gamma(s),
+                         "(-2 pi i)^s / Gamma(s)")
     rhs = complex(require_finite(
         pref * np.sum(np.exp((s - 1) * np.log(m) + 2j * np.pi * m * tau)), "the Fourier side"))
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
@@ -196,5 +197,5 @@ def classical_lipschitz(tau, s, n_bound):
         lhs_terms=2 * n_bound + 1,
         rhs_terms=n_bound,
         max_abs=n_bound,
-        trace_bound=0,
+        trace_bound=n_bound,
     ), closed_form

@@ -1,11 +1,14 @@
 """Scalar special functions, the degree-3 matrix gamma factor and its cone integral.
 
-complex_gamma uses a 15-term Lanczos rational approximation with reflection;
+log_gamma is the one Gamma: a log of it from a 15-term Lanczos rational
+approximation, reflected in logs, so each Gamma factor is one sum of logs
+that _exp_in_range exponentiates once, or refuses outside the double range.
 complex_zeta uses Euler-Maclaurin with reflection for very negative real part
-(both ~1e-13 relative in the tested ranges).  The cone integral's 1-d factors
-and besselK are trapezoid sums of integrands that decay double exponentially
-(Takahasi-Mori), halved until they settle.  All of it needs numpy alone, so
-the multiprecision values the tests compare with stay an independent check.
+(~1e-13 relative for |Im s| <= 50, ~1e-10 at its range end |Im s| = 1e4).
+The cone integral's 1-d factors and besselK are trapezoid sums of integrands
+that decay double exponentially (Takahasi-Mori), halved until they settle.
+All of it needs numpy alone, so the multiprecision values the tests compare
+with stay an independent check.
 """
 
 from __future__ import annotations
@@ -60,41 +63,49 @@ _BERNOULLI2 = (
 POLE_TOL = 1e-12
 
 
-def complex_gamma(z):
-    """Euler gamma for complex argument (Lanczos + reflection)."""
+def _sin_pi(z):
+    """(a, b) with sin(pi z) = e^a b, |b| <= 2 and b = 0 exactly at the integers,
+    neither overflowing: for Im z >= 0, a = -i pi r - log 2i and b = (-1)^n
+    (e^(2 i pi r) - 1) with r = z - n, n the nearest integer; else conjugates."""
+    n, c = round(z.real), z.imag < 0
+    r = (z - n).conjugate() if c else z - n
+    a = -1j * math.pi * r - complex(math.log(2.0), 0.5 * math.pi)
+    b = (-1) ** n * (cmath.exp(2j * math.pi * r) - 1.0)
+    return (a.conjugate(), b.conjugate()) if c else (a, b)
+
+
+def log_gamma(z):
+    """A log of Euler's Gamma(z) (Lanczos, reflection for Re z < 1/2, all in
+    logs); its branch is free, since every caller exponentiates it."""
     (z,) = finite_exponents(z)
     if round(z.real) <= 0 and abs(z - round(z.real)) <= POLE_TOL:
         raise PoleError("gamma pole at non-positive integer %s" % z)
     if z.real < 0.5:
-        return math.pi / (np.sin(np.pi * z) * complex_gamma(1.0 - z))
+        a, b = _sin_pi(z)
+        return math.log(math.pi) - a - cmath.log(b) - log_gamma(1.0 - z)
     zz = z - 1.0
     acc = _LANCZOS_C[0]
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
         acc += c / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    try:
-        # log space: t^(zz + 1/2) alone overflows long before Gamma does
-        val = math.sqrt(2.0 * math.pi) * cmath.exp((zz + 0.5) * cmath.log(t) - t) * acc
-    except OverflowError as exc:
-        raise DomainError("gamma overflows at %s" % z) from exc
-    if not cmath.isfinite(val):
-        raise DomainError("gamma overflows at %s" % z)
-    return val
+    # (zz + 1/2) log t - t, t = zz + g + 1/2, as one product: its ~|z| log|z| rounds once
+    log_t1 = cmath.log(zz + _LANCZOS_G + 0.5) - 1.0
+    return (zz + 0.5) * log_t1 + cmath.log(acc) + (0.5 * math.log(2.0 * math.pi) - _LANCZOS_G)
 
 
 def complex_zeta(s):
-    """Riemann zeta by Euler-Maclaurin, reflection for Re(s) < -1."""
+    """Riemann zeta by Euler-Maclaurin, reflection for Re(s) < -1.  Range:
+    |Im s| <= 1e4, refused outside before the sum of ~0.8 |Im s| terms is built."""
     (s,) = finite_exponents(s)
     if abs(s - 1.0) <= POLE_TOL:
         raise PoleError("zeta pole at s = 1")
+    if abs(s.imag) > 1e4:
+        raise DomainError("zeta argument %s is outside |Im s| <= 1e4" % s)
     if s.real < -1.0:
-        return (
-            2.0**s
-            * math.pi ** (s - 1.0)
-            * np.sin(np.pi * s / 2.0)
-            * complex_gamma(1.0 - s)
-            * complex_zeta(1.0 - s)
-        )
+        # 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), sin's zeros kept out of the log
+        a, b = _sin_pi(0.5 * s)
+        factor = _exp_in_range(s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + a
+                               + log_gamma(1.0 - s), "zeta's reflection factor")
+        return factor * b * complex_zeta(1.0 - s)
     n = max(24, int(0.8 * abs(s.imag)) + 16)
     terms = np.arange(1, n, dtype=float)
     value = np.sum(terms ** (-s))
@@ -112,13 +123,10 @@ def complex_zeta(s):
 
 def _log_gamma3(s, w, u):
     """log Gamma3 = (3/2) log pi + i pi sigma/2 + the log Gammas at (s+w+u, w+u-1/2,
-    u-1), sigma = s + 2w + 3u; a Gamma that underflows to 0 raises DomainError."""
+    u-1), sigma = s + 2w + 3u."""
     s, w, u = finite_exponents(s, w, u)
-    gammas = [complex_gamma(x) for x in (s + w + u, w + u - 0.5, u - 1.0)]
-    if 0 in gammas:
-        raise DomainError("a gamma factor of Gamma3 underflowed to 0")
     return (1.5 * math.log(math.pi) + 0.5j * math.pi * (s + 2 * w + 3 * u)
-            + sum(map(cmath.log, gammas)))
+            + sum(map(log_gamma, (s + w + u, w + u - 0.5, u - 1.0))))
 
 
 def _exp_in_range(log_value, what):

@@ -1,4 +1,5 @@
 import json
+import resource
 import shlex
 import subprocess
 import sys
@@ -89,6 +90,29 @@ def test_classical_lipschitz(capsys):
     )
     assert code == 0
     assert abs(payload["closed_form"]["re"] + 0.0739998067544724) < 1e-12
+    assert payload["trace_bound"] == 2000  # the Fourier side's forms T = m <= N
+
+
+@pytest.mark.parametrize("argv,ref", [
+    # Gamma(180) overflows a double, Gamma3 does not
+    (["--s", "179", "--w", "101.5", "--u", "-100.5"], 2.57359762468521e167 * (1 + 1j)),
+    # three Gammas ~1e-212, their product ~1e-636 against e^(i pi sigma/2) ~ e^1414
+    (["--s", "0", "--w", "0", "--u=-2-300j"], 4.446126855263826e-21 - 2.791853695480591e-22j),
+], ids=["s=179", "u=-2-300j"])
+def test_eval_gamma3_where_a_gamma_factor_leaves_the_double_range(capsys, argv, ref):
+    code = cli.main(["eval-gamma3", *argv])
+    out, err = capsys.readouterr()
+    value = json.loads(out)["value"]
+    assert code == 0 and err == ""
+    assert abs(complex(value["re"], value["im"]) - ref) <= 1e-12 * abs(ref)
+
+
+def test_classical_lipschitz_where_gamma_overflows(capsys):
+    # Gamma(172) ~ 1e309 overflows a double; (-2 pi i)^s / Gamma(s) ~ e^-391 does not,
+    # and both sides are ~ i^-172 = 1
+    code, payload = run_json(capsys, "classical-lipschitz", "--tau", "1j", "--s", "172")
+    assert code == 0 and payload["relative_gap"] <= 1e-12
+    assert abs(payload["lhs"]["re"] - 1) <= 1e-12
 
 
 def test_verify_lipschitz_small(capsys):
@@ -261,6 +285,10 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     # a Bessel order outside |Re nu|, |Im nu| <= 10, where the quadrature aliases
     (["verify-zetastar", "--s", "2.3+40j", "--tau", "0.3+1.7j", "--bound", "1000"],
      "input error:"),
+    # the Bessel order is checked first: Gamma(s-1/2) and Gamma(s) both underflow here
+    (["verify-zetastar", "--s", "2+500j"], "input error:"),
+    # the pole s = 1 is refused before the integral tail divides by s - 1
+    (["verify-zetastar", "--s", "1"], "input error: zeta pole"),
     # finite exponents whose power overflows: no NaN payload
     (["eval-power", "--s", "2.5", "--w", "4", "--u", "1e308", "--z", Z1], "input error:"),
     # Z = 0 is no Siegel point: the stacked Mobius action refuses the table
@@ -310,6 +338,25 @@ def test_ball_above_the_ceiling_is_refused_before_it_is_built():
 def test_flag_product_above_the_ceiling_is_refused_before_a_ball_is_built():
     # each ball counts ~1.6e7 leaves (~500 MB of rows), their product ~6e13 candidate pairs
     assert _refused_eisenstein_peak_rss("24000") < 200 * 1024
+
+
+def _run_capped(*argv):
+    """Exit code and stderr of a child under a 2 GiB address-space cap: an
+    allocation of gigabytes fails there at once instead of paging."""
+    cap = (2 << 30, 2 << 30)
+    out = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+    return out.returncode, out.stderr
+
+
+def test_huge_zeta_height_is_refused_before_the_sum_is_built():
+    # the Euler-Maclaurin array of 0.8 |Im s| terms would be 5.96 GiB
+    code, err = _run_capped("-c", "from siegel3.specfun import complex_zeta\n"
+                                  "complex_zeta(0.5 + 1e9j)")
+    assert code == 1 and err.splitlines()[-1].startswith("siegel3.errors.DomainError:")
+    # the Epstein and zeta sums of verify-zetastar would ask for 11.9 GiB
+    code, err = _run_capped("-m", "siegel3.cli", "verify-zetastar", "--s", "2+1e9j")
+    assert code == 1 and err.startswith("input error:") and len(err.splitlines()) == 1
 
 
 def test_cold_start_imports_no_scipy():

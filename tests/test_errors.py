@@ -23,7 +23,7 @@ ENTRY_POINTS = {
     "real_analytic_E": lambda x: eis.real_analytic_E(1j, x, 10),
     "zeta_Z2_star": lambda x: eis.zeta_Z2_star(x, 1j),
     "classical_lipschitz": lambda x: lip.classical_lipschitz(1j, x, 10),
-    "complex_gamma": sf.complex_gamma,
+    "log_gamma": sf.log_gamma,
     "complex_zeta": sf.complex_zeta,
 }
 

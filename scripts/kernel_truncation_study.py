@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Truncated kernel values across class and flag truncation levels.
 
-The kernel sum over classes converges quickly in the determinant bound at a
-well-conditioned point (the per-class weight decays exponentially through the
-Poincare factor); this script tabulates the value as the truncations grow.
+The kernel sum over classes converges slowly in the determinant bound, by
+design: inside the admissible region the per-class weight decays only
+polynomially in det T, and outside it (the library then prints a warning)
+the sum need not converge at all.  This script tabulates the value and its
+change as the class bound grows.
 
 Usage:
     python scripts/kernel_truncation_study.py --k 24

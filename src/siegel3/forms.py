@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, permutations
+from functools import lru_cache, reduce
+from itertools import permutations
 from math import floor, inf, isqrt
 from operator import index
 
@@ -82,13 +82,7 @@ class ReducedForm:
     reducer: tuple  # U with T[U] == form
 
     def satisfies_inequalities(self):
-        f = self.form
-        return (
-            1 <= f.t1 <= f.t2 <= f.t3
-            and 0 <= f.b12 <= f.t1
-            and abs(f.b13) <= f.t1
-            and 0 <= f.b23 <= f.t2
-        )
+        return bool(_is_reduced(*self.form.key()))
 
 
 # --- exact lattice point enumeration ----------------------------------------
@@ -96,6 +90,9 @@ class ReducedForm:
 # Candidate vectors, or forms, built as one array; also the least candidate
 # forms per run of diagonals on the fast side of the summation identity.
 _CHUNK = 1 << 17
+# Lanes per stack when the class box is reduced: 32 keep its working set under 1 MB
+# at det T <= 20.
+_LANES = 32
 # Largest coordinate for int64 kernels: |det(v1, v2, v3)| <= 6 * coord^3 < 2^63.
 _INT64_COORD = 1 << 20
 # A short-vector ball: the record array of q = g[v] and v, 32 B per row.
@@ -111,12 +108,13 @@ def _pairwise_reduced(g):
     while changed:
         changed = False
         for i, j in permutations(range(3), 2):
-            if 2 * abs(h[i][j]) > h[j][j]:
-                k = (2 * h[i][j] + h[j][j]) // (2 * h[j][j])
-                h[i] = [x - k * y for x, y in zip(h[i], h[j])]
-                for row, x in zip(h, h[i]):
+            hij, hjj = h[i][j], h[j][j]
+            if 2 * abs(hij) > hjj:
+                k = (2 * hij + hjj) // (2 * hjj)
+                hi = h[i] = [x - k * y for x, y in zip(h[i], h[j])]
+                for row, x in zip(h, hi):
                     row[i] = x
-                h[i][i] -= k * h[i][j]
+                hi[i] -= k * hi[j]
                 for row in u:
                     row[i] -= k * row[j]
                 changed = True
@@ -124,116 +122,104 @@ def _pairwise_reduced(g):
 
 
 def short_vectors_gram(g, bound):
-    """All integer v != 0 with g[v] <= bound, as an int64 record array with
-    fields q = g[v] and v (3 entries), sorted by (q, v); by Fincke-Pohst
-    enumeration on a pairwise-reduced basis of the positive-definite 3x3
-    integer g (its float LDL stays accurate when g is skewed).
-
-    The ranges are built level by level as arrays, with slack, _CHUNK rows at
-    a time; every level is counted before a leaf is built (above MAX_WORK
-    candidates on one level, or MAX_BALL leaves, the ball is refused); each
-    candidate's value is checked exactly (int64 where no partial sum can
-    overflow, else Python ints), so ``bound`` may be floored.
-    """
+    """All integer v != 0 with g[v] <= bound, as an int64 record array with fields
+    q = g[v] and v (3 entries), sorted by (q, v): one lane of _fincke_pohst on a
+    pairwise-reduced basis of the 3x3 integer g > 0 (so its float LDL stays
+    accurate when g is skewed); values are checked exactly, bound may be floored."""
     return _short_vectors(g, bound)
 
 
 def _short_vectors(g, bound, count=False):
-    """short_vectors_gram(g, bound), or (count) only the leaves its enumeration
-    counts, more than its rows, with none built."""
-    g = [[index(x) for x in row] for row in g]
-    bound = floor(Fraction(bound))
+    """short_vectors_gram(g, bound), or (count) its counted leaves, none built."""
+    g, bound = [[index(x) for x in row] for row in g], floor(Fraction(bound))
     if bound <= 0:
         return 0 if count else np.empty(0, _BALL)
     if not _positive_definite(g):
         raise NotPositiveDefinite("matrix is not positive definite")
-    return _fincke_pohst(*_pairwise_reduced(g), bound, count)
+    out = _fincke_pohst(*il.exact_array(_pairwise_reduced(g), 1 << 63)[:, None], [bound], count)
+    return int(out[0]) if count else out[1]
 
 
 def _fincke_pohst(h, u, bound, count=False):
-    """short_vectors_gram(g, bound), bound an int > 0, as v = u w with h[w] <= bound
-    for the pairwise-reduced h = u^T g u; or (count) only its counted leaves."""
-    if bound > 1 << 62:
+    """Short-vector balls of a stack of lanes: lane i holds every v = u_i w != 0
+    with h_i[w] <= bound_i (h, u: (N, 3, 3) integer stacks, h_i = u_i^T g_i u_i
+    pairwise reduced, so q = g_i[v]), as (lane, ball) sorted by (lane, q, v), or
+    (count) each lane's counted leaves.  With h = L L^T, h[w] = sum_k d_k (w_k +
+    c_k)^2, d_k = L_kk^2, c_k = sum_(j>k) a_jk w_j; a node of level k holds its
+    lane, w_2 .. w_(k+1) and remainder.  Ranges have slack and are built _CHUNK
+    rows at a time; each level is counted per lane (above MAX_WORK candidates on
+    one, or MAX_BALL leaves, the stack is refused) before a leaf is built."""
+    if max(bound) > 1 << 62:
         raise DomainError("short-vector bound above 2^62")
+    bound = np.array(bound, dtype=np.int64)
     try:
-        chol = np.linalg.cholesky(np.array(h, dtype=float))
+        chol = np.linalg.cholesky(h.astype(float))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("LDL pivot <= 0") from None
-    d, r = np.diag(chol) ** 2, (chol / np.diag(chol)).T  # h = r^T diag(d) r
+    diag = chol.diagonal(axis1=1, axis2=2)
+    d, a = (diag ** 2).T.copy(), (chol / diag[:, None, :]).transpose(1, 2, 0).copy()
     slack = 1e-6 * (1.0 + bound)
 
-    def ranges(nodes, level, counts):
-        """Each node's range of the next coordinate; their sizes add to counts[level]."""
-        _, c, rem = nodes
-        radius = np.sqrt(np.maximum(rem, 0.0) / d[level])
-        lo = np.trunc(-c[:, level] - radius - 1.0).astype(np.int64)
-        n = np.trunc(-c[:, level] + radius + 1.0).astype(np.int64) + 1 - lo
-        counts[level] += int(n.sum())
-        if counts[level] > MAX_WORK:
-            raise DomainError("more than %d candidate vectors with g[v] <= %d" % (MAX_WORK, bound))
-        return lo, n, np.cumsum(n)
+    def ranges(node, k, counts):
+        """The centre c_k and range (lo, size) of w_k at each node, counted."""
+        lane, cols, rem = node
+        c = sum((x * a[2 - j, k][lane] for j, x in enumerate(cols)), np.zeros(len(lane)))
+        radius = np.sqrt(np.maximum(rem, 0.0) / d[k][lane])
+        lo = (-c - radius - 1.0).astype(np.int64)
+        n = (-c + radius + 1.0).astype(np.int64) + 1 - lo
+        counts[k] += np.bincount(lane, n, len(bound))
+        if counts[k].max() > MAX_WORK:
+            raise DomainError("more than %d candidate vectors with g[v] <= %d"
+                              % (MAX_WORK, bound[np.argmax(counts[k] > MAX_WORK)]))
+        return c, lo, n
 
-    def chunks(nodes, level, counts):
-        """The children (w, centers, remainders) of nodes in the ball, _CHUNK at a time."""
-        (v, c, rem), (lo, n, ends) = nodes, ranges(nodes, level, counts)
-        rows = int(n.sum())
-        for start in range(0, rows, _CHUNK):
-            i = np.arange(start, min(start + _CHUNK, rows))
-            p = np.searchsorted(ends, i, side="right")
-            x = lo[p] + i - (ends[p] - n[p])
-            contrib = d[level] * (x + c[p, level]) ** 2
-            keep = contrib <= rem[p] + slack
-            p, x = p[keep], x[keep]
-            w = v[p]
-            w[:, level] = x
-            yield w, c[p] + np.outer(x, r[:, level]), rem[p] - contrib[keep]
+    def descend(nodes, k, counts):
+        """The children in the ball of (node, ranges) pairs of level k, counted."""
+        for (lane, cols, rem), (c, lo, n) in nodes:
+            ends = n.cumsum()
+            first, tol, dk = ends - n - lo, rem + slack[lane], d[k][lane]
+            for start in range(0, int(ends[-1]) if len(ends) else 0, _CHUNK):
+                p = ends.searchsorted(i := np.arange(start, min(start + _CHUNK, ends[-1])), "right")
+                x = i - first[p]
+                term = dk[p] * (x + c[p]) ** 2
+                p, x, term = p[keep := term <= tol[p]], x[keep], term[keep]
+                child = lane[p], [col[p] for col in cols] + [x], k and rem[p] - term
+                yield child, k and ranges(child, k - 1, counts)
 
-    def mids(counts):
-        root = np.zeros((1, 3), np.int64), np.zeros((1, 3)), np.array([bound + slack])
-        return (mid for top in chunks(root, 2, counts) for mid in chunks(top, 1, counts))
+    def mids(counts):  # the nodes of level 0, with their ranges
+        root = np.arange(len(bound)), [], bound + slack
+        return descend(descend([(root, ranges(root, 2, counts))], 2, counts), 1, counts)
 
-    counts, kept = [0, 0, 0], []
-    for mid in mids(counts):  # count every level before a leaf is built
-        ranges(mid, 0, counts)
-        if counts[1] <= _CHUNK:  # a ball of few rows keeps them
-            kept.append(mid)
-    if counts[0] > MAX_BALL:
+    counts = np.zeros((3, len(bound)))
+    kept = [mid for mid in mids(counts) if counts[1].sum() <= _CHUNK]  # few rows are kept
+    if counts[0].max() > MAX_BALL:
+        over = np.argmax(counts[0] > MAX_BALL)
         raise DomainError("%d candidate vectors with g[v] <= %d, above the ball ceiling of %d"
-                          % (counts[0], bound, MAX_BALL))
+                          % (counts[0][over], bound[over], MAX_BALL))
     if count:
-        return counts[0]
-    hsum, umax = sum(abs(x) for row in h for x in row), max(map(abs, chain(*u)))
-    ball, end = np.empty(counts[0], _BALL), 0  # pages are touched row by row
-    for mid in kept if counts[1] <= _CHUNK else mids([0, 0, 0]):
-        for w, _, _ in chunks(mid, 0, [0, 0, 0]):
-            w = w[w.any(axis=1)]
-            m = int(np.abs(w).max(initial=1))
-            if hsum * m * m >= 1 << 63 or 3 * umax * m >= 1 << 63:
-                w = w.astype(object)
-            q = ((w @ np.array(h, dtype=w.dtype)) * w).sum(axis=1)
-            keep = q <= bound
-            rows = slice(end, end + int(np.count_nonzero(keep)))
-            ball["q"][rows], ball["v"][rows] = q[keep], w[keep] @ np.array(u, dtype=w.dtype).T
-            end = rows.stop
-    ball = ball[:end]
-    return ball[np.lexsort((*ball["v"].T[::-1], ball["q"]))]
+        return counts[0].astype(np.int64)
+    hsum, umax, end = np.abs(h).sum(dtype=float), float(np.abs(u).max()), 0  # over all lanes
+    ball, lanes = np.empty(total := int(counts[0].sum()), _BALL), np.empty(total, np.intp)
+    leaves = descend(kept if counts[1].sum() <= _CHUNK else mids(counts * 0), 0, counts)
+    for (lp, cols, _), _ in leaves:  # the pages of ball are touched row by row
+        w = np.array(cols[::-1]).T
+        m = int(np.abs(w).max(initial=1))
+        if max(hsum * m, 3 * umax) * m >= 2.0 ** 62:  # in floats, with a factor 2 to spare
+            w = w.astype(object)  # a partial sum could leave int64: exact ints
+        sel = lp[:1] if lp.size and lp[0] == lp[-1] else lp  # a one-lane chunk gathers nothing
+        q = (w[:, None, :] @ h[sel] @ w[:, :, None])[:, 0, 0]
+        keep = (q <= bound[lp]) & (q > 0)  # q = 0 only at w = 0
+        rows = slice(end, end + int(np.count_nonzero(keep)))
+        ball["q"][rows], lanes[rows] = q[keep], lp[keep]
+        ball["v"][rows] = (u[sel] @ w[:, :, None])[keep, :, 0]
+        end = rows.stop
+    order = np.lexsort((*ball["v"][:end].T[::-1], ball["q"][:end], lanes[:end]))
+    return lanes[order], ball[order]
 
 
-def _ball(t, reduce_basis=False):
-    """Values and vectors of (2T)[v] <= R, R the max diag of 2T, or (reduce_basis)
-    of its pairwise-reduced basis h, still >= lambda3, whose ball is enumerated
-    on h as it stands.  int64 below _INT64_COORD and 2T < 2^62, where each value
-    bounded by R (Cauchy-Schwarz) is exact."""
-    if not t.is_positive_definite():
-        raise NotPositiveDefinite("form is not positive definite")
-    if reduce_basis:
-        h, u = _pairwise_reduced(t.gram2())
-        ball = _fincke_pohst(h, u, max(h[0][0], h[1][1], h[2][2]))
-    else:  # the public enumerator reduces the basis itself
-        ball = short_vectors_gram(t.gram2(), 2 * max(t.t1, t.t2, t.t3))
-    q, v = ball["q"], ball["v"]
-    int64 = np.abs(v).max() < _INT64_COORD and max(t.t1, t.t2, t.t3) < 1 << 61
-    return q, v if int64 else v.astype(object)
+def _exact(v, top):
+    """v, as Python ints unless |v| < _INT64_COORD and top = max diag T < 2^61."""
+    return v if abs(v).max(initial=0) < _INT64_COORD and top < 1 << 61 else v.astype(object)
 
 
 def first_nonzero_positive(v):
@@ -245,13 +231,51 @@ def first_nonzero_positive(v):
 _SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
 
 
-def _least(q, pool):
-    """Row and column of every least-q member of each row of the mask pool."""
-    m = np.where(pool, q, q[-1] + 1).min(axis=1)
-    return np.nonzero(pool & (q == m[:, None]))
+def _is_reduced(t1, t2, t3, b12, b13, b23):
+    """Minkowski's inequalities on a key, or on arrays of keys."""
+    return ((1 <= t1) & (t1 <= t2) & (t2 <= t3) & (0 <= b12) & (b12 <= t1)
+            & (abs(b13) <= t1) & (0 <= b23) & (b23 <= t2))
 
 
-def minkowski_reduce(t, cover=None):
+def _minkowski_lanes(g, h, u):
+    """The int64 (N, 6) keys and (N, 3, 3) reducers U (T[U] = key) that
+    minkowski_reduce gives for a stack of g = 2T > 0 with pairwise-reduced bases
+    h = u^T g u: one Fincke-Pohst pass enumerates every ball at R = max diag h
+    (>= lambda3), and the pools, least members and keys are grouped by lane."""
+    lane, ball = _fincke_pohst(h, u, h.diagonal(axis1=1, axis2=2).max(axis=1))
+    sign = first_nonzero_positive(ball["v"])
+    lane, q = lane[sign], ball["q"][sign]  # one sign, still sorted by (lane, q, v)
+    v = _exact(ball["v"][sign], g.diagonal(axis1=1, axis2=2).max() // 2)
+    start = lane.searchsorted(np.arange(len(g) + 1))
+    size, top = start[1:] - start[:-1], q.max() + 1
+
+    def least(rows, pool):
+        """(k, j): the least-q rows j of the lane of rows[k] with pool(k, j)."""
+        n = size[lane[rows]]
+        first = n.cumsum() - n
+        k = np.arange(len(rows)).repeat(n)
+        j = np.arange(len(k)) + (start[lane[rows]] - first).repeat(n)
+        ok = pool(k, j)
+        ok &= q[j] == np.minimum.reduceat(np.where(ok, q[j], top), first)[k]
+        return k[ok], j[ok]
+
+    i1 = (q == q[start[:-1]][lane]).nonzero()[0]
+    k, i2 = least(i1, lambda k, j: reduce(np.gcd, il.cross3(v[i1[k]].T, v[j].T)) == 1)
+    i1 = i1[k]
+    n = np.array(il.cross3(v[i1].T, v[i2].T)).T
+    k, i3 = least(i1, lambda k, j: abs((n[k] * v[j]).sum(axis=1)) == 1)
+    idx = np.array([i1[k], i2[k], i3]).T  # (v1, v2, v3) of triple c, in order
+    b = ((v[idx[:, [0, 0, 1]]] @ g[lane[idx[:, 0]]]) * v[idx[:, [1, 2, 2]]]).sum(axis=2)
+    b = b.astype(np.int64, copy=False)[:, None, :] * (_SIGNS[:, [0, 0, 1]] * _SIGNS[:, [1, 2, 2]])
+    keys = np.concatenate([(q[idx] // 2).repeat(4, axis=0), b.reshape(-1, 3)], axis=1)  # 4 c + sign
+    ok = ((keys[:, 3] >= 0) & (keys[:, 5] >= 0)).nonzero()[0]
+    by_lane = lane[idx[ok // 4, 0]]
+    order = np.lexsort((*keys[ok].T[::-1], by_lane))  # stable: by lane, key, then (c, sign)
+    best = ok[order[by_lane[order].searchsorted(np.arange(len(g)))]]  # each lane's first least
+    return keys[best], v[idx[best // 4]].swapaxes(1, 2).astype(np.int64) * _SIGNS[best % 4, None]
+
+
+def minkowski_reduce(t):
     """Canonical Minkowski-reduced representative of the class of T.
 
     Greedy successive minima specialized to rank 3, followed by sign
@@ -259,33 +283,15 @@ def minkowski_reduce(t, cover=None):
     minimizing bases, which makes the output class-canonical and idempotent.
     In rank 3 these are the minima, so one ball (2T)[v] <= R >= lambda3 holds
     the pools (minimal v, then gcd(v1 x v) = 1, then |(v1 x v2) . v| = 1); keys
-    come from bilinear products, the first least in (v1, v2, v3, sign) order wins.
-    A set passed as ``cover`` gets the key of every candidate T[U] with b12,
-    b23 >= 0 the search met; all of them are in the class of T.
-    """
-    q, v = _ball(t, reduce_basis=True)
-    sign = first_nonzero_positive(v)
-    q, v = q[sign], v[sign]  # one sign, still sorted by (q, v)
-    i1 = np.flatnonzero(q == q[0])
-    r, i2 = _least(q, np.gcd.reduce(il.cross3(v[i1].T[:, :, None], v.T[:, None, :])) == 1)
-    i1 = i1[r]
-    r, i3 = _least(q, abs(np.stack(il.cross3(v[i1].T, v[i2].T), axis=1) @ v.T) == 1)
-    i1, i2 = i1[r], i2[r]
-    gv = v @ np.array(t.gram2(), dtype=v.dtype)
-    b = np.stack([(gv[i] * v[j]).sum(axis=1) for i, j in ((i1, i2), (i1, i3), (i2, i3))], axis=1)
-    b = b[:, None, :] * (_SIGNS[:, [0, 0, 1]] * _SIGNS[:, [1, 2, 2]])  # 4 c + s: triple c, sign s
-    diag = np.repeat(np.stack([q[i1], q[i2], q[i3]], axis=1) // 2, 4, axis=0)
-    keys = np.concatenate([diag, b.reshape(-1, 3)], axis=1)
-    ok = np.flatnonzero((keys[:, 3] >= 0) & (keys[:, 5] >= 0))
-    best = ok[np.lexsort(keys[ok].T[::-1])[0]]  # stable: the first least key
-    c, e = best // 4, _SIGNS[best % 4]
-    u = v[[i1[c], i2[c], i3[c]]].tolist()
-    red = ReducedForm(form=HalfIntegralForm(*keys[best].tolist()),
-                      reducer=tuple(tuple(int(e[j]) * u[j][k] for j in range(3)) for k in range(3)))
+    come from bilinear products, the first least in (v1, v2, v3, sign) order
+    wins.  One lane of _minkowski_lanes."""
+    if not t.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
+    g = t.gram2()
+    keys, reducer = _minkowski_lanes(*il.exact_array([g, *_pairwise_reduced(g)], 1 << 63)[:, None])
+    red = ReducedForm(HalfIntegralForm(*keys[0].tolist()), tuple(map(tuple, reducer[0].tolist())))
     if not red.satisfies_inequalities():
         raise AssertionError("reduction produced a non-reduced form: %r" % (red.form,))
-    if cover is not None:
-        cover.update(map(tuple, keys[ok].tolist()))
     return red
 
 
@@ -295,8 +301,10 @@ def automorphism_count(t):
     the columns c_j of g have (2T)[c_j] = (2T)_jj, so they lie in one ball,
     their bilinear products are the off-diagonal of 2T, and det g =
     (c1 x c2) . c3 = 1."""
-    q, v = _ball(t)
-    g = t.gram2()
+    if not t.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
+    ball = short_vectors_gram(g := t.gram2(), 2 * max(t.t1, t.t2, t.t3))
+    q, v = ball["q"], _exact(ball["v"], max(t.t1, t.t2, t.t3))
     gm = np.array(g, dtype=v.dtype)
     c1, c2, c3 = (v[q == g[j][j]] for j in range(3))
     i, j = np.nonzero(c1 @ gm @ c2.T == g[0][1])
@@ -355,11 +363,10 @@ def enumerate_J(trace_bound, run=None):
 def reduced_classes(det_bound):
     """One canonical representative per GL3(Z)-class with det T <= det_bound.
 
-    Enumerates the reduced inequality box (with margin over the classical
-    bound t1 t2 t3 <= 2 det T), canonicalizes and dedupes; a box form that an
-    earlier reduction met as a candidate is in a known class and is skipped.
-    A box of more than MAX_WORK candidates is refused before any reduction.
-    """
+    Enumerates the reduced inequality box (with margin over the classical bound
+    t1 t2 t3 <= 2 det T), whose forms are their own pairwise-reduced bases,
+    reduces each definite one once, _LANES to a stack, and dedupes; a box of
+    more than MAX_WORK candidates is refused before any reduction."""
     return list(_reduced_classes_cached(Fraction(det_bound)))
 
 
@@ -373,11 +380,15 @@ def _reduced_classes_cached(det_bound):
             if work > MAX_WORK:
                 raise DomainError("more than %d candidate forms with det T <= %s"
                                   % (MAX_WORK, det_bound))
-    seen, covered, det2_max = {}, set(), floor(8 * det_bound)
-    for t1, t2, t3s in diagonals:  # b12 <= t1 <= t2 keeps 4 t1 t2 - b12^2 > 0
-        for t3 in t3s:
-            for key in _definite_rows(t1, t2, t3, (0, -t1, 0), (t1, t1, t2), det2_max).tolist():
-                if tuple(key) not in covered:
-                    red = minkowski_reduce(HalfIntegralForm(*key), cover=covered)
-                    seen.setdefault(red.form.key(), red.form)
-    return tuple(sorted(seen.values(), key=lambda f: (f.det(), f.key())))
+    rows = np.concatenate([np.empty((0, 6), np.int64)] + [  # b12 <= t1 <= t2: 4 t1 t2 > b12^2
+        _definite_rows(t1, t2, t3, (0, -t1, 0), (t1, t1, t2), floor(8 * det_bound))
+        for t1, t2, t3s in diagonals for t3 in t3s])
+    g = rows[:, [0, 3, 4, 3, 1, 5, 4, 5, 2]].reshape(-1, 3, 3) * [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    u = np.broadcast_to(np.eye(3, dtype=np.int64), g.shape)
+    keys = np.concatenate([np.empty((0, 6), np.int64)] + [
+        _minkowski_lanes(g[i:i + _LANES], g[i:i + _LANES], u[i:i + _LANES])[0]
+        for i in range(0, len(g), _LANES)])
+    if not _is_reduced(*keys.T).all():
+        raise AssertionError("reduction produced a non-reduced form: %r" % (keys.tolist(),))
+    classes = [HalfIntegralForm(*k) for k in set(map(tuple, keys.tolist()))]
+    return tuple(sorted(classes, key=lambda f: (f.det(), f.key())))

@@ -182,10 +182,11 @@ def classical_lipschitz(tau, s, n_bound):
     lhs -= np.exp((1 - s) * np.log(tau - edge)) / (s - 1)
     lhs = complex(require_finite(lhs, "the lattice side"))
     m = np.arange(1, n_bound + 1)
-    pref = _exp_in_range(s * (math.log(2.0 * math.pi) - 0.5j * math.pi) - log_gamma(s),
-                         "(-2 pi i)^s / Gamma(s)")
-    rhs = complex(require_finite(
-        pref * np.sum(np.exp((s - 1) * np.log(m) + 2j * np.pi * m * tau)), "the Fourier side"))
+    log_pref = s * (math.log(2.0 * math.pi) - 0.5j * math.pi) - log_gamma(s)
+    shift = log_pref.real - min(max(log_pref.real, -700.0), 700.0)  # past e^(+-700): to the terms
+    pref = _exp_in_range(log_pref - shift, "(-2 pi i)^s / Gamma(s)")
+    terms = np.exp(shift + (s - 1) * np.log(m) + 2j * np.pi * m * tau)
+    rhs = complex(require_finite(pref * np.sum(terms), "the Fourier side"))
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     closed_form = None
     if abs(s - 2.0) < 1e-14:

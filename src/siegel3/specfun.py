@@ -103,6 +103,8 @@ def complex_zeta(s):
     if s.real < -1.0:
         # 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), sin's zeros kept out of the log
         a, b = _sin_pi(0.5 * s)
+        if b == 0:  # a trivial zero, s = -2n: exactly 0 before the factor can overflow
+            return 0j
         factor = _exp_in_range(s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + a
                                + log_gamma(1.0 - s), "zeta's reflection factor")
         return factor * b * complex_zeta(1.0 - s)

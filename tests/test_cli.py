@@ -115,6 +115,14 @@ def test_classical_lipschitz_where_gamma_overflows(capsys):
     assert abs(payload["lhs"]["re"] - 1) <= 1e-12
 
 
+def test_classical_lipschitz_where_its_prefactor_underflows(capsys):
+    # (-2 pi i)^s / Gamma(s) ~ e^-1259 underflows, the peak Fourier term ~ e^1257
+    # does not: their logs add term by term, and both sides are ~ i^-400 = 1
+    code, payload = run_json(capsys, "classical-lipschitz", "--tau", "1j", "--s", "400")
+    assert code == 0 and payload["relative_gap"] <= 1e-11
+    assert abs(payload["lhs"]["re"] - 1) <= 1e-12
+
+
 def test_verify_lipschitz_small(capsys):
     code, payload = run_json(
         capsys, "verify-lipschitz", "--max-abs", "4", "--trace-bound", "9",
@@ -309,6 +317,8 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["eval-km", "--s", "-400", "--det-bound", "10"], "input error:"),
     (["eval-km", "--s", "1e300", "--det-bound", "2"], "input error:"),
     (["classical-lipschitz", "--tau", "1j", "--s", "2+1000j", "--bound", "10"], "input error:"),
+    # a Fourier term ~ e^1260 / Gamma(-400.5): that side overflows
+    (["classical-lipschitz", "--tau", "1j", "--s", "-400.5", "--bound", "1"], "input error:"),
     # the integral tails of the classical formula divide by s - 1
     (["classical-lipschitz", "--tau", "1j", "--s", "1"], "input error:"),
 ]

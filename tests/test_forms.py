@@ -1,8 +1,8 @@
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import floor, gcd, isqrt
+from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -424,9 +424,19 @@ def test_huge_entries_stay_exact():
     assert forms.congruence_form(skewed, [list(row) for row in red.reducer]) == red.form
 
 
+def _lanes(ts):
+    """The reductions of the forms ts, found as one stack of _minkowski_lanes."""
+    pairs = [forms._pairwise_reduced(t.gram2()) for t in ts]
+    g, h, u = ([t.gram2() for t in ts], [h for h, _ in pairs], [u for _, u in pairs])
+    keys, reducers = forms._minkowski_lanes(np.array(g), np.array(h), np.array(u))
+    return [forms.ReducedForm(form=forms.HalfIntegralForm(*k), reducer=tuple(map(tuple, r)))
+            for k, r in zip(keys.tolist(), reducers.tolist())]
+
+
 def test_reduce_matches_recursive_oracle():
-    for t in _box(20) + _scrambles():
-        assert forms.minkowski_reduce(t) == _recursive_minkowski_reduce(t), t
+    ts = _box(20) + _scrambles()
+    for t, lane in zip(ts, _lanes(ts)):  # one stack of 1274 lanes
+        assert forms.minkowski_reduce(t) == lane == _recursive_minkowski_reduce(t), t
 
 
 def test_automorphism_count_matches_recursive_oracle():
@@ -438,61 +448,44 @@ def test_python_int_path_matches_int64_path(monkeypatch):
     cases = _box(20)[::31] + _scrambles()[::20]
 
     def run():
-        out = []
-        for t in cases:
-            cover = set()
-            out.append((forms.minkowski_reduce(t, cover=cover), cover,
-                        forms.automorphism_count.__wrapped__(t)))
-        return out
+        return ([forms.minkowski_reduce(t) for t in cases], _lanes(cases),
+                [forms.automorphism_count.__wrapped__(t) for t in cases])
 
     expect = run()
     monkeypatch.setattr(forms, "_INT64_COORD", 1)  # every ball as Python ints
     assert run() == expect
 
 
-def test_reduced_classes_cover_matches_uncovered_dedupe():
-    reps = {forms.minkowski_reduce(t).form for t in _box(20)}
+def test_a_stack_mixes_skewed_and_huge_lanes_with_normal_ones():
+    # a lane with coordinates past 2^20 turns the stack's search to Python
+    # ints, and one with entries near 2^60 its value checks
+    t0 = forms.HalfIntegralForm(1, 1, 2, 0, 0, 1)
+    skewed = forms.congruence_form(t0, [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]])
+    huge = forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1, 2**59)
+    ts = [_box(20)[5], skewed, _scrambles()[3], huge, t0]
+    lanes = _lanes(ts)
+    assert lanes == [forms.minkowski_reduce(t) for t in ts]
+    assert lanes[1].form == lanes[4].form
+
+
+@pytest.mark.parametrize("ceiling, value", [("MAX_WORK", 1000), ("MAX_BALL", 100)])
+def test_a_refused_lane_refuses_its_stack_as_one_form(monkeypatch, ceiling, value):
+    big = forms.HalfIntegralForm(1, 1, 1000, 0, 0, 0)  # R = 2000, ~3000 vectors
+    monkeypatch.setattr(forms, ceiling, value)
+    with pytest.raises(DomainError) as one:
+        forms.minkowski_reduce(big)
+    with pytest.raises(DomainError) as stack:
+        _lanes([I3, big, _box(20)[9]])
+    assert str(stack.value) == str(one.value)
+    assert _lanes([I3, _box(20)[9]]) == [forms.minkowski_reduce(t) for t in (I3, _box(20)[9])]
+
+
+def test_reduced_classes_match_one_form_dedupe():
+    box = _box(20)
+    reps = {forms.minkowski_reduce(t).form for t in box}
     assert forms.reduced_classes(20) == sorted(reps, key=lambda f: (f.det(), f.key()))
-    for t in _box(20)[::25] + _scrambles()[::25]:
-        cover = set()
-        red = forms.minkowski_reduce(t, cover=cover)
-        assert red == forms.minkowski_reduce(t)
-        assert red.form.key() in cover  # every candidate is in the class of t
-        assert {forms.minkowski_reduce(forms.HalfIntegralForm(*k)).form
-                for k in cover} == {red.form}
-
-
-def _old_class_box_sequence(det_bound, reduce):
-    """The forms that the per-candidate class box loop, which the array box
-    kernel replaced, hands to ``reduce`` in order (oracle)."""
-    box, covered, out = floor(4 * det_bound), set(), []
-    for t1 in range(1, box + 1):
-        for t2 in range(t1, isqrt(box // t1) + 1):
-            for t3 in range(t2, box // (t1 * t2) + 1):
-                for b in product(range(t1 + 1), range(-t1, t1 + 1), range(t2 + 1)):
-                    f = forms.HalfIntegralForm(t1, t2, t3, *b)
-                    if f.key() in covered or not f.is_positive_definite() or f.det() > det_bound:
-                        continue
-                    out.append(f)
-                    reduce(f, cover=covered)
-    return out
-
-
-def test_class_box_kernel_hands_reduction_the_old_sequence(monkeypatch):
-    bounds = [Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(7, 2), Fraction(10),
-              Fraction(20)]
-    expected = [_old_class_box_sequence(b, forms.minkowski_reduce) for b in bounds]
-    calls, reduce = [], forms.minkowski_reduce
-
-    def recording(t, cover=None):
-        calls.append(t)
-        return reduce(t, cover=cover)
-
-    monkeypatch.setattr(forms, "minkowski_reduce", recording)
-    for det_bound, sequence in zip(bounds, expected):
-        calls.clear()
-        forms._reduced_classes_cached.__wrapped__(det_bound)  # the uncached body
-        assert calls == sequence, det_bound
+    # the class box is reduced as its own pairwise-reduced bases
+    assert all(forms._pairwise_reduced(t.gram2()) == (t.gram2(), il.identity(3)) for t in box)
 
 
 def test_automorphism_count_rejects_indefinite_forms():

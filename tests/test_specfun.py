@@ -242,6 +242,18 @@ def test_zeta_reflection_where_its_gamma_overflows(s, trivial_zero):
     assert sf.complex_zeta(trivial_zero) == 0
 
 
+def test_zeta_trivial_zeros_past_the_reflection_factor_range():
+    # at s = -260 and -300 the factor 2^s pi^(s-1) Gamma(1-s) alone overflows;
+    # sin(pi s / 2) = 0 makes the value exactly 0
+    for n in (130, 150):
+        assert sf.complex_zeta(-2.0 * n) == 0
+    with mpmath.workdps(30):
+        ref = complex(mpmath.zeta(-259.5))  # ~4e307: its factor stays in range
+    assert abs(sf.complex_zeta(-259.5) - ref) <= 1e-12 * abs(ref)  # as before the change
+    with pytest.raises(DomainError, match="reflection factor"):
+        sf.complex_zeta(-261.5)  # ~7e310 overflows
+
+
 def test_gamma3_where_the_gamma_product_overflows():
     # Gamma(170.5) Gamma(160) is past the double range, Gamma3 itself is not
     s, w, u = 10, 320, -159.5

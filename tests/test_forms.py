@@ -381,8 +381,11 @@ def test_short_vectors_of_a_skewed_form_are_the_moved_ball():
 def test_short_vectors_chunked_build_matches_one_chunk(monkeypatch):
     cases = [(t.gram2(), 60) for t in _box(20)[::97]]
     whole = [_as_list(forms.short_vectors_gram(g, b)) for g, b in cases]
+    stack = _box(20)[::37] + _scrambles()[::37]
+    lanes = _lanes(stack)
     monkeypatch.setattr(forms, "_CHUNK", 7)  # many row and leaf chunks
     assert [_as_list(forms.short_vectors_gram(g, b)) for g, b in cases] == whole
+    assert _lanes(stack) == lanes  # chunks that cross lanes, and nodes built again
 
 
 def test_short_vectors_refuse_work_above_the_ceiling():

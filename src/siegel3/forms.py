@@ -339,11 +339,16 @@ def _definite_rows(t1, t2, t3, lo, hi, det2_max=inf):
     0 < det(2T) <= det2_max, as an int64 N x 6 array of key() rows in
     lexicographic order.  For a box where 2 t1 and 4 t1 t2 - b12^2 are
     positive, the exact det(2T) > 0 decides definiteness."""
-    b12, b13, b23 = np.ogrid[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
+    b12, b13, b23 = (np.arange(low, high + 1).reshape((-1,) + (1,) * k)  # an open grid
+                     for low, high, k in zip(lo, hi, (2, 1, 0)))
     det2 = (8 * t1 * t2 * t3 + 2 * b12 * b13 * b23
             - 2 * t1 * b23 * b23 - 2 * t2 * b13 * b13 - 2 * t3 * b12 * b12)
-    b = np.argwhere((det2 > 0) & (det2 <= det2_max)) + lo
-    return np.column_stack([np.full((len(b), 3), (t1, t2, t3)), b])
+    index = np.nonzero((det2 > 0) & (det2 <= det2_max))
+    rows = np.empty((len(index[0]), 6), np.int64)
+    rows[:, :3] = t1, t2, t3
+    for col, i, low in zip(rows.T[3:], index, lo):
+        np.add(i, low, out=col)
+    return rows
 
 
 def enumerate_J(trace_bound, run=None):
@@ -380,15 +385,18 @@ def _reduced_classes_cached(det_bound):
             if work > MAX_WORK:
                 raise DomainError("more than %d candidate forms with det T <= %s"
                                   % (MAX_WORK, det_bound))
-    rows = np.concatenate([np.empty((0, 6), np.int64)] + [  # b12 <= t1 <= t2: 4 t1 t2 > b12^2
-        _definite_rows(t1, t2, t3, (0, -t1, 0), (t1, t1, t2), floor(8 * det_bound))
-        for t1, t2, t3s in diagonals for t3 in t3s])
-    g = rows[:, [0, 3, 4, 3, 1, 5, 4, 5, 2]].reshape(-1, 3, 3) * [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
-    u = np.broadcast_to(np.eye(3, dtype=np.int64), g.shape)
-    keys = np.concatenate([np.empty((0, 6), np.int64)] + [
-        _minkowski_lanes(g[i:i + _LANES], g[i:i + _LANES], u[i:i + _LANES])[0]
-        for i in range(0, len(g), _LANES)])
-    if not _is_reduced(*keys.T).all():
-        raise AssertionError("reduction produced a non-reduced form: %r" % (keys.tolist(),))
-    classes = [HalfIntegralForm(*k) for k in set(map(tuple, keys.tolist()))]
+    classes, rows = set(), np.empty((0, 6), np.int64)  # the box is never held whole
+    for i, (t1, t2, t3s) in enumerate(diagonals, 1):  # b12 <= t1 <= t2: 4 t1 t2 > b12^2
+        rows = np.concatenate([rows] + [_definite_rows(t1, t2, t3, (0, -t1, 0), (t1, t1, t2),
+                                                       floor(8 * det_bound)) for t3 in t3s])
+        done = len(rows) if i == len(diagonals) else len(rows) - len(rows) % _LANES  # whole stacks
+        g = rows[:done, [0, 3, 4, 3, 1, 5, 4, 5, 2]].reshape(-1, 3, 3) * (1 + np.eye(3, dtype=int))
+        u, rows = np.broadcast_to(np.eye(3, dtype=np.int64), g.shape), rows[done:]
+        keys = np.concatenate([np.empty((0, 6), np.int64)] + [
+            _minkowski_lanes(g[j:j + _LANES], g[j:j + _LANES], u[j:j + _LANES])[0]
+            for j in range(0, len(g), _LANES)])
+        if not _is_reduced(*keys.T).all():
+            raise AssertionError("reduction produced a non-reduced form: %r" % (keys.tolist(),))
+        classes.update(map(tuple, keys.tolist()))
+    classes = (HalfIntegralForm(*k) for k in classes)
     return tuple(sorted(classes, key=lambda f: (f.det(), f.key())))

@@ -3,9 +3,11 @@
 The slow side sums p_{-s,-w,-u}(Z + B) over the integer symmetric lattice
 (entries boxed by max_abs, the (3,3) direction optionally summed exactly);
 the fast side is a prefactored sum over positive-definite half-integral T of
-p_{-w,-s,s+w+u-2}(i W T W) e(T Z), which converges exponentially.  Reports
-carry both truncations and a relative gap.  Both sides refuse a truncation
-whose work exceeds MAX_WORK before they allocate anything.
+p_{-w,-s,s+w+u-2}(i W T W) e(T Z), which converges exponentially, in closed
+form: the minors of i W T W are i t3, -m2 and -i det T, and the phase of p
+cancels the prefactor's (fourier_side_rhs).  Reports carry both truncations
+and a relative gap.  Both sides refuse a truncation whose work exceeds
+MAX_WORK before they allocate anything.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import _dets, _ipow, _is_small_int, power_terms
+from .branch import _ipow, _is_small_int, power_terms
 from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import is_siegel_point
@@ -76,13 +78,19 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     cols[lead:] = np.ix_(*cols[lead:]) + ((z[2, 2],) if exact_f else ())
     on_edge = (np.abs(side) == max_abs).astype(int)
     edge = sum(np.ix_(*[on_edge] * (axes - lead))) > 0
+    coef = _f_coefficients(int(u.real)) if exact_f else None
     total, shell_sum = 0.0 + 0.0j, 0.0
     for idx in itertools.product(range(n), repeat=lead):
         entries = [c[i] for c, i in zip(cols, idx)] + cols[lead:]
-        if exact_f:
-            d1, d2, d3, _ = _dets(*entries)
-            vals = (_ipow(d1, -int(s.real)) * _ipow(d2, -int(w.real))
-                    * _f_direction_sum(d2, d3, int(u.real)))
+        if exact_f:  # 1/det(Z2) and the powers on the (a, b, d) axes, 2 pi i x at full size:
+            # x = det(Z)/det(Z2) = tau3 + (2 z1 z2 z3 - tau1 z3^2 - tau2 z2^2)/det(Z2)
+            tau1, z1, z2, tau2, z3, tau3 = entries
+            k = 2j * np.pi * (inv := 1.0 / (tau1 * tau2 - z1 * z1))
+            arg = (2.0 * z1 * k) * (z2 * z3)
+            arg -= (tau1 * k) * (z3 * z3) - 2j * np.pi * tau3
+            arg -= (tau2 * k) * (z2 * z2)
+            vals = (_ipow(tau1, -int(s.real)) * _ipow(inv, int((w + u).real))
+                    * _f_direction_sum(arg, coef))
         else:
             vals = power_terms((-s, -w, -u), *entries)
         total += vals.sum()
@@ -96,48 +104,64 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     return complex(total), n**axes, tail
 
 
-def _f_direction_sum(alpha, beta, u):
-    """Sum over all integers f of (beta + alpha f)^(-u), integer u >= 2.
+def _f_coefficients(u):
+    """(-2 pi i)^u / (u-1)! A(u-1, k), k < u - 1, A the Eulerian numbers."""
+    pref = (2.0 * math.pi) ** u / math.factorial(u - 1) * (1, -1j, -1, 1j)[u % 4]
+    return [pref * sum((-1) ** j * math.comb(u, j) * (k + 1 - j) ** (u - 1) for j in range(k + 2))
+            for k in range(u - 1)]
 
-    For integer exponents p_{-s,-w,-u}(Z + f E33) is
-    tau1^(-s) det(Z2)^(-w) (beta + alpha f)^(-u) with alpha = det(Z2) and
-    beta = det(Z); for Z in the Siegel upper half-space x = beta / alpha has
-    Im x > 0, as (-Z^(-1))_33 = -1/x does.  The one-variable summation formula
-    gives alpha^(-u) (-2 pi i)^u / (u-1)! Li_{1-u}(e(x)), and
-    Li_{1-u}(q) = q A_{u-1}(q) / (1-q)^u with the Eulerian polynomial
-    A_m(q) = sum_k A(m,k) q^k, A(m,k) = sum_j (-1)^j C(m+1,j) (k+1-j)^m.
-    """
-    q = np.exp(2j * np.pi * (beta / alpha))
-    m = u - 1
-    eulerian = [sum((-1) ** j * math.comb(m + 1, j) * (k + 1 - j) ** m for j in range(k + 2))
-                for k in range(m)]
-    pref = (2.0 * math.pi) ** u / math.factorial(m) * (1, -1j, -1, 1j)[u % 4]
-    return _ipow(alpha, -u) * pref * q * np.polyval(eulerian[::-1], q) / _ipow(1.0 - q, u)
+
+def _f_direction_sum(arg, coef):
+    """Sum over all integers f of (x + f)^(-u), integer u >= 2, Im x > 0, from
+    arg = 2 pi i x (overwritten) and coef = _f_coefficients(u): the one-variable
+    summation formula gives (-2 pi i)^u / (u-1)! Li_{1-u}(q), q = e(x), and
+    Li_{1-u}(q) = q A_{u-1}(q) / (1-q)^u, A_m the Eulerian polynomial.  With
+    x = det(Z) / det(Z2), p_{-s,-w,-u}(Z + f E33) = tau1^(-s) det(Z2)^(-w-u) (x + f)^(-u)
+    for integer exponents, and Im x > 0 on the Siegel upper half-space."""
+    q = np.exp(arg, out=arg)
+    acc = coef[-1] * q
+    for c in coef[-2::-1]:
+        acc += c
+        acc *= q
+    power = np.subtract(1.0, q, out=q).copy()
+    for _ in coef:  # (1-q)^u by products in place, then one division
+        power *= q
+    acc /= power
+    return acc
 
 
 def fourier_side_rhs(exponents, z, trace_bound):
-    """Prefactor times sum over T (trace <= bound) of
-    p_{-w,-s,s+w+u-2}(i W T W) e^{2 pi i tr(T Z)}."""
+    """Prefactor times sum over T (trace <= bound) of p_{-w,-s,s+w+u-2}(i W T W)
+    e(tr(T Z)), in closed form: p = e^{i pi (sigma-6)/2} t3^(-w) m2^(-s) det(T)^(s+w+u-2)
+    (m2 = t2 t3 - b23^2/4, sigma = s+2w+3u), whose phase cancels the prefactor's, and
+    the sum is (1/8) F(s,w,u) sum_T t3^(-w) m2^(-s) det(T)^(s+w+u-2) e(tr(T Z)), F the
+    Lipschitz factor: logs of m2 and det T from the exact int64 minors 4 m2 and 8 det T,
+    the real exp(-2 pi tr(T Y)) and six gathers from tables of e(k x_ij), |k| <= trace_bound."""
     runs, candidates = _diagonal_runs(trace_bound, _CHUNK, MAX_WORK)
     if candidates > MAX_WORK:
         raise DomainError("the fast side at trace_bound %d tests more than %d candidate forms"
                           % (trace_bound, MAX_WORK))
     s, w, u = finite_exponents(*exponents)
-    z = np.asarray(z, dtype=complex)
+    zk = np.asarray(z, dtype=complex)[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]  # tr(TZ) = key . zk
+    real = not (s.imag or w.imag or u.imag)  # then one real exp per form
+    a, b, c = (x.real if real else x for x in (-w, -s, s + w + u - 2.0))
     # The 1/8 is the coordinate covolume of the half-integral lattice in the
     # entry measure dx1..dx6 used by the Fourier transform (Poisson
     # normalization); without it the two sides differ by exactly 8.
-    pref = -0.125 * np.exp(-0.5j * np.pi * (s + 2 * w + 3 * u)) * lipschitz_factor(s, w, u)
+    pref = 0.125 * lipschitz_factor(s, w, u)
+    # e(k x_ij) at index k of each table; a negative k indexes from the end
+    phase = np.exp(2j * np.pi * np.outer(zk.real, np.r_[0:trace_bound + 1, -trace_bound:0]))
     total, n_forms = 0.0 + 0.0j, 0
     for run in runs:
         t = enumerate_J(trace_bound, run)
-        h12, h13, h23 = t.b12 / 2.0, t.b13 / 2.0, t.b23 / 2.0
-        # W T W reverses the coordinate order
-        pw = power_terms((-w, -s, s + w + u - 2.0),
-                         1j * t.t3, 1j * h23, 1j * h13, 1j * t.t2, 1j * h12, 1j * t.t1)
-        tr_tz = (t.t1 * z[0, 0] + t.t2 * z[1, 1] + t.t3 * z[2, 2]
-                 + 2.0 * (h12 * z[0, 1] + h13 * z[0, 2] + h23 * z[1, 2]))
-        total += (pw * np.exp(2j * np.pi * tr_tz)).sum()
+        t1, t2, t3, b12, b13, b23 = keys = [t[name] for name in t.dtype.names]
+        m4 = 4 * t2 * t3 - b23 * b23
+        d8 = 2 * (t1 * m4 + b12 * b13 * b23 - t2 * b13 * b13 - t3 * b12 * b12)
+        arg = a * np.log(t3) + b * np.log(0.25 * m4) + c * np.log(0.125 * d8)  # exact m2, det T
+        terms = np.exp(arg - 2.0 * np.pi * sum(y * key for y, key in zip(zk.imag, keys)))
+        for key, table in zip(keys, phase):
+            terms = terms * table[key]
+        total += terms.sum()
         n_forms += len(t)
     return complex(require_finite(pref * total, "the fast side")), n_forms
 

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from siegel3 import branch, forms, lipschitz as lip
+from siegel3 import branch, forms, lipschitz as lip, specfun
 from siegel3.errors import DomainError
 
 PI2_OVER_SINH2 = -0.0739998067544724274033469636317  # -pi^2 / sinh(pi)^2
@@ -65,7 +66,8 @@ def test_f_direction_sum_matches_mpmath():
         for _ in range(12):
             alpha = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-1, 1)
             x = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-2, math.log10(3)))
-            got = complex(lip._f_direction_sum(np.array([alpha]), np.array([x * alpha]), u)[0])
+            coef = lip._f_coefficients(u)
+            got = alpha ** (-u) * complex(lip._f_direction_sum(np.array([2j * np.pi * x]), coef)[0])
             with mpmath.workdps(30):
                 xm = mpmath.mpc(x)
                 ref = complex(mpmath.mpc(alpha) ** (-u)
@@ -87,6 +89,49 @@ def test_exact_f_direction_matches_long_bare_sum():
             (-2, -4, -5), z[0, 0] + side[a], z[0, 1] + side[b], z[0, 2] + side[c],
             z[1, 1] + side[d], z[1, 2] + side[e_], z[2, 2] + fs).sum()
     assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def _point_with_y_inv_33(rng, y_inv_33):
+    """A seeded Siegel point whose (Y^-1)_33 is y_inv_33: every exact f-sum
+    term then has Im x >= 1 / y_inv_33, so |q| reaches e^(-2 pi / y_inv_33)."""
+    h = rng.normal(size=(3, 3))
+    w = h @ h.T + 0.1 * np.eye(3)
+    x = rng.uniform(-0.5, 0.5, (3, 3))
+    return 0.5 * (x + x.T) + 1j * np.linalg.inv(w * (y_inv_33 / w[2, 2]))
+
+
+def _bare_f_sum_with_midpoint_tails(exponents, z, max_abs, f_max):
+    """The a..e box with f summed directly over |f| <= f_max (integer path of
+    power_terms), plus the two f tails per a..e term from the midpoint rule
+    with its first derivative correction: sum_(f > F) (x + f)^(-u) =
+    (x + F + 1/2)^(1-u) / (u-1) - u/24 (x + F + 1/2)^(-u-1) + O(F^(-u-3))."""
+    s, w, u = exponents
+    side = np.arange(-max_abs, max_abs + 1)
+    fs = np.arange(-f_max, f_max + 1)
+    total = 0.0 + 0.0j
+    for a, b, c, d, e in itertools.product(side, repeat=5):
+        entries = (z[0, 0] + a, z[0, 1] + b, z[0, 2] + c, z[1, 1] + d, z[1, 2] + e)
+        total += branch.power_terms((-s, -w, -u), *entries, z[2, 2] + fs).sum()
+        d1, d2, d3, _ = branch._dets(*entries, z[2, 2])
+        v = f_max + 0.5 + np.array([1, -1]) * d3 / d2  # f > F, and f < -F as (-1)^u (-x - f)
+        tails = ((v ** (1 - u) / (u - 1) - u / 24 * v ** (-u - 1)) * [1, (-1) ** u]).sum()
+        total += d1 ** -s * d2 ** (-w - u) * tails
+    return complex(total)
+
+
+@pytest.mark.parametrize("u", [2, 5, 9, 16])
+@pytest.mark.parametrize("chunk", [None, 3**3, 3])
+def test_exact_f_direction_off_unit_y(monkeypatch, u, chunk):
+    # (Y^-1)_33 from 1 to 10: |q| up to e^(-2 pi / 10) ~ 0.53 instead of e^(-2 pi)
+    if chunk:  # blocks over 2 or 4 leading axes instead of one open grid
+        monkeypatch.setattr(lip, "_CHUNK", chunk)
+    rng = np.random.default_rng(1700 + u)
+    for y_inv_33 in (1.0, 3.0, 10.0):
+        z = _point_with_y_inv_33(rng, y_inv_33)
+        val, n, _ = lip.lattice_sum_lhs((2.0, 3.0, float(u)), z, 1, tail_correction=True)
+        ref = _bare_f_sum_with_midpoint_tails((2, 3, u), z, 1, 1000)
+        assert n == 3**5
+        assert abs(val - ref) <= 1e-12 * abs(ref), (y_inv_33, val, ref)
 
 
 def test_exact_f_direction_only_in_the_tested_u_range():
@@ -175,6 +220,56 @@ def test_rhs_runs_match_one_run(monkeypatch):
     assert len(forms._diagonal_runs(6, 100)[0]) == 17
     assert n_r == n == 2824
     assert abs(val_r - val) <= 1e-13 * abs(val)
+
+
+def _rhs_by_power_terms(exponents, z, trace_bound):
+    """The fast side through the complex power_terms at i W T W, run by run
+    (oracle): the route that the closed form replaced."""
+    s, w, u = exponents
+    total = 0.0 + 0.0j
+    for run in forms._diagonal_runs(trace_bound)[0]:
+        t = forms.enumerate_J(trace_bound, run)
+        h12, h13, h23 = t.b12 / 2.0, t.b13 / 2.0, t.b23 / 2.0
+        pw = branch.power_terms((-w, -s, s + w + u - 2.0),  # W T W reverses the coordinates
+                                1j * t.t3, 1j * h23, 1j * h13, 1j * t.t2, 1j * h12, 1j * t.t1)
+        tr_tz = (t.t1 * z[0, 0] + t.t2 * z[1, 1] + t.t3 * z[2, 2]
+                 + 2.0 * (h12 * z[0, 1] + h13 * z[0, 2] + h23 * z[1, 2]))
+        total += (pw * np.exp(2j * np.pi * tr_tz)).sum()
+    phase = np.exp(-0.5j * np.pi * (s + 2 * w + 3 * u))
+    return -0.125 * phase * specfun.lipschitz_factor(s, w, u) * total
+
+
+@pytest.mark.parametrize("exponents", [(2.0, 4.0, 5.0), (3.0, 1.0, 7.0),  # integer, real, complex
+                                       (2.5, 4.0, 5.5), (2.0 + 0.5j, 4.0, 5.0 - 0.5j)])
+def test_rhs_closed_form_matches_power_terms(monkeypatch, exponents):
+    monkeypatch.setattr(lip, "_CHUNK", 500)  # several runs from trace bound 5 on
+    rng = np.random.default_rng(1717)
+    for trace_bound in range(3, 10):
+        h, x = rng.normal(size=(3, 3)), rng.uniform(-0.5, 0.5, (3, 3))
+        z = 0.5 * (x + x.T) + 1j * (0.3 * h @ h.T + 0.7 * np.eye(3))  # Y off the identity
+        val, n = lip.fourier_side_rhs(exponents, z, trace_bound)
+        ref = _rhs_by_power_terms(exponents, z, trace_bound)
+        assert n == len(forms.enumerate_J(trace_bound))
+        assert abs(val - ref) <= 1e-13 * abs(ref), (trace_bound, val, ref)
+    assert len(forms._diagonal_runs(9, 500)[0]) > 10
+
+
+def test_rhs_reads_one_enumerate_J_per_run(monkeypatch):
+    # the fast side's forms come from forms.enumerate_J, one call per run
+    calls = []
+
+    def recording(trace_bound, run=None):
+        rows = forms.enumerate_J(trace_bound, run)
+        calls.append((trace_bound, run, len(rows)))
+        return rows
+
+    monkeypatch.setattr(lip, "enumerate_J", recording)
+    for trace_bound in (2, 6, 12):
+        calls.clear()
+        _, n_forms = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), trace_bound)
+        runs = forms._diagonal_runs(trace_bound)[0]
+        assert [(tb, run) for tb, run, _ in calls] == [(trace_bound, run) for run in runs]
+        assert sum(rows for _, _, rows in calls) == n_forms == len(forms.enumerate_J(trace_bound))
 
 
 def test_rhs_termwise_exponential_bound():

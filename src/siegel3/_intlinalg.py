@@ -1,10 +1,13 @@
 """Exact integer matrix helpers shared by the lattice and symplectic layers.
 
-The scalar helpers work on small dense matrices given as lists of lists of
-Python ints.  The stack helpers (``exact_array``, ``hnf_rows``) work on
-(..., n, m) arrays that are int64 only while every product they form stays
-below 2^63, and exact Python ints (dtype=object) otherwise.  Either way there
-is no overflow and no tolerance anywhere.
+Matrix products, transposes and block layouts are numpy's: integer arrays
+that are int64 only while every product formed stays below 2^63, and exact
+Python ints (dtype=object) otherwise (``exact_array`` picks).  What numpy
+does not provide lives here: the 3x3 determinant, cross product, adjugate
+and bilinear value (on lists, arrays or floats alike), the row Hermite
+normal form of one matrix (``hnf_row``, list code on Python ints) or of a
+stack (``hnf_rows``), the Smith normal form, and the GL3(Z) enumeration.
+No overflow and no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -17,21 +20,8 @@ import numpy as np
 _HNF_GUARD = 2**31
 
 
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def mat_t(a):
-    return [list(row) for row in zip(*a)]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 
 def det3(a):
@@ -59,15 +49,6 @@ def adj3(a):
     return [list(row) for row in zip(cross3(a[1], a[2]), cross3(a[2], a[0]), cross3(a[0], a[1]))]
 
 
-def inv_unimodular(u):
-    """Exact inverse of an integer matrix with det = +-1 (3x3)."""
-    d = det3(u)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    adj = adj3(u)
-    return [[d * adj[i][j] for j in range(3)] for i in range(3)]
-
-
 def exact_array(values, bound):
     """Integer array of ``values``: int64 when every |entry| < bound, else
     exact Python ints (dtype=object).  The caller picks the bound that keeps
@@ -85,9 +66,10 @@ def hnf_row(mat):
     Returns ``(h, u)`` with ``u`` unimodular and ``u @ mat == h``.  Pivots are
     positive and leftmost possible, entries above a pivot are reduced into
     ``[0, pivot)``, rows below a pivot are zero in its column.  This list
-    version serves single matrices, as ``canonical_pair`` needs one pair at a
-    time: a 3 x 6 block takes ~23 us here against ~780 us for a one-lane
-    ``hnf_rows`` call (2-vCPU Xeon, numpy 2.4); ``hnf_rows`` serves stacks.
+    version serves single matrices, as ``canonical_pair`` and the symplectic
+    completion take one pair at a time: a 3 x 6 block takes ~23 us here
+    against ~780 us for a one-lane ``hnf_rows`` call (2-vCPU Xeon, numpy
+    2.4); ``hnf_rows`` serves stacks.
     """
     h = [list(row) for row in mat]
     nrows, ncols = len(h), len(h[0])
@@ -185,6 +167,7 @@ def snf(mat):
     """Smith normal form with transforms: returns (s, u, v), u @ mat @ v == s.
 
     ``u`` and ``v`` are unimodular; ``s`` is diagonal with s[i][i] | s[i+1][i+1].
+    No library path calls it: the tests build their reference completion from it.
     """
     s = [list(row) for row in mat]
     nrows, ncols = len(s), len(s[0])
@@ -270,22 +253,6 @@ def snf(mat):
             continue
         k += 1
     return s, u, v
-
-
-def solve_right_inverse(mat):
-    """Integer right inverse: returns y (cols x rows) with mat @ y == I.
-
-    Requires the rows of ``mat`` to span a saturated sublattice (all Smith
-    invariants 1); raises ValueError otherwise.
-    """
-    nrows, ncols = len(mat), len(mat[0])
-    s, u, v = snf(mat)
-    for i in range(nrows):
-        if s[i][i] != 1:
-            raise ValueError("matrix has a nontrivial elementary divisor")
-    # mat = u^-1 [I 0] v^-1  =>  y = v[:, :nrows] @ u
-    vcols = [[v[i][j] for j in range(nrows)] for i in range(ncols)]
-    return mat_mul(vcols, u)
 
 
 def unimodular_matrices(max_entry, max_norm2=None):

@@ -262,13 +262,9 @@ def criterion_7(seed=DEFAULT_SEED):
     spec0 = eis.TruncationSpec(q_bound=6.0, g_bound=12.0)
     f_y = eis.enumerate_flags(y, spec0)
     f_yu = eis.enumerate_flags(yu, spec0)
-    uinv = il.inv_unimodular(u)
-    ut_inv = il.mat_t(uinv)
-    mapped = {
-        (_canonical_sign(tuple(sum(u[i][j] * f.v[j] for j in range(3)) for i in range(3))),
-         _canonical_sign(tuple(sum(ut_inv[i][j] * f.n[j] for j in range(3)) for i in range(3))))
-        for f in f_yu
-    }
+    gu = np.array(mx.embed_gl6(u), dtype=object)  # U on v, t(U)^-1 on n
+    mapped = {(_canonical_sign(tuple(gu[:3, :3] @ f.v)), _canonical_sign(tuple(gu[3:, 3:] @ f.n)))
+              for f in f_yu}
     res.add("GL3-invariance: flag sets biject exactly",
             mapped == {(f.v, f.n) for f in f_y},
             "%d flags" % len(f_y))
@@ -392,9 +388,8 @@ def criterion_12(seed=DEFAULT_SEED):
     rng = _rng(seed)
     ok = 0
     for _ in range(500):
-        m = mx.random_symplectic(rng, max_entry=12, max_factors=8)
-        _, _, c, d = mx.blocks(m)
-        pair = sp.canonical_pair(c, d)
+        m = np.array(mx.random_symplectic(rng, max_entry=12, max_factors=8))
+        pair = sp.canonical_pair(m[3:, :3].tolist(), m[3:, 3:].tolist())
         m0 = sp.complete_to_symplectic(pair)
         if mx.is_symplectic(m0):
             ok += 1
@@ -403,12 +398,11 @@ def criterion_12(seed=DEFAULT_SEED):
     ball = il.unimodular_matrices(2)
     checked = 0
     for i in range(50):
-        m = mx.random_symplectic(rng, max_entry=10, max_factors=6)
-        _, _, c, d = mx.blocks(m)
-        base = sp.canonical_pair(c, d)
+        m = np.array(mx.random_symplectic(rng, max_entry=10, max_factors=6))
+        base = sp.canonical_pair(m[3:, :3].tolist(), m[3:, 3:].tolist())
         # full ball on the first pairs, a deterministic stride on the rest
         search = ball if i < 2 else ball[i % 97::97]
-        ucd = np.einsum("kij,jl->kil", search, np.hstack([c, d]))
+        ucd = search @ m[3:]
         moved = (sp.canonical_pairs(ucd[:, :, :3], ucd[:, :, 3:])
                  != np.hstack([base.c, base.d])).any(axis=(1, 2))
         # count up to and including the first translate that moved
@@ -454,11 +448,8 @@ def criterion_13(seed=DEFAULT_SEED):
 
 
 def _symplectic_inverse(m):
-    """Exact inverse of a symplectic integer matrix: J^-1 M^T J."""
-    a, b, c, d = mx.blocks(m)
-    return mx.from_blocks(
-        il.mat_t(d), il.mat_neg(il.mat_t(b)), il.mat_neg(il.mat_t(c)), il.mat_t(a),
-    )
+    """Exact inverse of a symplectic integer matrix: J^-1 t(M) J = -J t(M) J."""
+    return -mx.SYMPLECTIC_J @ np.array(m, dtype=object).T @ mx.SYMPLECTIC_J
 
 
 ALL_CRITERIA = [

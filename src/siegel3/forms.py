@@ -72,8 +72,9 @@ def form_from_gram2(g):
 
 
 def congruence_form(t, u):
-    """T[U] = t(U) T U for integer U; exact on half-integral forms."""
-    return form_from_gram2(il.mat_mul(il.mat_t(u), il.mat_mul(t.gram2(), u)))
+    """T[U] = t(U) T U for integer U; exact on half-integral forms (Python ints)."""
+    u = np.asarray(u).astype(object)
+    return form_from_gram2((u.T @ np.array(t.gram2(), dtype=object) @ u).tolist())
 
 
 @dataclass(frozen=True)

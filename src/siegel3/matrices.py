@@ -7,10 +7,11 @@ out as
      [z1, tau2, z3],
      [z2, z3, tau3]]
 
-Integer-exact objects (symplectic matrices) never touch floating point.  A
-single one is a list of lists of Python ints; a stack of them is a
-(..., 6, 6) integer array, int64 while its products fit and exact Python ints
-(dtype=object) otherwise.  ``is_symplectic`` and ``mobius`` take either.
+Integer-exact objects (symplectic matrices) never touch floating point.  They
+are built and multiplied as numpy integer arrays, int64 while the products
+fit and exact Python ints (dtype=object) otherwise.  The builders hand a
+single matrix out as a list of lists of Python ints; a stack stays a
+(..., 6, 6) array.  ``is_symplectic`` and ``mobius`` take either.
 """
 
 from __future__ import annotations
@@ -55,36 +56,26 @@ def is_symplectic(m):
     return (m.swapaxes(-1, -2) @ SYMPLECTIC_J @ m == SYMPLECTIC_J).all(axis=(-2, -1))
 
 
-def blocks(m):
-    a = [row[:3] for row in m[:3]]
-    b = [row[3:] for row in m[:3]]
-    c = [row[:3] for row in m[3:]]
-    d = [row[3:] for row in m[3:]]
-    return a, b, c, d
-
-
-def from_blocks(a, b, c, d):
-    return [list(a[i]) + list(b[i]) for i in range(3)] + [list(c[i]) + list(d[i]) for i in range(3)]
-
-
 def inversion6():
-    """The block matrix (0, -I; I, 0), acting as Z -> -Z^(-1)."""
-    z3 = [[0] * 3 for _ in range(3)]
-    i3 = il.identity(3)
-    return from_blocks(z3, il.mat_neg(i3), i3, z3)
+    """The block matrix (0, -I; I, 0) = -J, acting as Z -> -Z^(-1)."""
+    return (-SYMPLECTIC_J).tolist()
 
 
 def translation6(s):
     """(I, S; 0, I) for integer symmetric S."""
-    i3 = il.identity(3)
-    z3 = [[0] * 3 for _ in range(3)]
-    return from_blocks(i3, s, z3, i3)
+    m = np.eye(6, dtype=object)
+    m[:3, 3:] = s
+    return m.tolist()
 
 
 def embed_gl6(u):
-    """(U, 0; 0, t(U)^(-1)) for unimodular U."""
-    z3 = [[0] * 3 for _ in range(3)]
-    return from_blocks(u, z3, z3, il.mat_t(il.inv_unimodular(u)))
+    """(U, 0; 0, t(U)^(-1)) for unimodular U, where t(U)^(-1) = det(U) t(adj U)."""
+    det = il.det3(u)
+    if det not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    m = np.zeros((6, 6), dtype=object)
+    m[:3, :3], m[3:, 3:] = u, det * np.array(il.adj3(u), dtype=object).T
+    return m.tolist()
 
 
 def mobius(m, z):
@@ -144,17 +135,15 @@ def random_symplectic(rng, max_entry=3, max_factors=6):
 
 
 def _random_unimodular(rng):
-    """Random small unimodular matrix: a product of elementary shears."""
-    u = il.identity(3)
+    """Random small unimodular matrix, as a list: a product of elementary shears."""
+    u = np.eye(3, dtype=np.int64)
     for _ in range(int(rng.integers(1, 4))):
         i, j = rng.permutation(3)[:2]
-        e = il.identity(3)
-        e[int(i)][int(j)] = int(rng.integers(-1, 2))
-        u = il.mat_mul(u, e)
+        e = np.eye(3, dtype=np.int64)
+        e[i, j] = rng.integers(-1, 2)
+        u = u @ e
     if int(rng.integers(0, 2)):
-        p = list(rng.permutation(3))
-        pm = [[1 if p[i] == j else 0 for j in range(3)] for i in range(3)]
-        if il.det3(pm) == -1:
-            pm[0] = [-x for x in pm[0]]
-        u = il.mat_mul(u, pm)
-    return u
+        pm = np.eye(3, dtype=np.int64)[rng.permutation(3)]
+        pm[0] *= il.det3(pm)  # det +1
+        u = u @ pm
+    return u.tolist()

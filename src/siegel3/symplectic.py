@@ -1,12 +1,12 @@
 """Coprime symmetric pairs, symplectic completion, and truncated coset sums.
 
 The bottom blocks (C, D) of an integer symplectic matrix satisfy C D^T
-symmetric with [C D] primitive (all Smith invariants 1); left association
-(C, D) ~ (UC, UD) is canonicalized by the row Hermite normal form of the
-3x6 block.  Completion to a full symplectic matrix solves an integer linear
-system and repairs isotropy of the top rows with a symmetric shear.
-Single pairs go through list code; stacks of pairs (left translates in
-``canonical_pairs``, the completions of a coset table) through exact arrays.
+symmetric with [C D] primitive; left association (C, D) ~ (UC, UD) is
+canonicalized by the row Hermite normal form of the 3x6 block.  Completion
+reads top rows off the row-HNF transform of [D^T; -C^T] and repairs their
+isotropy with a symmetric shear.  Single pairs go through list code; stacks
+of pairs (left translates in ``canonical_pairs``, the completions of a coset
+table) through exact arrays.
 """
 
 from __future__ import annotations
@@ -181,19 +181,20 @@ def enumerate_pairs(max_abs, nrows=3):
 def _complete(pairs):
     """The exact completions (A0 B0; C D) of the pairs, a read-only (N, 6, 6) stack.
 
-    Per pair, the list SNF solves A0 D^T - B0 C^T = I over Z; the stack then
-    shears the top rows by a symmetric S to restore isotropy A0 B0^T = B0 A0^T
-    and checks t(M) J M == J on every lane.  Entries of C, D, A0, B0 below
-    2^16 keep the shear below 2^53 in int64; larger ones run on Python ints.
+    Per pair, the list row HNF h = u N of N = [D^T; -C^T] (6 x 3) has h[:3] = I
+    exactly when [C D] is primitive, and then u[:3] = (A0 B0) solves
+    A0 D^T - B0 C^T = I; the stack then shears the top rows by a symmetric S to
+    restore isotropy A0 B0^T = B0 A0^T and checks t(M) J M == J on every lane.
+    Entries of C, D, A0, B0 below 2^16 keep the shear below 2^53 in int64;
+    larger ones run on Python ints.
     """
     rows = []
     for pair in pairs:
-        cd = [list(c) + list(d) for c, d in zip(pair.c, pair.d)]
-        try:  # (A0 B0) @ y = I for y = right inverse of [D | -C]
-            y = il.solve_right_inverse([r[3:] + [-v for v in r[:3]] for r in cd])
-        except ValueError as exc:
-            raise CompletionFailure("no integer completion: %s" % exc) from exc
-        rows.append(il.mat_t(y) + cd)
+        h, u = il.hnf_row([list(col) for col in zip(*pair.d)]
+                          + [[-x for x in col] for col in zip(*pair.c)])
+        if h[:3] != il.identity(3):
+            raise CompletionFailure("no integer completion: [C D] is not primitive")
+        rows.append(u[:3] + _stacked(pair.c, pair.d))
     m = il.exact_array(rows, 2**16)
     # gram defect of the top rows: G = A0 B0^T - B0 A0^T (antisymmetric)
     g = m[:, :3, :3] @ m[:, :3, 3:].swapaxes(1, 2)

@@ -34,7 +34,7 @@ def test_flag_count_invariant_under_congruence():
     # bijection v -> U v, n -> U^-T n preserves both form values exactly
     adj_y = il.adj3(y.gram2())
     adj_yu = il.adj3(yu.gram2())
-    ut_inv = il.mat_t(il.inv_unimodular(u))
+    ut_inv = (il.det3(u) * np.array(il.adj3(u)).T).tolist()  # t(U)^-1
     for f in f2:
         v = tuple(sum(u[i][j] * f.v[j] for j in range(3)) for i in range(3))
         n = tuple(sum(ut_inv[i][j] * f.n[j] for j in range(3)) for i in range(3))

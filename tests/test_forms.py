@@ -18,16 +18,16 @@ def _unimodular_strategy():
     shear = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
 
     def build(shears, flip):
-        u = il.identity(3)
+        u = np.eye(3, dtype=np.int64)
         for i, j, v in shears:
             if i == j:
                 continue
-            e = il.identity(3)
-            e[i][j] = v
-            u = il.mat_mul(u, e)
+            e = np.eye(3, dtype=np.int64)
+            e[i, j] = v
+            u = u @ e
         if flip:
-            u = il.mat_mul(u, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-        return u
+            u = u @ [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+        return u.tolist()
 
     return st.builds(build, st.lists(shear, min_size=1, max_size=4), st.booleans())
 
@@ -263,10 +263,10 @@ def _complete_one(v1):
     """Unimodular U whose first column is primitive v1."""
     s, u, _ = il.snf([[v1[0]], [v1[1]], [v1[2]]])
     assert s[0][0] == 1
-    uinv = il.inv_unimodular(u)
-    if tuple(uinv[i][0] for i in range(3)) == tuple(-x for x in v1):
-        uinv = il.mat_neg(uinv)
-    return uinv
+    uinv = il.det3(u) * np.array(il.adj3(u), dtype=object)
+    if uinv[:, 0].tolist() == [-x for x in v1]:
+        uinv = -uinv
+    return uinv.tolist()
 
 
 def _recursive_minkowski_reduce(t):
@@ -289,7 +289,7 @@ def _recursive_minkowski_reduce(t):
                      if abs(n[0] * v[0] + n[1] * v[1] + n[2] * v[2]) == 1]
             m3 = min(q for q, _ in pool3)
             for v3 in sorted({_canonical_sign(v) for q, v in pool3 if q == m3}):
-                u = il.mat_t([list(v1), list(v2), list(v3)])
+                u = [list(row) for row in zip(v1, v2, v3)]
                 for e1, e2, e3 in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
                     ue = [[u[i][0] * e1, u[i][1] * e2, u[i][2] * e3] for i in range(3)]
                     cand = forms.congruence_form(t, ue)
@@ -312,7 +312,7 @@ def _recursive_automorphism_count(t):
                 continue
             for c3 in cols[2]:
                 if (il.bilinear3(g, c1, c3) == g[0][2] and il.bilinear3(g, c2, c3) == g[1][2]
-                        and il.det3(il.mat_t([list(c1), list(c2), list(c3)])) == 1):
+                        and il.det3([c1, c2, c3]) == 1):
                     count += 1
     return count
 
@@ -371,8 +371,8 @@ def test_short_vectors_of_a_skewed_form_are_the_moved_ball():
     # g[u] has entries near 2^43; its ball is u^-1 applied to the ball of g
     t0 = forms.HalfIntegralForm(1, 1, 2, 0, 0, 1)
     u = [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]]
-    uinv = il.inv_unimodular(u)
-    moved = sorted((q, tuple(il.mat_mul(uinv, [[x] for x in v])[i][0] for i in range(3)))
+    uinv = np.array(il.adj3(u), dtype=object)  # det u = 1
+    moved = sorted((q, tuple(uinv @ v))
                    for q, v in _as_list(forms.short_vectors_gram(t0.gram2(), 12)))
     skewed = forms.congruence_form(t0, u).gram2()
     assert _as_list(forms.short_vectors_gram(skewed, 12)) == moved

@@ -1,11 +1,17 @@
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from siegel3 import _intlinalg as il
 from siegel3 import forms
 from siegel3 import matrices as mx
+
+
+def _mat_mul(a, b):
+    """List product of Python ints (the oracles' own arithmetic)."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_siegel_point_examples():
@@ -21,6 +27,14 @@ def test_congruence_examples():
     perm = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert forms.congruence_form(forms.HalfIntegralForm(1, 2, 3, 0, 0, 0), perm) == (
         forms.HalfIntegralForm(3, 2, 1, 0, 0, 0))
+    # shears by 2^21 give entries near 2^44, and of a form near 2^60 past int64;
+    # U^-1 = adj(U) takes them back
+    u = [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]]
+    for t in (forms.HalfIntegralForm(1, 1, 2, 0, 0, 1),
+              forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1, 2**59)):
+        skewed = forms.congruence_form(t, u)
+        assert skewed.gram2() == _mat_mul(_mat_mul(list(zip(*u)), t.gram2()), u)
+        assert forms.congruence_form(skewed, il.adj3(u)) == t
 
 
 @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
@@ -42,7 +56,7 @@ def test_adjugate_property(vals):
          [vals[3], vals[1], vals[5]],
          [vals[4], vals[5], vals[2]]]
     d = il.det3(y)
-    prod = il.mat_mul(y, il.adj3(y))
+    prod = _mat_mul(y, il.adj3(y))
     assert prod == [[d if i == j else 0 for j in range(3)] for i in range(3)]
 
 
@@ -105,7 +119,7 @@ def test_mobius_cocycle_and_imaginary_part(rng):
         n = mx.random_symplectic(rng, max_entry=3)
         z = mx.random_siegel(rng)
         nz, jn = mx.mobius(n, z)
-        mn = il.mat_mul(m, n)
+        mn = np.array(m) @ n
         _, jmn = mx.mobius(mn, z)
         _, jm = mx.mobius(m, nz)
         worst = max(worst, abs(jmn - jm * jn) / abs(jmn))
@@ -118,11 +132,27 @@ def test_mobius_cocycle_and_imaginary_part(rng):
     assert worst <= 1e-12
 
 
+def _random_unimodular_lists(rng):
+    """The list-product shears that _random_unimodular replaced (oracle)."""
+    u = il.identity(3)
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = rng.permutation(3)[:2]
+        e = il.identity(3)
+        e[int(i)][int(j)] = int(rng.integers(-1, 2))
+        u = _mat_mul(u, e)
+    if int(rng.integers(0, 2)):
+        p = list(rng.permutation(3))
+        pm = [[1 if p[i] == j else 0 for j in range(3)] for i in range(3)]
+        if il.det3(pm) == -1:
+            pm[0] = [-x for x in pm[0]]
+        u = _mat_mul(u, pm)
+    return u
+
+
 def _random_symplectic_lists(rng, max_entry, max_factors):
     """The list-product construction that random_symplectic replaced (oracle)."""
-    i3 = il.identity(3)
     while True:
-        m = mx.from_blocks(i3, [[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)], i3)
+        m = il.identity(6)
         for _ in range(int(rng.integers(1, max_factors + 1))):
             kind = int(rng.integers(0, 3))
             if kind == 0:
@@ -130,10 +160,10 @@ def _random_symplectic_lists(rng, max_entry, max_factors):
                 s = [[s[i][j] if i <= j else s[j][i] for j in range(3)] for i in range(3)]
                 f = mx.translation6(s)
             elif kind == 1:
-                f = mx.embed_gl6(mx._random_unimodular(rng))
+                f = mx.embed_gl6(_random_unimodular_lists(rng))
             else:
                 f = mx.inversion6()
-            m = il.mat_mul(m, f)
+            m = _mat_mul(m, f)
         if max(abs(x) for row in m for x in row) <= max_entry:
             return m
 
@@ -159,6 +189,19 @@ def test_symplectic_products_exact(rng):
     for _ in range(50):
         m = mx.random_symplectic(rng, max_entry=12, max_factors=8)
         assert mx.is_symplectic(m)
+    # the builders stay exact past int64: t(U)^-1 has entries 2^80, S entries 10^30
+    u = [[1, 2**40, 0], [0, 1, 2**40], [0, 0, 1]]
+    g = mx.embed_gl6(u)
+    assert mx.is_symplectic(g) and [r[:3] for r in g[:3]] == u
+    assert _mat_mul([r[3:] for r in g[3:]], list(zip(*u))) == il.identity(3)
+    with pytest.raises(ValueError, match="not unimodular"):
+        mx.embed_gl6([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    s = [[10**30, 1, -10**30], [1, 0, 2], [-10**30, 2, 10**30 + 1]]
+    t = mx.translation6(s)
+    assert mx.is_symplectic(t) and [r[3:] for r in t[:3]] == s
+    assert [r[:3] for r in t[:3]] == [r[3:] for r in t[3:]] == il.identity(3)
+    assert mx.inversion6() == [[0, 0, 0, -1, 0, 0], [0, 0, 0, 0, -1, 0], [0, 0, 0, 0, 0, -1],
+                               [1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
 
 
 def test_corner_determinant_dominates_imaginary_part(rng):

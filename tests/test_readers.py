@@ -8,13 +8,19 @@ or a bare name ``f`` in ``forms`` itself outside the body of ``f``.  A reader
 of a method ``C.m`` is an attribute ``x.m`` or a string ``"m"`` outside the
 body of ``m``; a method that overrides one of a base class (``cli.Parser.error``)
 is read through the base class.  A helper that only tests call fails here, so
-none can come back unnoticed.
+none can come back unnoticed.  The scripts, readers that no other test
+calls, are run end to end at a small truncation.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,3 +90,20 @@ def test_every_method_has_a_reader():
             unread.append("%s.%s.%s" % (module, cls, node.name))
     assert not unread, "no reader in src, scripts or bench: " + ", ".join(unread)
 
+
+SCRIPTS = [
+    (["class_census.py", "--det-bound", "2"], "9 classes with det <= 2"),
+    (["kernel_truncation_study.py", "--det-bounds", "1/2", "1", "--flag-bound", "6"],
+     "det <= 1/2   classes   1  pairs 1096  value "),
+    (["lipschitz_convergence.py", "--max-abs", "2", "--trace-bound", "6"], "(2, 6): bare "),
+]
+
+
+@pytest.mark.parametrize("argv, header", SCRIPTS, ids=[argv[0] for argv, _ in SCRIPTS])
+def test_script_runs_at_a_small_truncation(argv, header):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0].startswith(header)

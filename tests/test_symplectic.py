@@ -22,8 +22,9 @@ I3F = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
 Z_GENERIC = (np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.05], [0.0, 0.05, 0.3]])
              + 1j * np.array([[1.1, 0.2, 0.0], [0.2, 1.3, -0.1], [0.0, -0.1, 0.9]]))
 _COMPLETIONS = {}
-# sha256 of the JSON list of completions M0, recorded from the per-pair list
-# completion that the stacked one replaced
+# sha256 of the JSON list of completions M0, recorded from the per-pair SNF
+# completion (_snf_completion); the HNF completion gives the same matrices on
+# enumerate_pairs(1), and on 2 of criterion 12's 500 pairs another translate
 _COMPLETIONS_SHA256 = {
     "enumerate_pairs(1)": "9b0f4788601287f8650b26d0f5c9dbffd308ec19773609ecd8d00947ff8dd033",
     "criterion 12": "3bafdfceab222e2b88d26452879debc3c7d33ab9039c13c3a1f3837da51f9f8c",
@@ -43,10 +44,41 @@ def is_coprime_symmetric(c, d):
     return sp._cd_t_symmetric(c, d) and _minor_gcd(sp._stacked(c, d)) == 1
 
 
+def _mat_mul(a, b):
+    """List product of Python ints (the oracles' own arithmetic)."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _cd(m):
+    """The bottom blocks C, D of a 6 x 6 list, as lists."""
+    return [r[:3] for r in m[3:]], [r[3:] for r in m[3:]]
+
+
 def _is_symplectic_list(m):
     """Scalar oracle: t(M) J M == J with list products of Python ints."""
     j = mx.SYMPLECTIC_J.tolist()
-    return il.mat_mul(il.mat_t(m), il.mat_mul(j, m)) == j
+    return _mat_mul(list(zip(*m)), _mat_mul(j, m)) == j
+
+
+def _snf_completion(pair):
+    """The per-pair SNF completion that the HNF transform replaced (reference):
+    (A0 B0) = t(y) for y = v[:, :3] u, the right inverse of [D | -C] from its
+    Smith form u [D | -C] v = [I 0], then the same isotropy shear."""
+    cd = sp._stacked(pair.c, pair.d)
+    s, u, v = il.snf([r[3:] + [-x for x in r[:3]] for r in cd])
+    if any(s[i][i] != 1 for i in range(3)):
+        raise CompletionFailure("nontrivial elementary divisor")
+    m = np.array(list(zip(*_mat_mul([r[:3] for r in v], u))) + cd, dtype=object)
+    g = m[:3, :3] @ m[:3, 3:].T
+    m[:3] += np.tril(g - g.T, -1) @ m[3:]
+    return m.tolist()
+
+
+def _assert_translate(m, ref):
+    """M = (I, S; 0, I) ref with S integer and symmetric, exactly."""
+    t = np.array(m, dtype=object) @ acceptance._symplectic_inverse(ref)
+    s = t[:3, 3:]
+    assert (t == np.array(mx.translation6(s), dtype=object)).all() and (s == s.T).all()
 
 
 def _real_scaled(z, scale):
@@ -93,7 +125,7 @@ def test_coprime_symmetric_examples():
 
 
 def test_canonical_pair_examples():
-    cp = sp.canonical_pair(Z3, il.mat_neg(I3))
+    cp = sp.canonical_pair(Z3, [[-x for x in r] for r in I3])
     assert cp.c == tuple(map(tuple, Z3)) and cp.d == tuple(map(tuple, I3))
     with pytest.raises(NotCoprimePair):
         sp.canonical_pair([[2, 0, 0], [0, 2, 0], [0, 0, 2]],
@@ -103,10 +135,10 @@ def test_canonical_pair_examples():
 def test_canonical_pair_invariant_under_left_multiplication(rng):
     for _ in range(100):
         m = mx.random_symplectic(rng, max_entry=8, max_factors=6)
-        _, _, c, d = mx.blocks(m)
+        c, d = _cd(m)
         base = sp.canonical_pair(c, d)
         u = mx._random_unimodular(rng)
-        assert sp.canonical_pair(il.mat_mul(u, c), il.mat_mul(u, d)) == base
+        assert sp.canonical_pair(_mat_mul(u, c), _mat_mul(u, d)) == base
         again = sp.canonical_pair([list(r) for r in base.c], [list(r) for r in base.d])
         assert again == base  # idempotent
 
@@ -118,25 +150,20 @@ def test_left_associated_iff_equal_canonical(rng):
     ball = il.unimodular_matrices(1)
     for _ in range(25):
         m1 = mx.random_symplectic(rng, max_entry=6, max_factors=4)
-        _, _, c1, d1 = mx.blocks(m1)
+        c1, d1 = _cd(m1)
         u = mx._random_unimodular(rng)
-        c2, d2 = il.mat_mul(u, c1), il.mat_mul(u, d1)
+        c2, d2 = _mat_mul(u, c1), _mat_mul(u, d1)
         assert sp.canonical_pair(c1, d1) == sp.canonical_pair(c2, d2)
-        _, w1 = il.hnf_row([list(c1[i]) + list(d1[i]) for i in range(3)])
-        _, w2 = il.hnf_row([list(c2[i]) + list(d2[i]) for i in range(3)])
-        wit = il.mat_mul(il.inv_unimodular(w2), w1)
-        assert il.mat_mul(wit, [list(r) for r in c1]) == [list(r) for r in c2]
-        assert il.mat_mul(wit, [list(r) for r in d1]) == [list(r) for r in d2]
+        _, w1 = il.hnf_row(sp._stacked(c1, d1))
+        _, w2 = il.hnf_row(sp._stacked(c2, d2))
+        wit = _mat_mul([[il.det3(w2) * x for x in r] for r in il.adj3(w2)], w1)  # w2^-1 w1
+        assert _mat_mul(wit, c1) == c2 and _mat_mul(wit, d1) == d2
         # a genuinely different pair is never reachable by small unimodulars
         m2 = mx.random_symplectic(rng, max_entry=6, max_factors=4)
-        _, _, c3, d3 = mx.blocks(m2)
+        c3, d3 = _cd(m2)
         if sp.canonical_pair(c3, d3) == sp.canonical_pair(c1, d1):
             continue
-        assert not any(
-            il.mat_mul(v, c1) == [list(r) for r in c3]
-            and il.mat_mul(v, d1) == [list(r) for r in d3]
-            for v in ball
-        )
+        assert not ((ball @ c1 == c3) & (ball @ d1 == d3)).all(axis=(1, 2)).any()
 
 
 def test_enumerate_pairs_rank2_exhaustive_oracle():
@@ -184,9 +211,7 @@ def test_translation_closure_of_pairs():
     for p in sp.enumerate_pairs(1)[:100]:
         c = [list(r) for r in p.c]
         d = [list(r) for r in p.d]
-        cs = il.mat_mul(c, s)
-        d2 = [[d[i][j] + cs[i][j] for j in range(3)] for i in range(3)]
-        assert is_coprime_symmetric(c, d2)
+        assert is_coprime_symmetric(c, (np.array(d) + np.array(c) @ s).tolist())
 
 
 def _pivot_two_pair():
@@ -200,12 +225,12 @@ def test_canonical_pair_hnf_coprimality_matches_minor_gcd(rng):
              ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
              (Z3, Z3)]
     for _ in range(60):
-        _, _, c, d = mx.blocks(mx.random_symplectic(rng, max_entry=8, max_factors=6))
+        c, d = _cd(mx.random_symplectic(rng, max_entry=8, max_factors=6))
         # a left factor of determinant a keeps C D^T symmetric and multiplies
         # the minor gcd by |a|
         a = [[int(rng.integers(-2, 3)) for _ in range(3)] for _ in range(3)]
-        cases += [(c, d), (il.mat_mul(a, c), il.mat_mul(a, d))]
-    cases += [(il.mat_mul(u, c), il.mat_mul(u, d))
+        cases += [(c, d), (_mat_mul(a, c), _mat_mul(a, d))]
+    cases += [(_mat_mul(u, c), _mat_mul(u, d))
               for u in il.unimodular_matrices(1)[::400].tolist() for c, d in cases[:4]]
     verdicts = set()
     for c, d in cases:
@@ -263,8 +288,7 @@ def test_enumerate_pairs_refuses_work_above_the_ceiling():
 def test_completion_examples():
     m = sp.complete_to_symplectic(sp.CoprimePair(tuple(map(tuple, Z3)),
                                                  tuple(map(tuple, I3))))
-    a, b, c, d = mx.blocks(m)
-    assert a == I3 and b == Z3
+    assert [r[:3] for r in m[:3]] == I3 and [r[3:] for r in m[:3]] == Z3
     m = sp.complete_to_symplectic(sp.CoprimePair(tuple(map(tuple, I3)),
                                                  tuple(map(tuple, Z3))))
     assert mx.is_symplectic(m)
@@ -273,8 +297,7 @@ def test_completion_examples():
 def test_completion_random(rng):
     for _ in range(50):
         m = mx.random_symplectic(rng, max_entry=10, max_factors=8)
-        _, _, c, d = mx.blocks(m)
-        pair = sp.canonical_pair(c, d)
+        pair = sp.canonical_pair(*_cd(m))
         assert mx.is_symplectic(sp.complete_to_symplectic(pair))
 
 
@@ -332,8 +355,7 @@ def test_coset_tables_share_completions():
 
 def _criterion_12_pairs():
     rng = acceptance._rng(acceptance.DEFAULT_SEED)
-    return tuple(sp.canonical_pair(*mx.blocks(mx.random_symplectic(rng, max_entry=12,
-                                                                   max_factors=8))[2:])
+    return tuple(sp.canonical_pair(*_cd(mx.random_symplectic(rng, max_entry=12, max_factors=8)))
                  for _ in range(500))
 
 
@@ -342,10 +364,16 @@ def test_stacked_completion_matches_recorded_list_completions():
                         ("criterion 12", _criterion_12_pairs())):
         stack = sp._complete(pairs)
         assert stack.shape == (len(pairs), 6, 6) and not stack.flags.writeable
-        assert _sha(stack.tolist()) == _COMPLETIONS_SHA256[name]
+        ref = [_snf_completion(p) for p in pairs]
+        assert _sha(ref) == _COMPLETIONS_SHA256[name]
         assert all(mx.is_symplectic(stack))
+        for m, m_ref in zip(stack.tolist(), ref):  # another coset representative at most
+            _assert_translate(m, m_ref)
         # the one-lane call is the same function
         assert [sp.complete_to_symplectic(p) for p in pairs[::50]] == stack[::50].tolist()
+    # the coset table's pairs pin the HNF completion itself
+    assert _sha(sp._complete(sp.enumerate_pairs(1)).tolist()) == (
+        _COMPLETIONS_SHA256["enumerate_pairs(1)"])
 
 
 def test_completion_stays_exact_past_the_int64_bounds():
@@ -362,9 +390,14 @@ def test_completion_stays_exact_past_the_int64_bounds():
         assert _is_symplectic_list(m) and mx.is_symplectic(m)
         assert [r[:3] for r in m[3:]] == [list(r) for r in pair.c]
         assert [r[3:] for r in m[3:]] == [list(r) for r in pair.d]
-    with pytest.raises(CompletionFailure):  # not coprime: no integer completion
-        sp.complete_to_symplectic(sp.CoprimePair(((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-                                                 tuple(map(tuple, Z3))))
+        _assert_translate(m, _snf_completion(pair))
+    for c, d in (([[2, 0, 0], [0, 2, 0], [0, 0, 2]], Z3),  # not primitive: no completion
+                 ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 2]]),
+                 ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], Z3)):  # rank 1
+        pair = sp.CoprimePair(tuple(map(tuple, c)), tuple(map(tuple, d)))
+        for complete in (sp.complete_to_symplectic, _snf_completion):
+            with pytest.raises(CompletionFailure):
+                complete(pair)
 
 
 def test_stacked_is_symplectic_matches_list_check(rng):
@@ -426,7 +459,7 @@ def test_hnf_rows_matches_hnf_row(rng):
 def test_canonical_pairs_match_canonical_pair(rng):
     ball = il.unimodular_matrices(1)[::23]
     for _ in range(5):
-        _, _, c, d = mx.blocks(mx.random_symplectic(rng, max_entry=10, max_factors=6))
+        c, d = _cd(mx.random_symplectic(rng, max_entry=10, max_factors=6))
         uc, ud = ball @ np.array(c), ball @ np.array(d)
         h = sp.canonical_pairs(uc, ud)
         for i in range(0, len(ball), 17):
@@ -463,13 +496,10 @@ def test_poincare_matched_congruence_bijection():
     v = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     t = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1)
     tv = forms.congruence_form(t, v)
-    ball = il.unimodular_matrices(1, 1).tolist()
-    vinv = il.inv_unimodular(v)
-    mapped = [il.mat_mul(vinv, u) for u in ball]
+    ball = il.unimodular_matrices(1, 1)
     pairs = sp.enumerate_pairs(1)
     a = sp.poincare_trunc(24, tv, z, 1, gl_ball=ball, pairs=pairs)
-    b = sp.poincare_trunc(24, t, z, 1, gl_ball=[il.mat_mul(v, u) for u in ball],
-                          pairs=pairs)
+    b = sp.poincare_trunc(24, t, z, 1, gl_ball=np.array(v) @ ball, pairs=pairs)
     assert a[0] == b[0]  # identical term multiset in identical order
 
 
@@ -508,7 +538,7 @@ def test_cocycle_with_translations_is_block_exact(rng):
     for _ in range(20):
         m = mx.random_symplectic(rng, max_entry=8, max_factors=6)
         n = mx.translation6([[int(s[i][j]) for j in range(3)] for i in range(3)])
-        _, j1 = mx.mobius(il.mat_mul(m, n), z)
+        _, j1 = mx.mobius(np.array(m) @ n, z)
         _, j2 = mx.mobius(m, z + s)
         assert abs(j1 - j2) <= 1e-12 * abs(j1)
 

@@ -8,8 +8,9 @@ the cut while their product need not.
 
 All internals are numpy-vectorized over the six independent entries.  Each
 principal log is polar, log|z| + i atan2(Im z, Re z), far cheaper than a
-complex log; with the exponent's parts on the small shapes of an open grid
-summed first, power_terms costs one polar log and one exp per lattice term.
+complex log.  On the Siegel space h3 = h2 + Log x with x = det Z / det Z_2,
+Im x > 0, so p_{s,w,u}(Z) = p_{s,w+u,0}(Z) x^u: lattice sums take the first
+factor from power_terms on a small grid (lipschitz.lattice_sum_lhs).
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Both sides of the lattice summation identity for the power function.
 
 The slow side sums p_{-s,-w,-u}(Z + B) over the integer symmetric lattice
-(entries boxed by max_abs, the (3,3) direction optionally summed exactly);
+(entries boxed by max_abs, the (3,3) direction optionally summed exactly) as
+p_{-s,-w-u,0}(Z + B) (x + f)^(-u), x = det(Z+B)/det(Z+B)_2 (lattice_sum_lhs);
 the fast side is a prefactored sum over positive-definite half-integral T of
 p_{-w,-s,s+w+u-2}(i W T W) e(T Z), which converges exponentially, in closed
 form: the minors of i W T W are i t3, -m2 and -i det T, and the phase of p
 cancels the prefactor's (fourier_side_rhs).  Reports carry both truncations
-and a relative gap.  Both sides refuse a truncation whose work exceeds
-MAX_WORK before they allocate anything.
+and a relative gap.  Both sides refuse a Z outside the Siegel space, and a
+truncation whose work exceeds MAX_WORK before they allocate anything.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .branch import _ipow, _is_small_int, power_terms
 from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
-from .matrices import is_siegel_point
+from .matrices import siegel_point
 from .specfun import POLE_TOL, _exp_in_range, lipschitz_factor, log_gamma
 
 # MAX_WORK is far above max_abs 9 (4.7e7 terms) and trace bound 13 (4.5e5
@@ -47,17 +48,19 @@ class LipschitzReport:
 
 def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     """sum over symmetric integer B with |entries| <= max_abs of
-    p_{-s,-w,-u}(Z + B).
+    p_{-s,-w,-u}(Z + B), for Z in the Siegel upper half-space.
 
     Returns (value, n_terms, tail_estimate), the estimate None when max_abs
-    is 0.  Each index of the leading box axes gives one block, an open grid
-    of at most _CHUNK terms over the trailing axes; the fixed order keeps
-    results reproducible.  With tail_correction, integer exponents and
-    2 <= u <= EXACT_F_MAX_U, the slowest direction, the (3,3) shift f where
-    terms decay like f^(-u) alone, is summed exactly over all integers
-    (_f_direction_sum): then only a..e are truncated, n_terms counts the
-    (2 max_abs + 1)^5 terms evaluated and the tail estimate covers the a..e
-    shell.  Otherwise every direction is truncated at max_abs.
+    is 0.  As h3 = h2 + Log x on the Siegel space, with x = det(Z+B)/det(Z+B)_2
+    = tau3 - (z2, z3) Z2^(-1) (z2, z3)^T in the upper half-plane, each term is
+    p_{-s,-w-u,0}(Z + B) (x + f)^(-u): the prefactor lives on the (a, b, d)
+    axes (one power_terms call), x on a..e, and f moves only Re x.  Each index
+    of the leading axes gives one block, x on an open grid over the trailing
+    a..e axes; the f-kernel is summed over f before the prefactor multiplies
+    it, in a fixed order.  With tail_correction, integer exponents and 2 <= u
+    <= EXACT_F_MAX_U, f, where terms decay like f^(-u) alone, is summed exactly
+    (_f_direction_sum): then n_terms counts the (2 max_abs + 1)^5 a..e terms
+    and the tail estimate covers the a..e shell.
     """
     if max_abs < 0:
         raise DomainError("max_abs must be >= 0, got %r" % (max_abs,))
@@ -68,34 +71,46 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     if n**axes > MAX_WORK:
         raise DomainError("the lattice sum at max_abs %d needs %d terms, above the ceiling %d"
                           % (max_abs, n**axes, MAX_WORK))
-    z = np.asarray(z, dtype=complex)
-    if exact_f and not is_siegel_point(z):
-        raise DomainError("the exact f-direction sum needs Z in the Siegel upper half-space")
+    z = siegel_point(z)
     side = np.arange(-max_abs, max_abs + 1)
-    lead = next(k for k in range(axes) if n ** (axes - k) <= _CHUNK)
-    # the entries of Z + B: 1-d along the leading axes, an open grid over the rest
-    cols = [z[i, j] + side for i, j in _AXES[:axes]]
-    cols[lead:] = np.ix_(*cols[lead:]) + ((z[2, 2],) if exact_f else ())
-    on_edge = (np.abs(side) == max_abs).astype(int)
-    edge = sum(np.ix_(*[on_edge] * (axes - lead))) > 0
+    lead = next(k for k in range(5) if n ** (axes - k) <= _CHUNK)
+    # the entries of Z + B on the a..e axes: 1-d along the leading ones, an open grid after
+    cols = [z[i, j] + side for i, j in _AXES[:5]]
+    pref = power_terms((-s, -w - u, 0), *np.ix_(*cols[:2], [z[0, 2]], cols[3], [z[1, 2]]), z[2, 2])
+    pref, pref_abs = (np.broadcast_to(p, (n,) * 5) for p in (pref, np.abs(pref)))
+    cols[lead:] = np.ix_(*cols[lead:])
+    on_edge = np.abs(side) == max_abs
+    edge = sum(np.ix_(*[on_edge.astype(int)] * (5 - lead))) > 0
     coef = _f_coefficients(int(u.real)) if exact_f else None
+    if not exact_f:  # a bare block: f leads the trailing a..e grid, so f-sums add slabs
+        f_axis = side.astype(float).reshape((n,) + (1,) * (5 - lead))
+        re, mag, arg = (np.empty((n,) * (6 - lead), dtype=t) for t in (float, float, complex))
     total, shell_sum = 0.0 + 0.0j, 0.0
     for idx in itertools.product(range(n), repeat=lead):
-        entries = [c[i] for c, i in zip(cols, idx)] + cols[lead:]
-        if exact_f:  # 1/det(Z2) and the powers on the (a, b, d) axes, 2 pi i x at full size:
-            # x = det(Z)/det(Z2) = tau3 + (2 z1 z2 z3 - tau1 z3^2 - tau2 z2^2)/det(Z2)
-            tau1, z1, z2, tau2, z3, tau3 = entries
-            k = 2j * np.pi * (inv := 1.0 / (tau1 * tau2 - z1 * z1))
-            arg = (2.0 * z1 * k) * (z2 * z3)
-            arg -= (tau1 * k) * (z3 * z3) - 2j * np.pi * tau3
-            arg -= (tau2 * k) * (z2 * z2)
-            vals = (_ipow(tau1, -int(s.real)) * _ipow(inv, int((w + u).real))
-                    * _f_direction_sum(arg, coef))
+        tau1, z1, z2, tau2, z3 = [c[i] for c, i in zip(cols, idx)] + cols[lead:]
+        inv = 1.0 / (tau1 * tau2 - z1 * z1)
+        x = (2.0 * z1 * inv) * (z2 * z3) - (tau1 * inv) * (z3 * z3)
+        x -= (tau2 * inv) * (z2 * z2) - z[2, 2]
+        if not (x.imag > 0.0).all():
+            raise DomainError("Im det(Z+B)/det(Z+B)_2 <= 0: Z is too close to the boundary")
+        if exact_f:
+            sums = _f_direction_sum(2j * np.pi * x, coef)
+            all_f, edge_f = np.abs(sums), 0.0
         else:
-            vals = power_terms((-s, -w, -u), *entries)
-        total += vals.sum()
-        mags = np.abs(vals)
-        shell_sum += float(mags.sum() if on_edge[list(idx)].any() else mags[edge].sum())
+            if _is_small_int(u):
+                terms = _ipow(f_axis + x, -int(u.real))
+            else:  # -u Log(x + f) = -u/2 (log|x + f|^2 + 2i Arg(x + f)), Arg in (0, pi)
+                np.add(f_axis, x.real, out=re)
+                np.add(np.multiply(re, re, out=mag), x.imag * x.imag, out=mag)
+                np.log(mag, out=arg.real)
+                np.multiply(np.arctan2(x.imag, re, out=arg.imag), 2.0, out=arg.imag)
+                arg *= -0.5 * u
+                terms = np.exp(arg, out=arg)
+            np.abs(terms, out=mag)
+            sums, all_f, edge_f = terms.sum(0), mag.sum(0), mag[0] + mag[-1]
+        total += (pref[idx] * sums).sum()
+        shell = all_f if on_edge[list(idx)].any() else np.where(edge, all_f, edge_f)
+        shell_sum += float((pref_abs[idx] * shell).sum())
     require_finite(total, "the lattice sum")
     # crude integral-comparison estimate: boundary shell extrapolated by the
     # dominant polynomial decay; a one-term box has no shell to extrapolate
@@ -115,9 +130,7 @@ def _f_direction_sum(arg, coef):
     """Sum over all integers f of (x + f)^(-u), integer u >= 2, Im x > 0, from
     arg = 2 pi i x (overwritten) and coef = _f_coefficients(u): the one-variable
     summation formula gives (-2 pi i)^u / (u-1)! Li_{1-u}(q), q = e(x), and
-    Li_{1-u}(q) = q A_{u-1}(q) / (1-q)^u, A_m the Eulerian polynomial.  With
-    x = det(Z) / det(Z2), p_{-s,-w,-u}(Z + f E33) = tau1^(-s) det(Z2)^(-w-u) (x + f)^(-u)
-    for integer exponents, and Im x > 0 on the Siegel upper half-space."""
+    Li_{1-u}(q) = q A_{u-1}(q) / (1-q)^u, A_m the Eulerian polynomial."""
     q = np.exp(arg, out=arg)
     acc = coef[-1] * q
     for c in coef[-2::-1]:
@@ -142,7 +155,7 @@ def fourier_side_rhs(exponents, z, trace_bound):
         raise DomainError("the fast side at trace_bound %d tests more than %d candidate forms"
                           % (trace_bound, MAX_WORK))
     s, w, u = finite_exponents(*exponents)
-    zk = np.asarray(z, dtype=complex)[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]  # tr(TZ) = key . zk
+    zk = siegel_point(z)[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]  # tr(TZ) = key . zk
     real = not (s.imag or w.imag or u.imag)  # then one real exp per form
     a, b, c = (x.real if real else x for x in (-w, -s, s + w + u - 2.0))
     # The 1/8 is the coordinate covolume of the half-integral lattice in the
@@ -171,16 +184,7 @@ def lipschitz_report(exponents, z, max_abs, trace_bound, tail_correction=False):
     rhs, nr = fourier_side_rhs(exponents, z, trace_bound)
     lhs, nl, tail = lattice_sum_lhs(exponents, z, max_abs, tail_correction)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return LipschitzReport(
-        lhs=lhs,
-        rhs=rhs,
-        relative_gap=gap,
-        lhs_terms=nl,
-        rhs_terms=nr,
-        max_abs=max_abs,
-        trace_bound=trace_bound,
-        lhs_tail_estimate=tail,
-    )
+    return LipschitzReport(lhs, rhs, gap, nl, nr, max_abs, trace_bound, tail)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite side is refused instead
@@ -215,12 +219,4 @@ def classical_lipschitz(tau, s, n_bound):
     closed_form = None
     if abs(s - 2.0) < 1e-14:
         closed_form = complex(np.pi**2 / np.sin(np.pi * tau) ** 2)
-    return LipschitzReport(
-        lhs=lhs,
-        rhs=rhs,
-        relative_gap=gap,
-        lhs_terms=2 * n_bound + 1,
-        rhs_terms=n_bound,
-        max_abs=n_bound,
-        trace_bound=n_bound,
-    ), closed_form
+    return LipschitzReport(lhs, rhs, gap, 2 * n_bound + 1, n_bound, n_bound, n_bound), closed_form

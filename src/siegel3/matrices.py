@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import SingularDenominator
+from .errors import DomainError, SingularDenominator
 
 POSDEF_REL_TOL = 1e-12
 
@@ -35,9 +35,16 @@ def is_positive_definite(y):
 def is_siegel_point(z):
     """True iff z is symmetric with positive-definite imaginary part."""
     z = np.asarray(z, dtype=complex)
-    if z.shape != (3, 3) or not np.allclose(z, z.T, rtol=0, atol=1e-12 * (1 + np.abs(z).max())):
+    if z.shape != (3, 3) or not np.abs(z - z.T).max() <= 1e-12 * (1 + np.abs(z).max()):
         return False
     return is_positive_definite(z.imag)
+
+
+def siegel_point(z):
+    """z as a complex 3x3 array; DomainError unless it is a Siegel point."""
+    if not is_siegel_point(z):
+        raise DomainError("Z is not in the Siegel upper half-space (symmetric with Im Z > 0)")
+    return np.asarray(z, dtype=complex)
 
 
 # --- symplectic layer (exact integers) -------------------------------------

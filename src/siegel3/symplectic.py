@@ -24,7 +24,7 @@ from .errors import (MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, f
                      require_finite)
 from .eisenstein import TruncationSpec, selberg_E
 from .forms import HalfIntegralForm
-from .matrices import is_symplectic, mobius
+from .matrices import is_symplectic, mobius, siegel_point
 from .series import CoefficientTable, class_sum
 from .specfun import lipschitz_factor
 
@@ -251,12 +251,12 @@ def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None)
     (1/2) sum over U in a GL3(Z) column-norm ball and canonical pairs {C, D}
     of e^{2 pi i tr(T[U] M0 Z)} j(M0, Z)^(-k); M0 completes {C, D}.  The
     per-coset factors come from a table cached per (pairs, Z, k); the sum is
-    one |ball| x |pairs| array summed over the ball, then weighted by
-    j^(-k).  The truncation error is not certified; a sum that overflows
-    raises DomainError.
+    one |ball| x |pairs| array summed over the ball, then weighted by j^(-k).
+    The truncation error is not certified; a Z outside the Siegel space or a
+    sum that overflows raises DomainError.
     """
     _check_truncation(k, max_abs)
-    z = np.asarray(z, dtype=complex)
+    z = siegel_point(z)
     if pairs is None:
         pairs = enumerate_pairs(max_abs)
     if gl_ball is None:
@@ -273,9 +273,10 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     """Truncated kernel via the Poincare-series representation: 2 F(s, w, u)
     times the twisted Koecher-Maass class sum of E(T | w, s, -s-w-u+2) with the
     Poincare series P_{k,T}(Z) as coefficients, F = specfun.lipschitz_factor.
-    A value that overflows raises DomainError."""
+    A Z outside the Siegel space or a value that overflows raises DomainError."""
     _check_truncation(k, max_abs)
     s, w, u = finite_exponents(*exponents)
+    z = siegel_point(z)
     pref = 2.0 * lipschitz_factor(s, w, u)
     pairs = enumerate_pairs(max_abs)
     gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)

@@ -126,6 +126,35 @@ def test_path_continuity(rng):
             assert np.max(np.abs(np.diff(h))) < 0.1
 
 
+def _skewed_siegel(rng):
+    """A Siegel point with cond Y >= 1e4 (eigenvalues 10^a .. 10^(a+4+c)) and |X| up to 50."""
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a = rng.uniform(-3, 0)
+    y = (q * 10 ** np.array([a, rng.uniform(a, a + 4), a + 4 + rng.uniform(0, 1)])) @ q.T
+    x = rng.uniform(-50, 50, (3, 3))
+    return 0.5 * (x + x.T) + 0.5j * (y + y.T)
+
+
+def test_h3_is_h2_plus_log_of_the_schur_complement(rng):
+    # h3 = h2 + Log x with x = det Z / det Z_2 = tau3 - (z2, z3) Z_2^(-1) (z2, z3)^T in the
+    # upper half-plane, so p_{s,w,u}(Z) = p_{s,w+u,0}(Z) x^u (the slow side's factorization);
+    # x's numerator is the cofactor sum of det Z, whose rounding both sides share
+    worst_h = worst_p = 0.0
+    for k in range(1500):
+        z = mx.random_siegel(rng) if k < 1000 else _skewed_siegel(rng)
+        if k >= 1000:
+            assert np.linalg.cond(z.imag) >= 1e4 and mx.is_siegel_point(z)
+        t1, z1, z2, t2, z3, t3 = (z[i, j] for i, j in _AXES)
+        x = t3 + (2 * z1 * z2 * z3 - t1 * z3 * z3 - t2 * z2 * z2) / (t1 * t2 - z1 * z1)
+        assert x.imag > 0
+        b = branch.branch_h(z)
+        worst_h = max(worst_h, abs(b.h3 - b.h2 - np.log(x)))
+        s, w, u = rng.uniform(-3, 3, 3) + 1j * rng.uniform(-2, 2, 3)
+        p, factored = branch.power_p((s, w, u), z), branch.power_p((s, w + u, 0), z) * x**u
+        worst_p = max(worst_p, abs(p - factored) / abs(p))
+    assert worst_h <= 1e-12 and worst_p <= 1e-12
+
+
 def test_branch_cut_detection():
     with pytest.raises(BranchCutError):
         branch._plog(-1.0)

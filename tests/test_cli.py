@@ -228,6 +228,8 @@ def test_exact_payload_matches_golden(capsys, name):
 
 
 Z1 = "1j,0,0,1j,0,1j"
+Z_OUT = "1j,0,0,1j,0,0.5-1j"  # symmetric, Im Z = diag(1, 1, -1)
+NOT_SIEGEL = "input error: Z is not in the Siegel upper half-space"
 
 # bad input is refused by the parse layer, before any computation starts
 USAGE_ERRORS = [
@@ -304,12 +306,17 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["verify-zetastar", "--s", "1"], "input error: zeta pole"),
     # finite exponents whose power overflows: no NaN payload
     (["eval-power", "--s", "2.5", "--w", "4", "--u", "1e308", "--z", Z1], "input error:"),
-    # Z = 0 is no Siegel point: the stacked Mobius action refuses the table
-    (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", "0,0,0,0,0,0"],
-     "input error: C Z + D is numerically singular"),
-    # the exact f-direction sum needs Im Z > 0 (det Z_2 vanishes here)
+    # Z outside the Siegel space is refused by one intake before any sum: Z = 0,
+    # Im Z = diag(-1, 1, 1), and Z_OUT, where the sums would answer or report a gap
+    (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", "0,0,0,0,0,0"], NOT_SIEGEL),
     (["verify-lipschitz", "--max-abs", "1", "--z=-1j,0,0,1j,0,1j", "--tail-correction"],
-     "input error:"),
+     NOT_SIEGEL),
+    (["eval-poincare", "--k", "30", "--form", "1,1,1,0,0,0", "--max-abs", "1", "--z", Z_OUT],
+     NOT_SIEGEL),
+    (["eval-kernel", "--k", "30", "--s", "2", "--w", "4", "--u", "5", "--det-bound", "1",
+      "--z", Z_OUT], NOT_SIEGEL),
+    (["verify-lipschitz", "--s", "2.5", "--w", "4", "--u", "5.5", "--max-abs", "2",
+      "--trace-bound", "6", "--z", Z_OUT], NOT_SIEGEL),
     # finite input whose truncated sum overflows: no NaN or inf payload
     (["eval-eisenstein", "--form", "2,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "-2000",
       "--bound", "4"], "input error:"),

@@ -16,6 +16,12 @@ def _z0():
     return x0 + 1j * np.eye(3)
 
 
+def _z_coupled():
+    """A general-Y point: Im Z has off-diagonal entries up to 0.75 of its diagonal."""
+    x = np.array([[0.3, -0.2, 0.45], [-0.2, -0.1, 0.35], [0.45, 0.35, 0.2]])
+    return x + 1j * np.array([[1.0, 0.75, -0.6], [0.75, 1.25, -0.7], [-0.6, -0.7, 0.9]])
+
+
 def _bare_sum_per_abc(exponents, z, max_abs):
     """The per-(a, b, c) loop that the box chunks replaced (oracle): one
     power_terms call over (d, e, f) per (a, b, c), and the shell estimate."""
@@ -40,23 +46,26 @@ def _bare_sum_per_abc(exponents, z, max_abs):
 
 
 @pytest.mark.parametrize("exponents",
-                         [(2.0, 4.0, 5.0), (2.5, 4.0, 5.5), (2.0 + 0.5j, 4.0, 5.0 - 0.5j)])
+                         [(2.0, 4.0, 5.0), (2.5, 4.0, 5.5), (2.0 + 0.5j, 4.0, 5.0 - 0.5j),
+                          (2.0 + 0.5j, 4.0, 5.5 - 1.5j), (2.5, 4.0 + 1j, 5.0)])
 @pytest.mark.parametrize("max_abs,chunk", [(0, None), (1, None), (3, None), (3, 7**2)])
 def test_lhs_box_chunks_match_per_abc_loop(monkeypatch, exponents, max_abs, chunk):
+    # the factorized sum against whole power_terms terms, on every f-kernel: integer u
+    # (the last exponents under a prefactor off the integers), real u and |Im u| >= 1
     if chunk:  # force leading-axis chunks on a small box
         monkeypatch.setattr(lip, "_CHUNK", chunk)
-    z = _z0()
-    val, n, tail = lip.lattice_sum_lhs(exponents, z, max_abs)
-    ref, n_ref, tail_ref = _bare_sum_per_abc(exponents, z, max_abs)
-    assert n == n_ref == (2 * max_abs + 1) ** 6
-    assert abs(val - ref) <= 1e-12 * abs(ref)
-    if max_abs == 0:
-        assert tail is None and tail_ref is None
-    else:
-        assert abs(tail - tail_ref) <= 1e-12 * tail_ref
-    if complex(exponents[2]).imag or exponents[2] != int(exponents[2]):
-        # no exact f-direction sum off the integers: tail_correction is a no-op
-        assert lip.lattice_sum_lhs(exponents, z, max_abs, tail_correction=True) == (val, n, tail)
+    for z in (_z0(), _z_coupled()):
+        val, n, tail = lip.lattice_sum_lhs(exponents, z, max_abs)
+        ref, n_ref, tail_ref = _bare_sum_per_abc(exponents, z, max_abs)
+        assert n == n_ref == (2 * max_abs + 1) ** 6
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+        if max_abs == 0:
+            assert tail is None and tail_ref is None
+        else:
+            assert abs(tail - tail_ref) <= 1e-12 * tail_ref
+        if complex(exponents[2]).imag or exponents[2] != int(exponents[2]):
+            # no exact f-direction sum off the integers: tail_correction is a no-op
+            assert lip.lattice_sum_lhs(exponents, z, max_abs, True) == (val, n, tail)
 
 
 def test_f_direction_sum_matches_mpmath():
@@ -169,6 +178,16 @@ def test_non_finite_exponents_and_sums_are_refused():
         lip.lattice_sum_lhs((2.5, 4, 1e308), z, 2)
     with pytest.raises(DomainError, match="overflowed"), np.errstate(all="ignore"):
         lip.fourier_side_rhs((2, 4, 2 + 300j), z, 6)
+
+
+def test_points_outside_the_siegel_space_are_refused():
+    # Z = 0, Im Z indefinite, and Z not symmetric: refused before any term is summed
+    for z in (np.zeros((3, 3)), 0.5 + np.diag([1j, 1j, -1j]), _z0() + np.triu(np.ones((3, 3)), 1)):
+        for tail_correction in (False, True):
+            with pytest.raises(DomainError, match="Siegel"):
+                lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, 1, tail_correction)
+        with pytest.raises(DomainError, match="Siegel"):
+            lip.fourier_side_rhs((2.5, 4.0, 5.5), z, 6)
 
 
 def test_lhs_single_term():

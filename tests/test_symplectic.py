@@ -341,6 +341,14 @@ def test_coset_coefficients_match_the_list_congruence():
             assert got.tolist() == _list_coefficients(t, ball).tolist()
 
 
+def test_points_outside_the_siegel_space_are_refused():
+    for z in (np.zeros((3, 3)), np.diag([1j, 1j, 0.5 - 1j])):
+        with pytest.raises(DomainError, match="Siegel"):
+            sp.poincare_trunc(30, I3F, z, 1)
+        with pytest.raises(DomainError, match="Siegel"):
+            sp.kernel_trunc(30, (2, 4, 5), z, 1, eis.TruncationSpec(4, 4), 1)
+
+
 def test_coset_tables_share_completions():
     pairs = sp.enumerate_pairs(1)[5::50]
     sp._completions.cache_clear()

@@ -31,11 +31,7 @@ def det3(a):
 
 def cross3(a, b):
     """Cross product of two integer 3-vectors, as a tuple."""
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
 
 def bilinear3(g, v, w):
@@ -207,10 +203,8 @@ def snf(mat):
                 break
         if not found:
             break
-        i0, j0 = min(
-            ((i, j) for i in range(k, nrows) for j in range(k, ncols) if s[i][j] != 0),
-            key=lambda t: abs(s[t[0]][t[1]]),
-        )
+        i0, j0 = min(((i, j) for i in range(k, nrows) for j in range(k, ncols) if s[i][j] != 0),
+                     key=lambda t: abs(s[t[0]][t[1]]))
         swap_rows(k, i0)
         swap_cols(k, j0)
         # eliminate row and column k; restart if a remainder shrinks the pivot

@@ -103,16 +103,10 @@ def criterion_3(seed=DEFAULT_SEED):
     for i, z in enumerate(_fixed_lipschitz_points()):
         r1 = lip.lipschitz_report((2.0, 4.0, 5.0), z, 8, 12, tail_correction=True)
         r2 = lip.lipschitz_report((2.0, 4.0, 5.0), z, 9, 13, tail_correction=True)
-        res.add(
-            "Z%d gap <= 1e-3 at (8,12)" % i,
-            r1.relative_gap <= 1e-3,
-            "gap %.3g" % r1.relative_gap,
-        )
-        res.add(
-            "Z%d gap decreases at (9,13)" % i,
-            r2.relative_gap < r1.relative_gap,
-            "gap %.3g -> %.3g" % (r1.relative_gap, r2.relative_gap),
-        )
+        res.add("Z%d gap <= 1e-3 at (8,12)" % i, r1.relative_gap <= 1e-3,
+                "gap %.3g" % r1.relative_gap)
+        res.add("Z%d gap decreases at (9,13)" % i, r2.relative_gap < r1.relative_gap,
+                "gap %.3g -> %.3g" % (r1.relative_gap, r2.relative_gap))
     res.add("runtime < 120 s", res.elapsed() < 120.0)
     return res.finish()
 
@@ -158,9 +152,7 @@ def criterion_6(seed=DEFAULT_SEED):
         u = _random_unimodular_bounded(rng, 3)
         scrambled = forms.congruence_form(target, u)
         red = forms.minkowski_reduce(scrambled)
-        if red.form == target and forms.congruence_form(
-            scrambled, [list(r) for r in red.reducer]
-        ) == red.form:
+        if red.form == target and forms.congruence_form(scrambled, red.reducer) == red.form:
             ok += 1
     res.add("500 scrambled diag(1,2,3) round-trips", ok == 500, "%d/500" % ok)
     classes = forms.reduced_classes(1)

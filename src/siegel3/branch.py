@@ -10,7 +10,9 @@ All internals are numpy-vectorized over the six independent entries.  Each
 principal log is polar, log|z| + i atan2(Im z, Re z), far cheaper than a
 complex log.  On the Siegel space h3 = h2 + Log x with x = det Z / det Z_2,
 Im x > 0, so p_{s,w,u}(Z) = p_{s,w+u,0}(Z) x^u: lattice sums take the first
-factor from power_terms on a small grid (lipschitz.lattice_sum_lhs).
+factor from power_terms on a small grid (lipschitz.lattice_sum_lhs), and their
+exponentials from real parts too (_polar_exp, ~5x cheaper than numpy's complex
+exp), while power_terms keeps the complex exp and stays their oracle.
 """
 
 from __future__ import annotations
@@ -47,15 +49,34 @@ def _plog(z):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing e^a is refused by the caller
+def _polar_exp(a, b, out):
+    """e^(a + ib) = e^a (1 - t^2 + 2it)/(1 + t^2), t = tan(b/2), into the complex out; a becomes
+    e^a = |out|, b becomes sin b.  numpy's real exp and tan are SIMD (1.3, 2.8 ns a value on an
+    AVX-512 Xeon), its complex exp, sin and cos scalar (48-58, 21, 23 ns); tan(double) is finite."""
+    t = np.tan(np.multiply(b, 0.5, out=b), out=b)
+    c = np.square(t)
+    c += 1.0
+    np.divide(2.0, c, out=c)  # 1 + cos b
+    np.multiply(c, t, out=t)  # sin b
+    c -= 1.0
+    mod = np.exp(a, out=a)  # contiguous until here: only the last two write out's halves
+    np.multiply(c, mod, out=out.real)
+    np.multiply(t, mod, out=out.imag)
+    return out
+
+
 def _entries(z):
     z = np.asarray(z, dtype=complex)
     return z[0, 0], z[0, 1], z[0, 2], z[1, 1], z[1, 2], z[2, 2]
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a zero pivot is a zero d1 or d2, refused
 def _dets(tau1, z1, z2, tau2, z3, tau3):
-    d2 = tau1 * tau2 - z1 * z1
-    # cofactor expansion along the last column: tau3 enters once
-    d3 = d2 * tau3 + (2.0 * z1 * z2 * z3 - tau1 * z3 * z3 - tau2 * z2 * z2)
+    d2, r = tau1 * tau2 - z1 * z1, z1 / tau1
+    # det Z = d2 x, x = tau3 - z2^2/tau1 - (z3 - r z2)^2/(tau2 - r z1) by pivots: at skewed
+    # points the cofactor sum 2 z1 z2 z3 - tau1 z3^2 - tau2 z2^2 cancels, the pivots do not
+    d3 = d2 * (tau3 - z2 * z2 / tau1 - (z3 - r * z2) ** 2 / (tau2 - r * z1))
     return tau1, d2, d3, z3 * z3 - tau2 * tau3
 
 

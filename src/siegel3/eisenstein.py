@@ -173,10 +173,8 @@ def epstein(y, s, bound):
         # integral comparison with the radius pulled in by one cell diameter,
         # which absorbs the lattice-vs-area boundary error
         b_eff = max(float(bound) - 4.0 * math.sqrt(lam_max * float(bound)), 1.0)
-        tail = (
-            cn * (n / 2.0) / (2.0 * math.sqrt(det))
-            * b_eff ** (n / 2.0 - sigma) / (sigma - n / 2.0)
-        )
+        tail = (cn * (n / 2.0) / (2.0 * math.sqrt(det))
+                * b_eff ** (n / 2.0 - sigma) / (sigma - n / 2.0))
     else:
         tail = math.inf
     return TruncatedValue(value=complex(value), terms_used=int(vals.size), tail_estimate=tail)

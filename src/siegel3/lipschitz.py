@@ -7,8 +7,10 @@ the fast side is a prefactored sum over positive-definite half-integral T of
 p_{-w,-s,s+w+u-2}(i W T W) e(T Z), which converges exponentially, in closed
 form: the minors of i W T W are i t3, -m2 and -i det T, and the phase of p
 cancels the prefactor's (fourier_side_rhs).  Reports carry both truncations
-and a relative gap.  Both sides refuse a Z outside the Siegel space, and a
-truncation whose work exceeds MAX_WORK before they allocate anything.
+and a relative gap.  Every full-size complex exponential of both sides is one
+polar exp from real parts (branch._polar_exp).  Both sides refuse a Z outside
+the Siegel space, and a truncation whose work exceeds MAX_WORK before they
+allocate anything.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import _ipow, _is_small_int, power_terms
+from .branch import _ipow, _is_small_int, _polar_exp, power_terms
 from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import siegel_point
@@ -46,6 +48,7 @@ class LipschitzReport:
     lhs_tail_estimate: float | None = None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     """sum over symmetric integer B with |entries| <= max_abs of
     p_{-s,-w,-u}(Z + B), for Z in the Siegel upper half-space.
@@ -88,25 +91,30 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     total, shell_sum = 0.0 + 0.0j, 0.0
     for idx in itertools.product(range(n), repeat=lead):
         tau1, z1, z2, tau2, z3 = [c[i] for c, i in zip(cols, idx)] + cols[lead:]
-        inv = 1.0 / (tau1 * tau2 - z1 * z1)
-        x = (2.0 * z1 * inv) * (z2 * z3) - (tau1 * inv) * (z3 * z3)
-        x -= (tau2 * inv) * (z2 * z2) - z[2, 2]
+        r = z1 / tau1  # x = tau3 - z2^2/tau1 - (z3 - r z2)^2/(tau2 - r z1), pivots first
+        x = np.square(z3 - r * z2) * (1.0 / (tau2 - r * z1))
+        np.subtract(z[2, 2] - z2 * z2 / tau1, x, out=x)
         if not (x.imag > 0.0).all():
             raise DomainError("Im det(Z+B)/det(Z+B)_2 <= 0: Z is too close to the boundary")
         if exact_f:
-            sums = _f_direction_sum(2j * np.pi * x, coef)
+            sums = _f_direction_sum(x, coef)
             all_f, edge_f = np.abs(sums), 0.0
         else:
             if _is_small_int(u):
                 terms = _ipow(f_axis + x, -int(u.real))
-            else:  # -u Log(x + f) = -u/2 (log|x + f|^2 + 2i Arg(x + f)), Arg in (0, pi)
+                np.abs(terms, out=mag)
+            else:  # -u Log(x + f) = A + iB from L = log|x + f|^2 and theta = Arg(x + f)
                 np.add(f_axis, x.real, out=re)
                 np.add(np.multiply(re, re, out=mag), x.imag * x.imag, out=mag)
-                np.log(mag, out=arg.real)
-                np.multiply(np.arctan2(x.imag, re, out=arg.imag), 2.0, out=arg.imag)
-                arg *= -0.5 * u
-                terms = np.exp(arg, out=arg)
-            np.abs(terms, out=mag)
+                big_l, theta = np.log(mag, out=mag), np.arctan2(x.imag, re, out=re)
+                if u.imag:  # A = -(u_r/2) L + u_i theta, B = -(u_i/2) L - u_r theta
+                    b = (-0.5 * u.imag) * big_l - u.real * theta
+                    big_l *= -0.5 * u.real
+                    big_l += u.imag * theta
+                else:
+                    b = np.multiply(theta, -u.real, out=theta)
+                    big_l *= -0.5 * u.real
+                terms = _polar_exp(big_l, b, arg)  # mag now holds e^A = |term|
             sums, all_f, edge_f = terms.sum(0), mag.sum(0), mag[0] + mag[-1]
         total += (pref[idx] * sums).sum()
         shell = all_f if on_edge[list(idx)].any() else np.where(edge, all_f, edge_f)
@@ -126,12 +134,12 @@ def _f_coefficients(u):
             for k in range(u - 1)]
 
 
-def _f_direction_sum(arg, coef):
+def _f_direction_sum(x, coef):
     """Sum over all integers f of (x + f)^(-u), integer u >= 2, Im x > 0, from
-    arg = 2 pi i x (overwritten) and coef = _f_coefficients(u): the one-variable
-    summation formula gives (-2 pi i)^u / (u-1)! Li_{1-u}(q), q = e(x), and
+    coef = _f_coefficients(u): the one-variable summation formula gives
+    (-2 pi i)^u / (u-1)! Li_{1-u}(q), q = e(x) = e^(-2 pi Im x) e^(2 pi i Re x), and
     Li_{1-u}(q) = q A_{u-1}(q) / (1-q)^u, A_m the Eulerian polynomial."""
-    q = np.exp(arg, out=arg)
+    q = _polar_exp(x.imag * (-2.0 * np.pi), x.real * (2.0 * np.pi), np.empty_like(x))
     acc = coef[-1] * q
     for c in coef[-2::-1]:
         acc += c
@@ -156,8 +164,8 @@ def fourier_side_rhs(exponents, z, trace_bound):
                           % (trace_bound, MAX_WORK))
     s, w, u = finite_exponents(*exponents)
     zk = siegel_point(z)[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]  # tr(TZ) = key . zk
-    real = not (s.imag or w.imag or u.imag)  # then one real exp per form
-    a, b, c = (x.real if real else x for x in (-w, -s, s + w + u - 2.0))
+    powers = -w, -s, s + w + u - 2.0
+    real = not any(e.imag for e in powers)  # then one real exp per form
     # The 1/8 is the coordinate covolume of the half-integral lattice in the
     # entry measure dx1..dx6 used by the Fourier transform (Poisson
     # normalization); without it the two sides differ by exactly 8.
@@ -170,8 +178,13 @@ def fourier_side_rhs(exponents, z, trace_bound):
         t1, t2, t3, b12, b13, b23 = keys = [t[name] for name in t.dtype.names]
         m4 = 4 * t2 * t3 - b23 * b23
         d8 = 2 * (t1 * m4 + b12 * b13 * b23 - t2 * b13 * b13 - t3 * b12 * b12)
-        arg = a * np.log(t3) + b * np.log(0.25 * m4) + c * np.log(0.125 * d8)  # exact m2, det T
-        terms = np.exp(arg - 2.0 * np.pi * sum(y * key for y, key in zip(zk.imag, keys)))
+        mod, arg = -2.0 * np.pi * sum(y * key for y, key in zip(zk.imag, keys)), 0.0
+        for e, g, scale in zip(powers, (t3, m4, d8), (1.0, 0.25, 0.125)):  # exact m2, det T
+            g = np.log(scale * g)
+            mod += e.real * g
+            arg = arg + e.imag * g if e.imag else arg
+        del g  # one log alive at a time, none during the gathers
+        terms = np.exp(mod, out=mod) if real else _polar_exp(mod, arg, np.empty(len(t), complex))
         for key, table in zip(keys, phase):
             terms = terms * table[key]
         total += terms.sum()

@@ -88,9 +88,8 @@ def load_coefficients(path):
                 raise ParseError("line %d: form is not positive definite" % lineno)
             red = minkowski_reduce(t).form
             if red != t:
-                raise NonReducedKey(
-                    "line %d: %s is not the canonical reduced representative" % (lineno, t)
-                )
+                raise NonReducedKey("line %d: %s is not the canonical reduced representative"
+                                    % (lineno, t))
             if t.key() in data:
                 raise DuplicateKey("line %d: duplicate key %s" % (lineno, t))
             data[t.key()] = value
@@ -143,8 +142,6 @@ def km_twisted(table: CoefficientTable, exponents, det_bound, flag_spec: Truncat
     s, w, u = finite_exponents(*exponents)
     sv = class_sum(table, det_bound, lambda t: selberg_E(t, (s, w, u), flag_spec).value)
     if not (s.real > 1 and w.real > 1 and u.real > table.k / 2 + 1):
-        sv.warnings.append(
-            "outside region Re(s)>1, Re(w)>1, Re(u)>k/2+1"
-            " (stricter variant requires Re(u)>k+1)"
-        )
+        sv.warnings.append("outside region Re(s)>1, Re(w)>1, Re(u)>k/2+1"
+                           " (stricter variant requires Re(u)>k+1)")
     return sv

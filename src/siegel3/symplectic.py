@@ -285,14 +285,9 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     sv = class_sum(poincare, det_bound,
                    lambda t: selberg_E(t, (w, s, -s - w - u + 2.0), flag_spec).value)
     warnings = []
-    if not (
-        s.real > 1 and w.real > 3 and u.real > 4
-        and (2 * s + 4 * w + u).real < k - 4
-    ):
-        warnings.append(
-            "outside Re(s)>1, Re(w)>3, Re(u)>4, Re(2s+4w+u)<k-4: the class sum "
-            "need not converge as det_bound grows"
-        )
+    if not (s.real > 1 and w.real > 3 and u.real > 4 and (2 * s + 4 * w + u).real < k - 4):
+        warnings.append("outside Re(s)>1, Re(w)>3, Re(u)>4, Re(2s+4w+u)<k-4: the class sum "
+                        "need not converge as det_bound grows")
     return {
         "value": complex(require_finite(pref * sv.value, "the kernel sum")),
         "classes_used": sv.classes_used,

@@ -1,10 +1,12 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from siegel3 import branch, matrices as mx
-from siegel3.errors import BranchCutError, DomainError
+from siegel3 import branch, lipschitz, matrices as mx
+from siegel3.errors import BranchCutError, DomainError, require_finite
 
 # entry (i, j) of Z behind each power_terms argument (tau1, z1, z2, tau2, z3, tau3)
 _AXES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -135,17 +137,56 @@ def _skewed_siegel(rng):
     return 0.5 * (x + x.T) + 0.5j * (y + y.T)
 
 
+def test_polar_exp_matches_mpmath():
+    # e^(a+ib) from e^a and tan(b/2): the phase on |b| <= 20, |b| <= 1e4 and within 1e-12 of
+    # multiples of pi/2 (odd multiples of pi among them), then the modulus over a in [-745, 709],
+    # to 1e-15 e^a plus two subnormal steps (the spacing of doubles below e^-708)
+    rng = np.random.default_rng(3)
+    quarter = np.pi / 2 * np.r_[-12:13, rng.integers(-6366, 6367, 200)]
+    b = np.concatenate([np.linspace(-20, 20, 4001), rng.uniform(-1e4, 1e4, 4000),
+                        (quarter[:, None] + [-1e-12, -1e-13, 0.0, 1e-13, 1e-12]).ravel()])
+    a = np.concatenate([np.zeros(b.size), np.linspace(-745, 709, 2000)])
+    b = np.concatenate([b, rng.uniform(-20, 20, 2000)])
+    got = branch._polar_exp(a.copy(), b.copy(), np.empty(a.size, dtype=complex))
+    with mpmath.workdps(30):
+        ref = [complex(mpmath.exp(mpmath.mpf(x)) * mpmath.expj(mpmath.mpf(y))) for x, y in zip(a, b)]
+    err = np.abs(got - np.array(ref))
+    assert (err <= 1e-15 * np.exp(a) + 1e-323).all()
+    # an overflowing e^a gives a non-finite value, which the caller refuses, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = branch._polar_exp(np.array([710.0, 800.0]), np.array([1.0, np.pi]), np.empty(2, complex))
+        for value in big:
+            with pytest.raises(DomainError, match="not finite"):
+                require_finite(value, "the polar exp")
+
+
+def test_det_by_pivots_matches_mpmath(rng):
+    # det Z = d2 x, x by pivots, in branch._dets and on the slow side's grid (the one-term
+    # sum of p_{0,0,-1} is 1/det Z), where the cofactor sum errs by up to ~1e-10
+    worst = 0.0
+    for _ in range(1000):
+        z = _skewed_siegel(rng)
+        with mpmath.workdps(40):
+            det = complex(mpmath.det(mpmath.matrix(z.tolist())))
+        d3 = branch._dets(*(z[i, j] for i, j in _AXES))[2]
+        inv = lipschitz.lattice_sum_lhs((0, 0, 1), z, 0)[0]
+        worst = max(worst, abs(d3 - det) / abs(det), abs(inv * det - 1))
+    assert worst <= 5e-12
+
+
 def test_h3_is_h2_plus_log_of_the_schur_complement(rng):
     # h3 = h2 + Log x with x = det Z / det Z_2 = tau3 - (z2, z3) Z_2^(-1) (z2, z3)^T in the
     # upper half-plane, so p_{s,w,u}(Z) = p_{s,w+u,0}(Z) x^u (the slow side's factorization);
-    # x's numerator is the cofactor sum of det Z, whose rounding both sides share
+    # x is the slow side's pivot form, whose rounding det Z in branch._dets shares
+    # (test_det_by_pivots_matches_mpmath checks both against mpmath)
     worst_h = worst_p = 0.0
     for k in range(1500):
         z = mx.random_siegel(rng) if k < 1000 else _skewed_siegel(rng)
         if k >= 1000:
             assert np.linalg.cond(z.imag) >= 1e4 and mx.is_siegel_point(z)
         t1, z1, z2, t2, z3, t3 = (z[i, j] for i, j in _AXES)
-        x = t3 + (2 * z1 * z2 * z3 - t1 * z3 * z3 - t2 * z2 * z2) / (t1 * t2 - z1 * z1)
+        x = t3 - z2 * z2 / t1 - (z3 - z1 / t1 * z2) ** 2 / (t2 - z1 / t1 * z1)
         assert x.imag > 0
         b = branch.branch_h(z)
         worst_h = max(worst_h, abs(b.h3 - b.h2 - np.log(x)))

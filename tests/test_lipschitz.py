@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -47,11 +48,13 @@ def _bare_sum_per_abc(exponents, z, max_abs):
 
 @pytest.mark.parametrize("exponents",
                          [(2.0, 4.0, 5.0), (2.5, 4.0, 5.5), (2.0 + 0.5j, 4.0, 5.0 - 0.5j),
-                          (2.0 + 0.5j, 4.0, 5.5 - 1.5j), (2.5, 4.0 + 1j, 5.0)])
+                          (2.0 + 0.5j, 4.0, 5.5 - 1.5j), (2.5, 4.0 + 1j, 5.0),
+                          (2.5, 4.0, 15.5), (2.5, 4.0, 3.5 + 2j)])
 @pytest.mark.parametrize("max_abs,chunk", [(0, None), (1, None), (3, None), (3, 7**2)])
 def test_lhs_box_chunks_match_per_abc_loop(monkeypatch, exponents, max_abs, chunk):
     # the factorized sum against whole power_terms terms, on every f-kernel: integer u
-    # (the last exponents under a prefactor off the integers), real u and |Im u| >= 1
+    # (the last exponents under a prefactor off the integers), real u (15.5: the polar
+    # exp's angle reaches ~48) and |Im u| >= 1
     if chunk:  # force leading-axis chunks on a small box
         monkeypatch.setattr(lip, "_CHUNK", chunk)
     for z in (_z0(), _z_coupled()):
@@ -76,7 +79,7 @@ def test_f_direction_sum_matches_mpmath():
             alpha = complex(*rng.normal(size=2)) * 10 ** rng.uniform(-1, 1)
             x = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-2, math.log10(3)))
             coef = lip._f_coefficients(u)
-            got = alpha ** (-u) * complex(lip._f_direction_sum(np.array([2j * np.pi * x]), coef)[0])
+            got = alpha ** (-u) * complex(lip._f_direction_sum(np.array([x]), coef)[0])
             with mpmath.workdps(30):
                 xm = mpmath.mpc(x)
                 ref = complex(mpmath.mpc(alpha) ** (-u)
@@ -188,6 +191,27 @@ def test_points_outside_the_siegel_space_are_refused():
                 lip.lattice_sum_lhs((2.0, 4.0, 5.0), z, 1, tail_correction)
         with pytest.raises(DomainError, match="Siegel"):
             lip.fourier_side_rhs((2.5, 4.0, 5.5), z, 6)
+
+
+def test_ill_scaled_siegel_point_is_accepted():
+    # Im Z = diag(1e-3, 1e-3, 1e3), cond 1e6: summed on every lattice path and the fast side
+    z = 1j * np.diag([1e-3, 1e-3, 1e3])
+    for e in ((2.0, 4.0, 5.0), (2.5, 4.0, 5.5)):
+        for tail_correction in (False, True):
+            val, n, _ = lip.lattice_sum_lhs(e, z, 1, tail_correction)
+            assert np.isfinite(val) and n > 0
+        one = lip.lattice_sum_lhs(e, z, 0)[0]
+        assert abs(one - branch.power_p(tuple(-x for x in e), z)) <= 1e-13 * abs(one)
+        assert lip.fourier_side_rhs(e, z, 6)[1] > 0
+
+
+def test_overflowing_terms_are_refused_without_warnings():
+    # (x + f)^1000.5 leaves the double range at |x + f|^2 >= 5 while the prefactor
+    # p_{0,-996.5+1000.5,0} = det(Z+B)_2^4 stays finite: the sum is refused, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            lip.lattice_sum_lhs((0.0, 996.5, -1000.5), 1j * np.eye(3), 2)
 
 
 def test_lhs_single_term():

@@ -19,6 +19,16 @@ def test_siegel_point_examples():
     assert not mx.is_siegel_point(np.diag([1j, 1j, -1j]))
     z = 1j * np.array([[1, 2, 0], [2, 1, 0], [0, 0, 1]], dtype=float)
     assert not mx.is_siegel_point(z)  # 2x2 leading minor of Im is -3
+    # the minors of D^(-1/2) Y D^(-1/2), D = diag Y: scale-free, so an ill-scaled Y passes
+    assert mx.is_siegel_point(1j * np.diag([1e-3, 1e-3, 1e3]))
+    assert mx.is_siegel_point(1j * np.diag([1e-9, 1.0, 1e9]))
+    assert mx.is_positive_definite(np.diag([1e-3, 1e-3, 1e3]) + 0.9e-3 * np.eye(3)[[1, 0, 2]])
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for y in (singular, singular * [1e-3, 1e-3, 1e3], np.diag([1.0, 0.0, 1.0]),
+              np.diag([1.0, 1.0, -1e-300]), np.diag([np.nan, 1.0, 1.0]), np.diag([np.inf] * 3),
+              np.outer([1.0, 1e-3, 1e3], [1.0, 1e-3, 1e3]) - 1e-14 * np.eye(3),
+              np.array([[1.0, 1e200, 0.0], [1e200, 1.0, 1e200], [0.0, 1e200, 1.0]])):
+        assert not mx.is_positive_definite(y)
 
 
 def test_congruence_examples():

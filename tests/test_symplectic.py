@@ -347,6 +347,10 @@ def test_points_outside_the_siegel_space_are_refused():
             sp.poincare_trunc(30, I3F, z, 1)
         with pytest.raises(DomainError, match="Siegel"):
             sp.kernel_trunc(30, (2, 4, 5), z, 1, eis.TruncationSpec(4, 4), 1)
+    # Im Z = diag(1e-3, 1e-3, 1e3) (cond 1e6) is a Siegel point: both sums answer
+    z = 1j * np.diag([1e-3, 1e-3, 1e3])
+    assert np.isfinite(sp.poincare_trunc(30, I3F, z, 1)[0])
+    assert np.isfinite(sp.kernel_trunc(30, (2, 4, 5), z, 1, eis.TruncationSpec(4, 4), 1)["value"])
 
 
 def test_coset_tables_share_completions():

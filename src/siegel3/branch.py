@@ -1,48 +1,40 @@
 """Holomorphic branch functions h1, h2, h3 on the degree-3 Siegel space.
 
 The three-exponent power function is p_{s,w,u}(Z) = exp(s h1 + w h2 + u h3)
-with exp(h_j) = det Z_j (j-th leading corner).  The h_j are evaluated from
-closed principal-log formulas; the split of h3 into two separate logs is
-deliberate and must not be merged, because each argument individually avoids
-the cut while their product need not.
+with exp(h_j) = det Z_j (j-th leading corner).  With the LDL pivots p_j of Z,
+det Z_j = p_1...p_j, the branches are h_j = h_(j-1) + Log p_j (h_0 = 0): each
+Schur complement of a Siegel matrix is again Siegel, so every pivot lies in
+the upper half-plane and each partial sum is a continuous log of det Z_j on the
+connected H3 that agrees with the principal branch at iI.  Hence
+p_{s,w,u}(Z) = p_1^(s+w+u) p_2^(w+u) p_3^u, algebraic for integer exponents.
 
 All internals are numpy-vectorized over the six independent entries.  Each
 principal log is polar, log|z| + i atan2(Im z, Re z), far cheaper than a
-complex log.  On the Siegel space h3 = h2 + Log x with x = det Z / det Z_2,
-Im x > 0, so p_{s,w,u}(Z) = p_{s,w+u,0}(Z) x^u: lattice sums take the first
-factor from power_terms on a small grid (lipschitz.lattice_sum_lhs), and their
-exponentials from real parts too (_polar_exp, ~5x cheaper than numpy's complex
-exp), while power_terms keeps the complex exp and stays their oracle.
+complex log.  Lattice sums take p_{s,w+u,0} from power_terms on a small grid
+and p_3^u on the full one (lipschitz.lattice_sum_lhs) from real parts
+(_polar_exp, ~5x cheaper than numpy's complex exp); power_terms keeps the
+complex exp and stays their oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .errors import BranchCutError, finite_exponents, require_finite
+from .errors import BranchCutError, DomainError, finite_exponents, require_finite
+from .matrices import siegel_point
 
 CUT_TOL = 1e-14
 
-# anti-diagonal permutation, reverses coordinate order under congruence
-W3 = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-
-
-@dataclass(frozen=True)
-class BranchValue:
-    h1: complex
-    h2: complex
-    h3: complex
-
 
 def _plog(z):
-    """Principal log raising BranchCutError within CUT_TOL (relative) of the
-    cut (-inf, 0], z = 0 included."""
+    """Principal log of a pivot, raising BranchCutError unless Im z > 0 and z is
+    farther than CUT_TOL (relative) from the cut (-inf, 0]."""
     z = np.asarray(z, dtype=complex)
     az = np.abs(z)
-    if np.any((z.real <= 0.0) & (np.abs(z.imag) <= CUT_TOL * az)):
-        raise BranchCutError("principal-log argument within %g of the cut" % CUT_TOL)
+    if not ((z.imag > 0.0) & ((z.real > 0.0) | (z.imag > CUT_TOL * az))).all():
+        raise BranchCutError("pivot off the upper half-plane or within %g of the cut" % CUT_TOL)
     out = np.empty(z.shape, dtype=complex)
     np.log(az, out=out.real)
     np.arctan2(z.imag, z.real, out=out.imag)
@@ -67,76 +59,33 @@ def _polar_exp(a, b, out):
 
 
 def _entries(z):
-    z = np.asarray(z, dtype=complex)
     return z[0, 0], z[0, 1], z[0, 2], z[1, 1], z[1, 2], z[2, 2]
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a zero pivot is a zero d1 or d2, refused
-def _dets(tau1, z1, z2, tau2, z3, tau3):
-    d2, r = tau1 * tau2 - z1 * z1, z1 / tau1
-    # det Z = d2 x, x = tau3 - z2^2/tau1 - (z3 - r z2)^2/(tau2 - r z1) by pivots: at skewed
-    # points the cofactor sum 2 z1 z2 z3 - tau1 z3^2 - tau2 z2^2 cancels, the pivots do not
-    d3 = d2 * (tau3 - z2 * z2 / tau1 - (z3 - r * z2) ** 2 / (tau2 - r * z1))
-    return tau1, d2, d3, z3 * z3 - tau2 * tau3
+@np.errstate(divide="ignore", invalid="ignore")  # a zero pivot gives a non-finite one, refused
+def _pivots(tau1, z1, z2, tau2, z3, tau3):
+    """The LDL pivots (p1, p2, p3) of Z, det Z_j = p1...pj; at skewed points the cofactor
+    sum of det Z cancels, the pivots do not.  Z[W] (W anti-diagonal) is Z[::-1, ::-1]."""
+    r = z1 / tau1
+    p2 = tau2 - r * z1
+    p3 = np.square(z3 - r * z2) * (-1.0 / p2)  # no full-size division on the slow side's blocks
+    in_place = np.ndim(p3) and not np.ndim(tau3)  # tau3 a scalar there: no second full-size array
+    return tau1, p2, np.add(p3, tau3 - z2 * z2 / tau1, out=p3 if in_place else None)
 
 
-def _branch_arrays(tau1, z1, z2, tau2, z3, tau3):
-    """h1, h2 and h3 = (Log q + 2 pi i) + Log(d3/q), the two parts of h3 apart:
-    on an open grid all but Log(d3/q) live on small broadcast shapes."""
-    d1, d2, d3, q = _dets(tau1, z1, z2, tau2, z3, tau3)
-    h1 = _plog(d1)
-    h2 = _plog(-d2) + 1j * np.pi
-    return h1, h2, _plog(q) + 2j * np.pi, _plog(d3 * (1.0 / q))
+def _inverse_pivots(tau1, z1, z2, tau2, z3, tau3):
+    """The pivots of -Z^(-1) at a Siegel point from Jacobi's complementary minors:
+    det(-Z^(-1))_j is q/det Z, tau3/det Z and -1/det Z, with q = z3^2 - tau2 tau3."""
+    p1, p2, p3 = _pivots(tau1, z1, z2, tau2, z3, tau3)
+    q = z3 * z3 - tau2 * tau3
+    return q / (p1 * p2 * p3), tau3 / q, -1.0 / tau3
 
 
-def _branch_inverse_arrays(tau1, z1, z2, tau2, z3, tau3):
-    d1, d2, d3, q = _dets(tau1, z1, z2, tau2, z3, tau3)
-    h1 = _plog(q / d3)
-    h2 = _plog(-tau3 / d3) + 1j * np.pi
-    h3 = -_plog(d3 / q) - _plog(q) + 1j * np.pi
-    return h1, h2, h3
-
-
-def branch_h(z):
-    """Branch values (h1, h2, h3) at a Siegel point; exp(h_j) = det Z_j."""
-    h1, h2, h3q, h3r = _branch_arrays(*_entries(z))
-    return BranchValue(complex(h1), complex(h2), complex(h3q + h3r))
-
-
-def branch_h_inverse(z):
-    """Branch values of -Z^(-1) from the explicit entry formulas."""
-    h1, h2, h3 = _branch_inverse_arrays(*_entries(z))
-    return BranchValue(complex(h1), complex(h2), complex(h3))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused instead
-def _power(exponents, h):
-    """exp(s h1 + w h2 + u h3); DomainError unless the value is finite."""
-    s, w, u = exponents
-    return complex(require_finite(np.exp(s * h.h1 + w * h.h2 + u * h.h3), "p_{s,w,u}"))
-
-
-def power_p(exponents, z):
-    """The power function p_{s,w,u}(Z) = exp(s h1 + w h2 + u h3)."""
-    return _power(finite_exponents(*exponents), branch_h(z))
-
-
-def power_p_at_inverse(exponents, z):
-    """p_{s,w,u}(-Z^(-1)) without forming the inverse matrix."""
-    return _power(finite_exponents(*exponents), branch_h_inverse(z))
-
-
-def power_inversion_gap(exponents, z):
-    """Relative gap in the inversion identity of the power function.
-
-    p_{s1,s2,s3}(-Z^(-1)) equals exp(i pi (s1+2 s2+3 s3)) times
-    p_{s2,s1,-s1-s2-s3}(Z[W]) with W the anti-diagonal permutation.
-    """
-    s1, s2, s3 = exponents
-    lhs = power_p_at_inverse((s1, s2, s3), z)
-    zw = W3 @ np.asarray(z, dtype=complex) @ W3
-    rhs = np.exp(1j * np.pi * (s1 + 2 * s2 + 3 * s3)) * power_p((s2, s1, -s1 - s2 - s3), zw)
-    return abs(lhs - rhs) / abs(lhs)
+def _logs(pivots):
+    """(h1, h2, h3), h_j = h_(j-1) + Log p_j."""
+    h1, l2, l3 = map(_plog, pivots)
+    h2 = h1 + l2
+    return h1, h2, h2 + l3
 
 
 def _is_small_int(x):
@@ -160,21 +109,51 @@ def _ipow(base, n):
     return 1.0 / result if invert else result
 
 
-def power_terms(exponents, tau1, z1, z2, tau2, z3, tau3):
-    """Vectorized p_{s,w,u} over arrays of matrix entries.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite value is refused
+def _power(exponents, pivots):
+    """p_{s,w,u} = p1^(s+w+u) p2^(w+u) p3^u from the pivots: small integer exponents by
+    _ipow, all others by one exp of s h1 + w h2 + u h3; DomainError unless every value is finite."""
+    s, w, u = exponents
+    if all(map(_is_small_int, exponents)):
+        out = math.prod(_ipow(p, int(n.real)) for p, n in zip(pivots, (s + w + u, w + u, u)))
+    else:
+        h1, h2, h3 = _logs(pivots)
+        out = np.exp(s * h1 + w * h2 + u * h3)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        require_finite(out[bad][0], "p_{s,w,u}")
+    return out
 
-    For integer exponents the branch functions drop out (exp(n h_j) is the
-    algebraic n-th power of det Z_j), which avoids all transcendental calls
-    in large lattice sums.
+
+def power_p(exponents, z):
+    """The power function p_{s,w,u}(Z) = exp(s h1 + w h2 + u h3) at a Siegel point."""
+    return complex(_power(finite_exponents(*exponents), _pivots(*_entries(siegel_point(z)))))
+
+
+def power_p_at_inverse(exponents, z):
+    """p_{s,w,u}(-Z^(-1)) at a Siegel point, without forming the inverse matrix."""
+    exponents, z = finite_exponents(*exponents), siegel_point(z)
+    return complex(_power(exponents, _inverse_pivots(*_entries(z))))
+
+
+def power_inversion_gap(exponents, z):
+    """Relative gap in the inversion identity of the power function.
+
+    p_{s1,s2,s3}(-Z^(-1)) equals exp(i pi (s1+2 s2+3 s3)) times
+    p_{s2,s1,-s1-s2-s3}(Z[W]) with W the anti-diagonal permutation.  A left
+    side that underflows to 0 leaves no relative gap and is refused.
     """
-    s, w, u = finite_exponents(*exponents)
-    if all(_is_small_int(e) for e in (s, w, u)):
-        d1, d2, d3, _ = _dets(tau1, z1, z2, tau2, z3, tau3)
-        if np.any(d1 == 0) or np.any(d2 == 0) or np.any(d3 == 0):
-            raise BranchCutError("zero corner determinant in power sum")
-        return _ipow(d1, int(s.real)) * _ipow(d2, int(w.real)) * _ipow(d3, int(u.real))
-    h1, h2, h3q, out = _branch_arrays(tau1, z1, z2, tau2, z3, tau3)
-    # the exponent's small-shape part first; full size only u Log(d3/q), the add and exp
-    out *= u
-    out += s * h1 + w * h2 + u * h3q
-    return np.exp(out, out=out)
+    s1, s2, s3 = finite_exponents(*exponents)
+    z = siegel_point(z)
+    lhs = complex(_power((s1, s2, s3), _inverse_pivots(*_entries(z))))
+    if lhs == 0:
+        raise DomainError("p_{s,w,u}(-Z^(-1)) underflowed to 0: no relative gap")
+    phase = np.exp(1j * np.pi * (s1 + 2 * s2 + 3 * s3))
+    rhs = phase * _power((s2, s1, -s1 - s2 - s3), _pivots(*_entries(z[::-1, ::-1])))
+    return abs(lhs - rhs) / abs(lhs)
+
+
+def power_terms(exponents, tau1, z1, z2, tau2, z3, tau3):
+    """Vectorized p_{s,w,u} over arrays (or an open grid) of matrix entries: for small
+    integer exponents algebraic in the pivots, without a transcendental call."""
+    return _power(finite_exponents(*exponents), _pivots(tau1, z1, z2, tau2, z3, tau3))

@@ -21,9 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
+from .errors import (MAX_WORK, DomainError, NotPositiveDefinite, PoleError, finite_exponents,
+                     require_finite)
 from .forms import (_CHUNK, HalfIntegralForm, _short_vectors, first_nonzero_positive,
                     short_vectors_gram)
+from .matrices import is_positive_definite
 from .specfun import _exp_in_range, besselK, complex_zeta, log_gamma
 
 
@@ -155,13 +157,15 @@ def _form_values_in_ball(y, bound):
 def epstein(y, s, bound):
     """Truncated Epstein zeta: (1/2) sum over 0 != v, Y[v] <= bound, of Y[v]^(-s).
 
-    Accepts 2x2 or 3x3 positive-definite input.  Terms are accumulated in
-    ascending order of the form value, so two evaluations over term-wise
-    bijective index sets produce identical floating sums.  A sum that
-    overflows raises DomainError.
+    Accepts a 2x2 or 3x3 positive-definite Y, and refuses any other before a
+    ball is built.  Terms are accumulated in ascending order of the form value,
+    so two evaluations over term-wise bijective index sets produce identical
+    floating sums.  A sum that overflows raises DomainError.
     """
     (s,) = finite_exponents(s)
     arr = np.asarray(y)
+    if arr.shape not in ((2, 2), (3, 3)) or not is_positive_definite(arr):
+        raise NotPositiveDefinite("Y is not positive-definite, or not 2x2 or 3x3")
     n = arr.shape[0]
     vals = _form_values_in_ball(arr, bound)
     value = require_finite(0.5 * np.sum(np.exp(-s * np.log(vals.astype(float)))), "the Epstein sum")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import _ipow, _is_small_int, _polar_exp, power_terms
+from .branch import _ipow, _is_small_int, _pivots, _polar_exp, power_terms
 from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import siegel_point
@@ -91,9 +91,7 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     total, shell_sum = 0.0 + 0.0j, 0.0
     for idx in itertools.product(range(n), repeat=lead):
         tau1, z1, z2, tau2, z3 = [c[i] for c, i in zip(cols, idx)] + cols[lead:]
-        r = z1 / tau1  # x = tau3 - z2^2/tau1 - (z3 - r z2)^2/(tau2 - r z1), pivots first
-        x = np.square(z3 - r * z2) * (1.0 / (tau2 - r * z1))
-        np.subtract(z[2, 2] - z2 * z2 / tau1, x, out=x)
+        x = _pivots(tau1, z1, z2, tau2, z3, z[2, 2])[2]
         if not (x.imag > 0.0).all():
             raise DomainError("Im det(Z+B)/det(Z+B)_2 <= 0: Z is too close to the boundary")
         if exact_f:

@@ -25,14 +25,16 @@ POSDEF_REL_TOL = 1e-12
 
 
 def is_positive_definite(y):
-    """Strict leading-minor test of D^(-1/2) Y D^(-1/2), D = diag Y > 0, with the
-    relative tolerance POSDEF_REL_TOL: scale-free, so an ill-scaled diagonal passes."""
+    """Strict leading-minor test of the 2x2 or 3x3 D^(-1/2) Y D^(-1/2), D = diag Y > 0, with
+    the relative tolerance POSDEF_REL_TOL: scale-free, so an ill-scaled diagonal passes."""
     y = np.asarray(y, dtype=float)
     if not (np.isfinite(y).all() and (np.diag(y) > 0).all()):
         return False
     d = np.sqrt(np.diag(y))
     c = y / np.outer(d, d)  # unit diagonal: a definite Y has |c_ij| < 1 off it, so no overflow
-    minors = (c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0], il.det3(c)) if np.abs(c).max() < 2 else (0,)
+    if np.abs(c).max() >= 2:
+        return False
+    minors = (c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0],) + ((il.det3(c),) if len(c) == 3 else ())
     return all(m > POSDEF_REL_TOL for m in minors)
 
 

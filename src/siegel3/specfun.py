@@ -5,8 +5,9 @@ approximation, reflected in logs, so each Gamma factor is one sum of logs
 that _exp_in_range exponentiates once, or refuses outside the double range.
 complex_zeta uses Euler-Maclaurin with reflection for very negative real part
 (~1e-13 relative for |Im s| <= 50, ~1e-10 at its range end |Im s| = 1e4).
-The cone integral's 1-d factors and besselK are trapezoid sums of integrands
-that decay double exponentially (Takahasi-Mori), halved until they settle.
+The cone integral's 1-d factors, one per pivot of Z[W], and besselK are
+trapezoid sums of integrands that decay double exponentially (Takahasi-Mori),
+halved until they settle.
 All of it needs numpy alone, so the multiprecision values the tests compare
 with stay an independent check.
 """
@@ -19,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .branch import power_p_at_inverse
+from .branch import _entries, _pivots, power_p_at_inverse
 from .errors import DomainError, PoleError, QuadratureFailure, finite_exponents
 
 # Lanczos g = 607/128, 15 coefficients (Godfrey's set).
@@ -201,21 +202,18 @@ def cone_integral_gap(exponents, z):
 
     The left side integrates p_{s,w,u}(iY) e(YZ) over the positive cone by the
     Cholesky factorization: inner Gaussians in closed form, and three outer
-    1-d integrals int_0^inf r^alpha e^(2 pi i omega r) dr by the exp-sinh
-    trapezoid rule of _decaying_power_integral.  The right side is
+    1-d integrals int_0^inf r^alpha e^(2 pi i omega r) dr, omega the pivots
+    tau3, omega2, omega3 of Z[W] (branch._pivots), by the exp-sinh trapezoid
+    rule of _decaying_power_integral.  The right side is
     (2 pi i)^(-s-2w-3u) Gamma3(s,w,u) p_{s,w,u}(-Z^(-1)).
     """
     s, w, u = finite_exponents(*exponents)
     if not ((s + w + u).real > 0 and (w + u).real > 0.5 and u.real > 1.0):
         raise DomainError("outside the convergence region of the cone integral")
     z = np.asarray(z, dtype=complex)
-    tau1, z1, z2 = z[0, 0], z[0, 1], z[0, 2]
-    tau2, z3, tau3 = z[1, 1], z[1, 2], z[2, 2]
-
+    tau3, omega2, omega3 = _pivots(*_entries(z[::-1, ::-1]))  # the pivots of Z[W]
     a6 = np.sqrt(np.pi / (-2j * np.pi * tau3))
-    omega2 = tau2 - z3 * z3 / tau3
     a4 = np.sqrt(np.pi / (-2j * np.pi * omega2))
-    omega3 = tau1 - z2 * z2 / tau3 - (z1 - z2 * z3 / tau3) ** 2 / omega2
 
     l1 = 0.5 * _decaying_power_integral(u - 2.0, 2j * np.pi * tau3)
     l2 = 0.5 * a6 * _decaying_power_integral(w + u - 1.5, 2j * np.pi * omega2)

@@ -12,40 +12,45 @@ from siegel3.errors import BranchCutError, DomainError, require_finite
 _AXES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
+def _h(z):
+    """(h1, h2, h3) at Z, the logs of its pivot chain."""
+    return branch._logs(branch._pivots(*(z[i, j] for i, j in _AXES)))
+
+
+def _h_inverse(z):
+    """(h1, h2, h3) at -Z^(-1), from the pivots of Jacobi's complementary minors."""
+    return branch._logs(branch._inverse_pivots(*(z[i, j] for i, j in _AXES)))
+
+
 def test_branch_at_imaginary_identity():
-    b = branch.branch_h(1j * np.eye(3))
-    assert abs(b.h1 - 0.5j * np.pi) < 1e-15
-    assert abs(b.h2 - 1j * np.pi) < 1e-15
-    assert abs(b.h3 - 1.5j * np.pi) < 1e-15
+    h1, h2, h3 = _h(1j * np.eye(3))
+    assert abs(h1 - 0.5j * np.pi) < 1e-15
+    assert abs(h2 - 1j * np.pi) < 1e-15
+    assert abs(h3 - 1.5j * np.pi) < 1e-15
 
 
 def test_branch_at_imaginary_diagonal():
-    b = branch.branch_h(1j * np.diag([1.0, 1.0, 4.0]))
-    assert abs(b.h3 - (1.5j * np.pi + np.log(4))) < 1e-14
+    h3 = _h(1j * np.diag([1.0, 1.0, 4.0]))[2]
+    assert abs(h3 - (1.5j * np.pi + np.log(4))) < 1e-14
 
 
 def test_exp_consistency_and_inverse_agreement(rng):
     worst_exp = worst_inv = 0.0
     for _ in range(1000):
         z = mx.random_siegel(rng)
-        b = branch.branch_h(z)
+        h1, h2, h3 = _h(z)
         d1 = z[0, 0]
         d2 = z[0, 0] * z[1, 1] - z[0, 1] ** 2
         d3 = np.linalg.det(z)
         worst_exp = max(
             worst_exp,
-            abs(np.exp(b.h1) - d1) / abs(d1),
-            abs(np.exp(b.h2) - d2) / abs(d2),
-            abs(np.exp(b.h3) - d3) / abs(d3),
+            abs(np.exp(h1) - d1) / abs(d1),
+            abs(np.exp(h2) - d2) / abs(d2),
+            abs(np.exp(h3) - d3) / abs(d3),
         )
-        direct = branch.branch_h(mx.mobius(mx.inversion6(), z)[0])
-        explicit = branch.branch_h_inverse(z)
-        worst_inv = max(
-            worst_inv,
-            abs(direct.h1 - explicit.h1),
-            abs(direct.h2 - explicit.h2),
-            abs(direct.h3 - explicit.h3),
-        )
+        direct = _h(mx.mobius(mx.inversion6(), z)[0])
+        explicit = _h_inverse(z)
+        worst_inv = max(worst_inv, *(abs(a - b) for a, b in zip(direct, explicit)))
     assert worst_exp <= 1e-12
     assert worst_inv <= 1e-12
 
@@ -53,10 +58,10 @@ def test_exp_consistency_and_inverse_agreement(rng):
 def test_h3_inversion_sum(rng):
     for _ in range(100):
         z = mx.random_siegel(rng)
-        total = branch.branch_h(z).h3 + branch.branch_h_inverse(z).h3
+        total = _h(z)[2] + _h_inverse(z)[2]
         assert abs(total - 3j * np.pi) < 1e-12
         # the imaginary part of h3 stays within its a-priori bound
-        assert abs(branch.branch_h(z).h3.imag) <= 4.5 * np.pi + 1e-12
+        assert abs(_h(z)[2].imag) <= 4.5 * np.pi + 1e-12
 
 
 def test_power_examples():
@@ -106,11 +111,10 @@ def test_inversion_identity_examples(rng):
 
 
 def test_anti_diagonal_congruence_preserves_h3(rng):
-    w = branch.W3
     for _ in range(100):
         z = mx.random_siegel(rng)
-        zw = w @ z @ w
-        assert abs(branch.branch_h(z).h3 - branch.branch_h(zw).h3) < 1e-12
+        zw = z[::-1, ::-1]  # W Z W, W the anti-diagonal permutation
+        assert abs(_h(z)[2] - _h(zw)[2]) < 1e-12
 
 
 def test_path_continuity(rng):
@@ -121,10 +125,9 @@ def test_path_continuity(rng):
         zb = mx.random_siegel(rng)
         ts = np.linspace(0.0, 1.0, 1000)
         zs = za[None, :, :] * (1 - ts)[:, None, None] + zb[None, :, :] * ts[:, None, None]
-        h1, h2, h3q, h3r = branch._branch_arrays(
+        for h in branch._logs(branch._pivots(
             zs[:, 0, 0], zs[:, 0, 1], zs[:, 0, 2], zs[:, 1, 1], zs[:, 1, 2], zs[:, 2, 2]
-        )
-        for h in (h1, h2, h3q + h3r):
+        )):
             assert np.max(np.abs(np.diff(h))) < 0.1
 
 
@@ -162,38 +165,49 @@ def test_polar_exp_matches_mpmath():
 
 
 def test_det_by_pivots_matches_mpmath(rng):
-    # det Z = d2 x, x by pivots, in branch._dets and on the slow side's grid (the one-term
+    # det Z = p1 p2 p3 by branch._pivots, and on the slow side's grid (the one-term
     # sum of p_{0,0,-1} is 1/det Z), where the cofactor sum errs by up to ~1e-10
     worst = 0.0
     for _ in range(1000):
         z = _skewed_siegel(rng)
         with mpmath.workdps(40):
             det = complex(mpmath.det(mpmath.matrix(z.tolist())))
-        d3 = branch._dets(*(z[i, j] for i, j in _AXES))[2]
+        d3 = np.prod(branch._pivots(*(z[i, j] for i, j in _AXES)))
         inv = lipschitz.lattice_sum_lhs((0, 0, 1), z, 0)[0]
         worst = max(worst, abs(d3 - det) / abs(det), abs(inv * det - 1))
     assert worst <= 5e-12
 
 
-def test_h3_is_h2_plus_log_of_the_schur_complement(rng):
-    # h3 = h2 + Log x with x = det Z / det Z_2 = tau3 - (z2, z3) Z_2^(-1) (z2, z3)^T in the
-    # upper half-plane, so p_{s,w,u}(Z) = p_{s,w+u,0}(Z) x^u (the slow side's factorization);
-    # x is the slow side's pivot form, whose rounding det Z in branch._dets shares
-    # (test_det_by_pivots_matches_mpmath checks both against mpmath)
-    worst_h = worst_p = 0.0
+def _mp_cofactor_logs(t1, z1, z2, t2, z3, t3):
+    """Log t1, Log(-d2) + i pi and Log q + 2 pi i + Log(d3/q), q = z3^2 - t2 t3, at the
+    mpmath entries: the cofactor definition of h1, h2, h3 that the pivot chain replaced;
+    and det Z."""
+    d2, q = t1 * t2 - z1 ** 2, z3 ** 2 - t2 * t3
+    d3 = d2 * t3 + 2 * z1 * z2 * z3 - t1 * z3 ** 2 - t2 * z2 ** 2
+    logs = (mpmath.log(t1), mpmath.log(-d2) + 1j * mpmath.pi,
+            mpmath.log(q) + 2j * mpmath.pi + mpmath.log(d3 / q))
+    return logs, d3
+
+
+def test_pivot_chain_matches_the_cofactor_definition(rng):
+    # h_j = h_(j-1) + Log p_j at Z and at -Z^(-1) (Jacobi's pivots) against the cofactor
+    # logs in mpmath at Z and at mpmath's -Z^(-1) = -adj Z / det Z: the same branches
+    worst = {"random": 0.0, "skewed": 0.0}
     for k in range(1500):
-        z = mx.random_siegel(rng) if k < 1000 else _skewed_siegel(rng)
-        if k >= 1000:
+        kind = "random" if k < 1000 else "skewed"
+        z = mx.random_siegel(rng) if kind == "random" else _skewed_siegel(rng)
+        if kind == "skewed":
             assert np.linalg.cond(z.imag) >= 1e4 and mx.is_siegel_point(z)
-        t1, z1, z2, t2, z3, t3 = (z[i, j] for i, j in _AXES)
-        x = t3 - z2 * z2 / t1 - (z3 - z1 / t1 * z2) ** 2 / (t2 - z1 / t1 * z1)
-        assert x.imag > 0
-        b = branch.branch_h(z)
-        worst_h = max(worst_h, abs(b.h3 - b.h2 - np.log(x)))
-        s, w, u = rng.uniform(-3, 3, 3) + 1j * rng.uniform(-2, 2, 3)
-        p, factored = branch.power_p((s, w, u), z), branch.power_p((s, w + u, 0), z) * x**u
-        worst_p = max(worst_p, abs(p - factored) / abs(p))
-    assert worst_h <= 1e-12 and worst_p <= 1e-12
+        with mpmath.workdps(40):
+            t1, z1, z2, t2, z3, t3 = (mpmath.mpc(complex(z[i, j])) for i, j in _AXES)
+            logs, det = _mp_cofactor_logs(t1, z1, z2, t2, z3, t3)
+            adj = (t2 * t3 - z3 ** 2, z2 * z3 - z1 * t3, z1 * z3 - z2 * t2,
+                   t1 * t3 - z2 ** 2, z1 * z2 - t1 * z3, t1 * t2 - z1 ** 2)
+            inverse = _mp_cofactor_logs(*(-a / det for a in adj))[0]
+            ref = np.array([complex(h) for h in logs + inverse])
+        got = np.array(_h(z) + _h_inverse(z), dtype=complex)
+        worst[kind] = max(worst[kind], np.abs(got - ref).max())
+    assert worst["random"] <= 1e-14 and worst["skewed"] <= 2e-12
 
 
 def test_branch_cut_detection():
@@ -251,8 +265,10 @@ def test_power_terms_matches_mpmath_on_grids_and_flat(seed, re, im):
 ])
 def test_cut_detected_inside_an_array(bad, argument):
     good = (1j, 0.25, 0.0, 1j, 0.0, 1j)
-    d1, d2, d3, q = branch._dets(*(complex(x) for x in bad))
-    on_cut = {"d1": d1, "-d2": -d2, "q": q, "d3/q": d3 / q}
+    t1, z1, z2, t2, z3, t3 = (complex(x) for x in bad)
+    d2, q = t1 * t2 - z1 * z1, z3 * z3 - t2 * t3
+    d3 = d2 * t3 + 2 * z1 * z2 * z3 - t1 * z3 * z3 - t2 * z2 * z2
+    on_cut = {"d1": t1, "-d2": -d2, "q": q, "d3/q": d3 / q}
     # exactly the named argument lies on (-inf, 0]
     assert [k for k, v in on_cut.items() if v.imag == 0 and v.real <= 0] == [argument]
     cols = [np.full(5, g, dtype=complex) for g in good]
@@ -286,3 +302,25 @@ def test_non_finite_powers_are_refused():
                          (branch.power_p_at_inverse, (-800, 0, 0), 3 * z)):
         with pytest.raises(DomainError, match="not finite"):
             fn(e, point)
+
+
+def test_power_terms_overflow_is_refused_without_warnings():
+    # |det Z_2|^400.5 ~ e^723 at the entries of iI + 3: one DomainError, no numpy warning
+    z = 1j * np.eye(3) + 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            branch.power_terms((2.5, 400.5, 0), *(np.full(3, z[i, j]) for i, j in _AXES))
+
+
+def test_points_off_the_siegel_space_and_an_empty_gap_are_refused():
+    # -iI and a 2x2 array are no Siegel points (the gap read 4e-15 at -iI), and at 3iI
+    # p_{800,0,0}(-Z^(-1)) = (i/3)^800 underflows to 0, where the gap was 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (branch.power_p, branch.power_p_at_inverse, branch.power_inversion_gap):
+            for z in (-1j * np.eye(3), 1j * np.eye(2)):
+                with pytest.raises(DomainError, match="Siegel"):
+                    fn((0.5, 1.5, 2.5), z)
+        with pytest.raises(DomainError, match="underflowed"):
+            branch.power_inversion_gap((800, 0, 0), 3j * np.eye(3))

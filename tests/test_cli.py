@@ -279,6 +279,9 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "3", "--w", "3", "--u", "3",
       "--bound", "2e5"], "input error:"),  # ~3.8e8 short vectors, above MAX_BALL rows
     (["eval-epstein", "--y", "1,0,1", "--s", "2", "--bound", "1e9"], "input error:"),  # 4e9 grid
+    # an indefinite Y, refused before any ball is built: no NaN sum
+    (["eval-epstein", "--y", "1,2,1", "--s", "2"], "input error: Y is not positive-definite"),
+    (["eval-epstein", "--y", "1,0,0,1,0,-1", "--s", "2"], "input error: Y is not positive-definite"),
     (["eps", "--form", "1,1,-1,0,0,0"], "input error: form is not positive definite"),
     # 1.2e10 HNF candidates, counted before any is built
     (["enum-pairs", "--max-abs", "3"], "input error:"),
@@ -309,6 +312,8 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     # Z outside the Siegel space is refused by one intake before any sum: Z = 0,
     # Im Z = diag(-1, 1, 1), and Z_OUT, where the sums would answer or report a gap
     (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", "0,0,0,0,0,0"], NOT_SIEGEL),
+    (["eval-power", "--s", "1", "--w", "1", "--u", "1", "--z=-1j,0,0,-1j,0,-1j"], NOT_SIEGEL),
+    (["eval-power", "--s", "0.5", "--w", "1", "--u", "1", "--z", Z_OUT], NOT_SIEGEL),
     (["verify-lipschitz", "--max-abs", "1", "--z=-1j,0,0,1j,0,1j", "--tail-correction"],
      NOT_SIEGEL),
     (["eval-poincare", "--k", "30", "--form", "1,1,1,0,0,0", "--max-abs", "1", "--z", Z_OUT],

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from siegel3 import _intlinalg as il
 from siegel3 import eisenstein as eis, forms
 from siegel3.acceptance import _canonical_sign
-from siegel3.errors import DomainError
+from siegel3.errors import DomainError, NotPositiveDefinite
 from siegel3.specfun import complex_zeta
 
 I3 = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
@@ -155,6 +155,14 @@ def test_epstein_congruence_invariance_exact():
     # identical value multisets summed in identical (sorted) order
     assert a.value == b.value
     assert a.terms_used == b.terms_used
+
+
+def test_epstein_refuses_a_y_that_is_not_positive_definite():
+    # indefinite, semidefinite, negative and 1x1 / 4x4 input: refused before any ball is built
+    for y in ([[1.0, 2.0], [2.0, 1.0]], np.diag([1.0, 1.0, -1.0]), [[1, 1], [1, 1]], -np.eye(2),
+              [[2.0]], np.eye(4)):
+        with pytest.raises(NotPositiveDefinite):
+            eis.epstein(np.array(y), 2.0, 100.0)
 
 
 def test_epstein_dimension_three():

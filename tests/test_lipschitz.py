@@ -124,10 +124,10 @@ def _bare_f_sum_with_midpoint_tails(exponents, z, max_abs, f_max):
     for a, b, c, d, e in itertools.product(side, repeat=5):
         entries = (z[0, 0] + a, z[0, 1] + b, z[0, 2] + c, z[1, 1] + d, z[1, 2] + e)
         total += branch.power_terms((-s, -w, -u), *entries, z[2, 2] + fs).sum()
-        d1, d2, d3, _ = branch._dets(*entries, z[2, 2])
-        v = f_max + 0.5 + np.array([1, -1]) * d3 / d2  # f > F, and f < -F as (-1)^u (-x - f)
+        p1, p2, x = branch._pivots(*entries, z[2, 2])
+        v = f_max + 0.5 + np.array([1, -1]) * x  # f > F, and f < -F as (-1)^u (-x - f)
         tails = ((v ** (1 - u) / (u - 1) - u / 24 * v ** (-u - 1)) * [1, (-1) ** u]).sum()
-        total += d1 ** -s * d2 ** (-w - u) * tails
+        total += p1 ** -s * (p1 * p2) ** (-w - u) * tails
     return complex(total)
 
 
@@ -242,7 +242,7 @@ def test_rhs_vectorization_matches_scalar_terms():
     total = 0.0
     for t in forms.enumerate_J(3):
         g = 0.5 * np.array(t.gram2(), dtype=float)
-        wtw = branch.W3 @ g @ branch.W3
+        wtw = g[::-1, ::-1]  # W g W, W the anti-diagonal permutation
         tr = np.trace(g @ z)
         total += branch.power_p((-w, -s, s + w + u - 2), 1j * wtw) * np.exp(2j * np.pi * tr)
     sigma = s + 2 * w + 3 * u
@@ -320,7 +320,7 @@ def test_rhs_termwise_exponential_bound():
     lam_min = float(np.min(np.linalg.eigvalsh(z.imag)))
     for t in forms.enumerate_J(5):
         g = 0.5 * np.array(t.gram2(), dtype=float)
-        wtw = branch.W3 @ g @ branch.W3
+        wtw = g[::-1, ::-1]  # W g W, W the anti-diagonal permutation
         term = branch.power_p((-4.0, -2.0, 9.0), 1j * wtw) * np.exp(
             2j * np.pi * np.trace(g @ z)
         )

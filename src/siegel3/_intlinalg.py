@@ -4,20 +4,19 @@ Matrix products, transposes and block layouts are numpy's: integer arrays
 that are int64 only while every product formed stays below 2^63, and exact
 Python ints (dtype=object) otherwise (``exact_array`` picks).  What numpy
 does not provide lives here: the 3x3 determinant, cross product, adjugate
-and bilinear value (on lists, arrays or floats alike), the row Hermite
-normal form of one matrix (``hnf_row``, list code on Python ints) or of a
-stack (``hnf_rows``), the Smith normal form, and the GL3(Z) enumeration.
-No overflow and no tolerance anywhere.
+and bilinear value (on lists, arrays or floats alike), the maximal minors of
+a stack (``minors``), the row Hermite normal form (``hnf_row``, one Euclid in
+list code on Python ints; ``hnf_rows`` gives a stack in closed form from its
+minors where every pivot is 1 and passes the other lanes to ``hnf_row``),
+the Smith normal form, and the GL3(Z) enumeration.  No overflow and no
+tolerance anywhere.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
-
-# hnf_rows keeps every int64 entry below this, so that q * b < 2^62
-_HNF_GUARD = 2**31
 
 
 def identity(n):
@@ -61,11 +60,10 @@ def hnf_row(mat):
 
     Returns ``(h, u)`` with ``u`` unimodular and ``u @ mat == h``.  Pivots are
     positive and leftmost possible, entries above a pivot are reduced into
-    ``[0, pivot)``, rows below a pivot are zero in its column.  This list
-    version serves single matrices, as ``canonical_pair`` and the symplectic
-    completion take one pair at a time: a 3 x 6 block takes ~23 us here
-    against ~780 us for a one-lane ``hnf_rows`` call (2-vCPU Xeon, numpy
-    2.4); ``hnf_rows`` serves stacks.
+    ``[0, pivot)``, rows below a pivot are zero in its column.  The one
+    Euclid of the package: ``canonical_pair`` and the symplectic completion
+    take one matrix at a time here, and ``hnf_rows`` the lanes of a stack
+    that its closed form does not cover.
     """
     h = [list(row) for row in mat]
     nrows, ncols = len(h), len(h[0])
@@ -106,56 +104,46 @@ def hnf_row(mat):
     return h, u
 
 
+def minors(a, picks):
+    """The n x n minors of an (..., n, m) integer array a (n <= 3) on each
+    column choice in the rows of ``picks`` (P x n): an (..., P) array, exact
+    while the products of n entries fit the dtype of a."""
+    s = np.moveaxis(a[..., np.asarray(picks)], (-3, -1), (0, 1))  # (n, n, ..., P)
+    if len(s) == 3:
+        return det3(s)
+    return s[0][0] * s[1][1] - s[0][1] * s[1][0] if len(s) == 2 else s[0][0]
+
+
 def hnf_rows(stack):
-    """Row HNFs of an (N, n, m) integer stack: lane i is ``hnf_row(stack[i])[0]``.
+    """Row HNFs of an (N, 3, m) integer stack: lane i is ``hnf_row(stack[i])[0]``.
 
-    The gcd steps run on all lanes at once under per-lane masks, each lane
-    with its own pivot row.  Entries stay below 2^31 in int64 after every
-    step, so q * b cannot wrap; a lane that starts or lands past that bound
-    is finished exactly by the list ``hnf_row``, and the result is then an
-    object array.  The row HNF is unique, so both paths give the same matrix.
-    The array path pays off only for many lanes (see ``hnf_row``).
+    The pivot columns of a rank-3 lane are the first column triple J, in
+    ``combinations`` order, whose minor p_J is nonzero, and the pivots
+    multiply to |p_J|.  So where |p_J| = 1 every pivot is 1 and the HNF is
+    A_J^(-1) A = p_J adj(A_J) A.  The minors are taken triple by triple on
+    the lanes with none nonzero yet; every other lane (a pivot above 1, or
+    rank < 3) is finished by the list ``hnf_row``.  Entries below 2^19 keep
+    minors and adj(A_J) A inside int64, larger ones run on Python ints; the
+    result is an object array when a lane of it leaves int64.
     """
-    a = exact_array(stack, 2**63)
-    lost = ((a >= _HNF_GUARD) | (a <= -_HNF_GUARD)).any(axis=(1, 2))
-    h = np.where(lost[:, None, None], 0, a).astype(np.int64, copy=False)
-    nrows, ncols = h.shape[1:]
-    rows = np.arange(nrows)
-    pivot = np.zeros(len(h), dtype=np.intp)
-
-    def reduce(g, t, lanes, by, mask, col):
-        # on the mask rows of g[lanes]: subtract floor(entry / pivot) * row ``by``
-        gl, k = g[lanes], np.arange(len(lanes))
-        q = gl[:, :, col] // gl[k, by, col][:, None]
-        gl -= np.where(mask, q, 0)[:, :, None] * gl[k, by][:, None]
-        over = abs(gl).max(axis=(1, 2)) >= _HNF_GUARD
-        gl[over], lost[t[lanes[over]]] = 0, True
-        g[lanes] = gl
-
-    for col in range(ncols):
-        t = np.flatnonzero(pivot < nrows)
-        g, p, k = h[t], pivot[t], np.arange(len(t))
-        above = rows < p[:, None]
-        # Euclid on the rows at or below the pivot row: reduce the others by
-        # the smallest nonzero |entry| until one nonzero is left
-        while (s := np.flatnonzero(((g[:, :, col] != 0) & ~above).sum(axis=1) > 1)).size:
-            x = g[s, :, col]
-            r = np.where((x != 0) & ~above[s], abs(x), _HNF_GUARD).argmin(axis=1)
-            reduce(g, t, s, r, ~above[s] & (rows != r[:, None]), col)
-        # move it up to the pivot row, make it positive, reduce the rows above
-        x = g[:, :, col]
-        found = ((x != 0) & ~above).any(axis=1)
-        r = np.where(found, ((x != 0) & ~above).argmax(axis=1), p)
-        w = np.flatnonzero(r != p)
-        g[w, p[w]], g[w, r[w]] = g[w, r[w]], g[w, p[w]]
-        neg = np.flatnonzero(g[k, p, col] < 0)
-        g[neg, p[neg]] *= -1
-        f = np.flatnonzero(found & ((x != 0) & above).any(axis=1))
-        reduce(g, t, f, p[f], above[f], col)
-        h[t], pivot[t] = g, p + found
-    if lost.any():
-        h = h.astype(object)
-        h[lost] = [hnf_row(m)[0] for m in a[lost].tolist()]
+    a = exact_array(stack, 2**19)
+    h = np.zeros_like(a)
+    done = np.zeros(len(a), dtype=bool)
+    lanes, rest = np.arange(len(a)), a
+    for cols in combinations(range(a.shape[2]), 3):
+        if not lanes.size:
+            break
+        p = minors(rest, [cols])[:, 0]
+        unit = np.flatnonzero(abs(p) == 1)
+        au = rest[unit]
+        adj = np.moveaxis(p[unit] * np.array(adj3(np.moveaxis(au[:, :, cols], 0, -1))), -1, 0)
+        h[lanes[unit]], done[lanes[unit]] = adj @ au, True
+        lanes, rest = lanes[p == 0], rest[p == 0]
+    fallback = ~done
+    if fallback.any():
+        rows = exact_array([hnf_row(m)[0] for m in a[fallback].tolist()], 2**63)
+        h = h.astype(np.result_type(h, rows), copy=False)
+        h[fallback] = rows
     return h
 
 

@@ -198,6 +198,11 @@ def lipschitz_report(exponents, z, max_abs, trace_bound, tail_correction=False):
     return LipschitzReport(lhs, rhs, gap, nl, nr, max_abs, trace_bound, tail)
 
 
+def _blocks(first, last):
+    """The integers first..last as arrays of at most _CHUNK."""
+    return (np.arange(a, min(a + _CHUNK, last + 1)) for a in range(first, last + 1, _CHUNK))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite side is refused instead
 def classical_lipschitz(tau, s, n_bound):
     """Classical one-variable summation formula, both sides truncated.
@@ -206,7 +211,8 @@ def classical_lipschitz(tau, s, n_bound):
     tails on both ends, which always run,
     rhs = ((-2 pi i)^s / Gamma(s)) sum over 1 <= n <= N of n^(s-1) e(n tau).
     The tails divide by s - 1: s within POLE_TOL of 1 raises PoleError, and
-    a side that overflows raises DomainError.
+    a side that overflows raises DomainError.  Both sides are summed _CHUNK
+    terms at a time; more than MAX_WORK terms are refused before any is built.
     """
     tau = complex(tau)
     (s,) = finite_exponents(s)
@@ -214,18 +220,19 @@ def classical_lipschitz(tau, s, n_bound):
         raise PoleError("tau must be in the upper half-plane")
     if abs(s - 1.0) <= POLE_TOL:
         raise PoleError("the integral tails have a pole at s = 1")
-    n = np.arange(-n_bound, n_bound + 1)
-    lhs = complex(np.sum(np.exp(-s * np.log(tau + n))))
+    if 2 * n_bound + 1 > MAX_WORK:
+        raise DomainError("%d terms, above %d" % (2 * n_bound + 1, MAX_WORK))
+    lhs = complex(sum(np.sum(np.exp(-s * np.log(tau + n))) for n in _blocks(-n_bound, n_bound)))
     edge = n_bound + 0.5
     lhs += np.exp((1 - s) * np.log(tau + edge)) / (s - 1)
     lhs -= np.exp((1 - s) * np.log(tau - edge)) / (s - 1)
     lhs = complex(require_finite(lhs, "the lattice side"))
-    m = np.arange(1, n_bound + 1)
     log_pref = s * (math.log(2.0 * math.pi) - 0.5j * math.pi) - log_gamma(s)
     shift = log_pref.real - min(max(log_pref.real, -700.0), 700.0)  # past e^(+-700): to the terms
     pref = _exp_in_range(log_pref - shift, "(-2 pi i)^s / Gamma(s)")
-    terms = np.exp(shift + (s - 1) * np.log(m) + 2j * np.pi * m * tau)
-    rhs = complex(require_finite(pref * np.sum(terms), "the Fourier side"))
+    fourier = sum(np.sum(np.exp(shift + (s - 1) * np.log(m) + 2j * np.pi * m * tau))
+                  for m in _blocks(1, n_bound))
+    rhs = complex(require_finite(pref * fourier, "the Fourier side"))
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     closed_form = None
     if abs(s - 2.0) < 1e-14:

@@ -84,6 +84,8 @@ def load_coefficients(path):
                 value = complex(float(parts[6]), float(parts[7]))
             except ValueError as exc:
                 raise ParseError("line %d: %s" % (lineno, exc)) from exc
+            if not np.isfinite(value):
+                raise ParseError("line %d: the value %s is not finite" % (lineno, value))
             if not t.is_positive_definite():
                 raise ParseError("line %d: form is not positive definite" % lineno)
             red = minkowski_reduce(t).form

@@ -4,9 +4,10 @@ The bottom blocks (C, D) of an integer symplectic matrix satisfy C D^T
 symmetric with [C D] primitive; left association (C, D) ~ (UC, UD) is
 canonicalized by the row Hermite normal form of the 3x6 block.  Completion
 reads top rows off the row-HNF transform of [D^T; -C^T] and repairs their
-isotropy with a symmetric shear.  Single pairs go through list code; stacks
-of pairs (left translates in ``canonical_pairs``, the completions of a coset
-table) through exact arrays.
+isotropy with a symmetric shear.  Single pairs go through the list HNF;
+stacks of pairs through exact arrays: left translates in ``canonical_pairs``
+(the HNF in closed form from the maximal minors, ``il.hnf_rows``) and the
+completions of a coset table.
 """
 
 from __future__ import annotations
@@ -46,25 +47,13 @@ def _stacked(c, d):
     return [list(c[i]) + list(d[i]) for i in range(len(c))]
 
 
-def _det_small(sub):
-    """Determinant of an n x n matrix, n <= 3; entries may be arrays."""
-    n = len(sub)
-    if n == 1:
-        return sub[0][0]
-    if n == 2:
-        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-    return il.det3(sub)
-
-
 def _maximal_minor_gcd(mat):
     """gcd of the maximal minors of an n x m integer matrix (n <= 3), or of
     each lane of a (..., n, m) stack.  Exact: a minor sums six products of
     three entries, so entries of 2^20 or more are taken as Python ints."""
     a = il.exact_array(mat, 2**20)
     n, m = a.shape[-2:]
-    # (n, n, ..., picks): the n x n submatrix on each choice of n columns
-    sub = np.moveaxis(a[..., np.array(list(combinations(range(m), n)))], (-3, -1), (0, 1))
-    return np.gcd.reduce(_det_small(sub), axis=-1)
+    return np.gcd.reduce(il.minors(a, list(combinations(range(m), n))), axis=-1)
 
 
 def _cd_t_symmetric(c, d):
@@ -114,7 +103,7 @@ def canonical_pair(c, d):
 
 
 def canonical_pairs(c, d):
-    """The stacked canonical_pair: (N, n, n) integer stacks to the (N, n, 2n)
+    """The stacked canonical_pair: (N, 3, 3) integer stacks to the (N, 3, 6)
     row HNFs of their blocks [C D], exactly (see ``il.hnf_rows``).  Raises
     NotCoprimePair when any lane is not coprime symmetric."""
     h = il.hnf_rows(np.concatenate([c, d], axis=2))

@@ -338,6 +338,8 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["classical-lipschitz", "--tau", "1j", "--s", "-400.5", "--bound", "1"], "input error:"),
     # the integral tails of the classical formula divide by s - 1
     (["classical-lipschitz", "--tau", "1j", "--s", "1"], "input error:"),
+    # 2e12 + 1 terms, above MAX_WORK: refused before any is built
+    (["classical-lipschitz", "--tau", "1j", "--bound", "1000000000000"], "input error:"),
 ]
 
 

@@ -369,6 +369,15 @@ def test_classical_two_path_s3():
     assert rep.relative_gap <= 1e-6
 
 
+def test_classical_blocks_match_one_array(monkeypatch):
+    # N = 200,000: four blocks on the lattice side and two on the Fourier side
+    blocked, _ = lip.classical_lipschitz(0.3 + 0.7j, 2.5 + 1j, 200000)
+    monkeypatch.setattr(lip, "_CHUNK", 10**6)
+    whole, _ = lip.classical_lipschitz(0.3 + 0.7j, 2.5 + 1j, 200000)
+    assert abs(blocked.lhs - whole.lhs) <= 1e-13 * abs(whole.lhs)
+    assert abs(blocked.rhs - whole.rhs) <= 1e-13 * abs(whole.rhs)
+
+
 def test_classical_rhs_geometric_decay():
     # adding terms beyond the cutoff changes the fast side below 1e-15
     r1, _ = lip.classical_lipschitz(1j, 2.0, 30)

@@ -46,6 +46,13 @@ def test_load_rejects_malformed(tmp_path):
         series.load_coefficients(_write(tmp_path, ""))
 
 
+@pytest.mark.parametrize("value", ["nan 0.0", "1.0 inf", "-inf 0", "1e400 0.0", "0 -1e400"])
+def test_load_rejects_non_finite_values(tmp_path, value):
+    path = _write(tmp_path, "k 24\n1 1 1 0 0 0 %s\n" % value)
+    with pytest.raises(ParseError, match="line 2: .* not finite"):
+        series.load_coefficients(path)
+
+
 def test_missing_class_counts_misses(tmp_path):
     path = _write(tmp_path, "k 24\n1 1 1 0 0 0 1.0 0.0\n")
     table = series.load_coefficients(path)

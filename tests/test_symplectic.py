@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import mpmath
 import numpy as np
@@ -31,9 +31,16 @@ _COMPLETIONS_SHA256 = {
 }
 
 
+def _det(mat):
+    """Leibniz determinant of a square list matrix: the sum over permutations."""
+    n = len(mat)
+    return sum((-1) ** sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+               * math.prod(mat[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
 def _minor_gcd(mat):
-    """Loop reference: gcd of the maximal minors of an n x m list matrix, n <= 3."""
-    return math.gcd(*(sp._det_small([[row[j] for j in pick] for row in mat])
+    """Loop reference: gcd of the maximal minors of an n x m list matrix."""
+    return math.gcd(*(_det([[row[j] for j in pick] for row in mat])
                       for pick in combinations(range(len(mat[0])), len(mat))))
 
 
@@ -41,7 +48,9 @@ def is_coprime_symmetric(c, d):
     """Scalar oracle: C D^T symmetric and [C D] with all elementary divisors 1,
     exactly, by the gcd of the maximal minors (no HNF).  Works for square
     sizes up to 3 (the rank-2 case backs the exhaustive enumeration check)."""
-    return sp._cd_t_symmetric(c, d) and _minor_gcd(sp._stacked(c, d)) == 1
+    cd_t = _mat_mul(c, list(zip(*d)))
+    return (cd_t == [list(col) for col in zip(*cd_t)]
+            and _minor_gcd([list(r) + list(s) for r, s in zip(c, d)]) == 1)
 
 
 def _mat_mul(a, b):
@@ -443,29 +452,53 @@ def test_stacked_mobius_is_bitwise_the_single_call(rng):
         mx.mobius(stack, np.zeros((3, 3)))
 
 
+def _first_minor(mat):
+    """The first column triple of a 3 x m list matrix, in combinations order,
+    with a nonzero minor, and that minor; (None, 0) at rank < 3."""
+    return next(((cols, p) for cols in combinations(range(len(mat[0])), 3)
+                 if (p := _det([[row[j] for j in cols] for row in mat]))), (None, 0))
+
+
 def test_hnf_rows_matches_hnf_row(rng):
     cases = []
-    for shape, amp in (((3, 6), 3), ((3, 6), 40), ((2, 4), 5), ((3, 3), 2), ((4, 5), 7),
-                       ((1, 3), 4)):
-        st = rng.integers(-amp, amp + 1, size=(400,) + shape)
+    for m, amp in ((6, 3), (6, 40), (3, 2)):
+        st = rng.integers(-amp, amp + 1, size=(400, 3, m))
         st[::5, :, 1] = 0  # a zero column
         st[::7, -1] = 2 * st[::7, 0]  # rank deficient
         st[::11] = 0
         st[::13, :, 0] = -np.abs(st[::13, :, 0])  # negative first pivots
         cases.append(st)
-    # lanes past the 2^31 guard: at the start, and by growth during the steps
+    # left translates of blocks [C D]: C = I, C singular (pivots in D), a pivot 2
+    ball = il.unimodular_matrices(1)[::50]
+    blocks = [np.hstack([I3, rng.integers(-9, 10, size=(3, 3))]),
+              [[1, 0, 0, 1, 3, -2], [0, 0, 0, 0, 1, 5], [0, 0, 0, 0, 0, 1]],
+              [[0, 1, 0, 2, 0, 1], [0, 0, 0, 1, 1, 0], [0, 2, 0, 5, 1, 2]],  # rank 2
+              np.hstack(_pivot_two_pair())]
+    cases.append(np.concatenate([ball @ np.array(b) for b in blocks]))
+    # unit lanes at the 2^19 bound (int64) and past it (Python ints)
+    for x in (2**19 - 1, 2**19):
+        st = np.array([[[1, 0, 0, x, 0, 0], [0, 1, 0, 0, -x, 0], [0, 0, 1, 0, 0, x]]])
+        cases.append(np.concatenate([ball @ st, ball[:3] @ np.array(blocks[3])]))
+    # lanes past 2^31 and 2^63; a fallback lane whose HNF leaves int64
     past = rng.integers(-5, 6, size=(60, 3, 6)).astype(object)
     past[3, 0, 0], past[4, 1, 2], past[5, 2, 5] = 2**31, -2**70, 2**31 - 1
     grow = rng.integers(-2**30, 2**30, size=(200, 3, 6))
-    # one step takes row 2 to -2^60, the next would wrap int64 at 2^90
     grow[0] = [[1, 2**30, 0, 0, 0, 0], [2**30, 0, 0, 0, 0, 0], [0, 1, 2**30, 0, 0, 0]]
-    cases += [past, grow]
+    cases += [past, grow, np.zeros((0, 3, 6), dtype=np.int64)]
+    kinds = set()
     for st in cases:
         h = il.hnf_rows(st)
         ref = [il.hnf_row(m)[0] for m in np.asarray(st, dtype=object).tolist()]
-        assert h.tolist() == ref
-    # lanes past the guard are finished exactly as Python ints
-    assert [il.hnf_rows(st).dtype for st in cases[-3:]] == [np.int64, object, object]
+        assert h.shape == np.shape(st) and h.tolist() == ref
+        for m in np.asarray(st, dtype=object).tolist():
+            cols, p = _first_minor(m)
+            kinds.add((cols == (0, 1, 2), p))
+    # J past the first triple with p_J = +-1, p_J = -1, a pivot 2, rank < 3
+    assert {(False, 1), (False, -1), (True, -1), (True, 2), (False, 0)} <= kinds
+    assert max(map(abs, il.hnf_rows(grow[:1]).ravel().tolist())) >= 2**63
+    # entries from 2^19 on, and every stack with one, run on Python ints
+    assert [il.hnf_rows(st).dtype for st in cases[3:]] == [np.int64, np.int64] + [object] * 3 + [
+        np.int64]
 
 
 def test_canonical_pairs_match_canonical_pair(rng):

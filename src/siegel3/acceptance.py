@@ -354,12 +354,8 @@ def criterion_11(seed=DEFAULT_SEED):
     res.add("class path vs brute-force eps recomputation (det <= 10) <= 1e-12",
             gap <= 1e-12, "gap %.3g over %d classes" % (gap, len(classes)))
     # completeness of the class list against enumerate-reduce-dedupe at det <= 2
-    brute = {
-        forms.minkowski_reduce(t).form
-        for t in forms.enumerate_J(6)
-        if t.det() <= 2
-    }
-    listed = set(forms.reduced_classes(2))
+    brute = forms.reduce_keys([t.key() for t in forms.enumerate_J(6) if t.det() <= 2])
+    listed = {t.key() for t in forms.reduced_classes(2)}
     res.add("class list complete vs enumerate+reduce+dedupe (det <= 2)",
             brute == listed, "%d vs %d" % (len(brute), len(listed)))
     # exact linearity in the coefficient table

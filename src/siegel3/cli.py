@@ -318,7 +318,7 @@ def _dispatch(args):
         return 0
 
     if cmd == "eps":
-        emit({"eps": forms.automorphism_count(forms.minkowski_reduce(args.form).form)})
+        emit({"eps": forms.automorphism_count(args.form)})
         return 0
 
     if cmd == "eval-eisenstein":

@@ -10,6 +10,8 @@ diagonal and doubled off-diagonals, i.e. the matrix
 All results in this module are exact: the doubled Gram matrix 2T has integer
 entries, (2T)[v] is an even integer, and dets/reductions use integers only
 (int64 arrays where no overflow can occur, Python ints and fractions else).
+eps_T is read off the reduction lanes for a listed class and searched for on a
+pairwise-reduced basis of T otherwise.
 """
 
 from __future__ import annotations
@@ -81,9 +83,6 @@ def congruence_form(t, u):
 class ReducedForm:
     form: HalfIntegralForm
     reducer: tuple  # U with T[U] == form
-
-    def satisfies_inequalities(self):
-        return bool(_is_reduced(*self.form.key()))
 
 
 # --- exact lattice point enumeration ----------------------------------------
@@ -230,6 +229,7 @@ def first_nonzero_positive(v):
 
 
 _SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+_EPS = {}  # key() -> eps, recorded by each lane of _minkowski_lanes whose key is its T
 
 
 def _is_reduced(t1, t2, t3, b12, b13, b23):
@@ -242,7 +242,9 @@ def _minkowski_lanes(g, h, u):
     """The int64 (N, 6) keys and (N, 3, 3) reducers U (T[U] = key) that
     minkowski_reduce gives for a stack of g = 2T > 0 with pairwise-reduced bases
     h = u^T g u: one Fincke-Pohst pass enumerates every ball at R = max diag h
-    (>= lambda3), and the pools, least members and keys are grouped by lane."""
+    (>= lambda3), and the pools, least members and keys are grouped by lane.  The
+    (basis, sign) rows that tie a lane's least key are one per pair +-U of T[U] =
+    key, so they count eps(key); a lane whose key is its own T records it."""
     lane, ball = _fincke_pohst(h, u, h.diagonal(axis1=1, axis2=2).max(axis=1))
     sign = first_nonzero_positive(ball["v"])
     lane, q = lane[sign], ball["q"][sign]  # one sign, still sorted by (lane, q, v)
@@ -273,6 +275,11 @@ def _minkowski_lanes(g, h, u):
     by_lane = lane[idx[ok // 4, 0]]
     order = np.lexsort((*keys[ok].T[::-1], by_lane))  # stable: by lane, key, then (c, sign)
     best = ok[order[by_lane[order].searchsorted(np.arange(len(g)))]]  # each lane's first least
+    if not _is_reduced(*keys[best].T).all():
+        raise AssertionError("reduction produced a non-reduced form: %r" % (keys[best],))
+    eps = np.bincount(by_lane[(keys[ok] == keys[best][by_lane]).all(axis=1)], minlength=len(g))
+    own = (keys[best] * [2, 2, 2, 1, 1, 1] == g[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]).all(1)
+    _EPS.update(zip(map(tuple, keys[best][own].tolist()), eps[own].tolist()))
     return keys[best], v[idx[best // 4]].swapaxes(1, 2).astype(np.int64) * _SIGNS[best % 4, None]
 
 
@@ -290,26 +297,37 @@ def minkowski_reduce(t):
         raise NotPositiveDefinite("form is not positive definite")
     g = t.gram2()
     keys, reducer = _minkowski_lanes(*il.exact_array([g, *_pairwise_reduced(g)], 1 << 63)[:, None])
-    red = ReducedForm(HalfIntegralForm(*keys[0].tolist()), tuple(map(tuple, reducer[0].tolist())))
-    if not red.satisfies_inequalities():
-        raise AssertionError("reduction produced a non-reduced form: %r" % (red.form,))
-    return red
+    return ReducedForm(HalfIntegralForm(*keys[0].tolist()), tuple(map(tuple, reducer[0].tolist())))
+
+
+def reduce_keys(rows):
+    """The distinct Minkowski keys of positive-definite key() rows whose 2T fit
+    int64, reduced _LANES to a stack of _minkowski_lanes on pairwise-reduced bases."""
+    g = np.array(rows)[:, [0, 3, 4, 3, 1, 5, 4, 5, 2]].reshape(-1, 3, 3) * (1 + np.identity(3, int))
+    h, u = g.copy(), np.tile(np.eye(3, dtype=int), (len(g), 1, 1))
+    for i in ((2 * abs(g) > g.diagonal(axis1=1, axis2=2)[:, None]).sum((1, 2)) > 3).nonzero()[0]:
+        h[i], u[i] = _pairwise_reduced(g[i].tolist())  # the class box's rows need no step
+    return {key for j in range(0, len(g), _LANES) for key in map(tuple, _minkowski_lanes(
+        g[j:j + _LANES], h[j:j + _LANES], u[j:j + _LANES])[0].tolist())}
 
 
 @lru_cache(maxsize=None)
 def automorphism_count(t):
-    """eps_T = #{g in SL3(Z) : T[g] = T}, counted on T itself by exact search:
-    the columns c_j of g have (2T)[c_j] = (2T)_jj, so they lie in one ball,
-    their bilinear products are the off-diagonal of 2T, and det g =
-    (c1 x c2) . c3 = 1."""
+    """eps_T = #{g in SL3(Z) : T[g] = T}, exact: the count that T's own lane of the
+    class box recorded, else a search on a pairwise-reduced basis h of 2T (eps_T =
+    eps(h)): the columns c_j of g have h[c_j] = h_jj, so they lie in one ball,
+    their bilinear products are the off-diagonal of h, and det g = 1."""
     if not t.is_positive_definite():
         raise NotPositiveDefinite("form is not positive definite")
-    ball = short_vectors_gram(g := t.gram2(), 2 * max(t.t1, t.t2, t.t3))
+    if t.key() in _EPS:
+        return _EPS[t.key()]
+    h, _ = _pairwise_reduced(t.gram2())
+    ball = short_vectors_gram(h, max(h[0][0], h[1][1], h[2][2]))
     q, v = ball["q"], _exact(ball["v"], max(t.t1, t.t2, t.t3))
-    gm = np.array(g, dtype=v.dtype)
-    c1, c2, c3 = (v[q == g[j][j]] for j in range(3))
-    i, j = np.nonzero(c1 @ gm @ c2.T == g[0][1])
-    ok = (c1[i] @ gm @ c3.T == g[0][2]) & (c2[j] @ gm @ c3.T == g[1][2])
+    gm = np.array(h, dtype=v.dtype)
+    c1, c2, c3 = (v[q == h[j][j]] for j in range(3))
+    i, j = np.nonzero(c1 @ gm @ c2.T == h[0][1])
+    ok = (c1[i] @ gm @ c3.T == h[0][2]) & (c2[j] @ gm @ c3.T == h[1][2])
     det = np.stack(il.cross3(c1[i].T, c2[j].T), axis=1) @ c3.T
     return int(np.count_nonzero(ok & (det == 1)))
 
@@ -370,9 +388,10 @@ def reduced_classes(det_bound):
     """One canonical representative per GL3(Z)-class with det T <= det_bound.
 
     Enumerates the reduced inequality box (with margin over the classical bound
-    t1 t2 t3 <= 2 det T), whose forms are their own pairwise-reduced bases,
-    reduces each definite one once, _LANES to a stack, and dedupes; a box of
-    more than MAX_WORK candidates is refused before any reduction."""
+    t1 t2 t3 <= 2 det T), whose forms are their own pairwise-reduced bases, and
+    dedupes reduce_keys of its definite forms, streamed: the lane of each class's
+    representative records eps_T; a box of more than MAX_WORK candidates is
+    refused before any reduction."""
     return list(_reduced_classes_cached(Fraction(det_bound)))
 
 
@@ -391,13 +410,7 @@ def _reduced_classes_cached(det_bound):
         rows = np.concatenate([rows] + [_definite_rows(t1, t2, t3, (0, -t1, 0), (t1, t1, t2),
                                                        floor(8 * det_bound)) for t3 in t3s])
         done = len(rows) if i == len(diagonals) else len(rows) - len(rows) % _LANES  # whole stacks
-        g = rows[:done, [0, 3, 4, 3, 1, 5, 4, 5, 2]].reshape(-1, 3, 3) * (1 + np.eye(3, dtype=int))
-        u, rows = np.broadcast_to(np.eye(3, dtype=np.int64), g.shape), rows[done:]
-        keys = np.concatenate([np.empty((0, 6), np.int64)] + [
-            _minkowski_lanes(g[j:j + _LANES], g[j:j + _LANES], u[j:j + _LANES])[0]
-            for j in range(0, len(g), _LANES)])
-        if not _is_reduced(*keys.T).all():
-            raise AssertionError("reduction produced a non-reduced form: %r" % (keys.tolist(),))
-        classes.update(map(tuple, keys.tolist()))
+        classes |= reduce_keys(rows[:done])
+        rows = rows[done:]
     classes = (HalfIntegralForm(*k) for k in classes)
     return tuple(sorted(classes, key=lambda f: (f.det(), f.key())))

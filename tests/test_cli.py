@@ -60,8 +60,9 @@ def test_reduce_and_eps(capsys):
     assert payload["form"] == [1, 2, 3, 0, 0, 0]
     code, payload = run_json(capsys, "eps", "--form", "1,1,1,0,0,0")
     assert code == 0 and payload["eps"] == 24
-    # eps is a class invariant, counted on the reduced form: this is the class
-    # of (1,1,2,0,-1,0) skewed by entries 2^21, whose own ball is past MAX_WORK
+    # eps is a class invariant, counted on a pairwise-reduced basis: this is the
+    # class of (1,1,2,0,-1,0) skewed by entries 2^21, whose ball at max diag 2T
+    # is past MAX_WORK
     for form in ("1,1,2,0,-1,0", "1,4398046511105,4398048608258,4194304,0,4194305"):
         code, payload = run_json(capsys, "eps", "--form", form)
         assert code == 0 and payload["eps"] == 4

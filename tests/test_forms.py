@@ -120,13 +120,13 @@ def test_minkowski_reduce_round_trip(u):
     scrambled = forms.congruence_form(t0, u)
     red = forms.minkowski_reduce(scrambled)
     assert red.form == t0
-    assert red.satisfies_inequalities()
+    assert forms._is_reduced(*red.form.key())
 
 
 @given(_small_form_strategy())
 def test_minkowski_reduce_idempotent_and_reduced(t):
     red = forms.minkowski_reduce(t)
-    assert red.satisfies_inequalities()
+    assert forms._is_reduced(*red.form.key())
     again = forms.minkowski_reduce(red.form)
     assert again.form == red.form
 
@@ -442,7 +442,8 @@ def test_reduce_matches_recursive_oracle():
         assert forms.minkowski_reduce(t) == lane == _recursive_minkowski_reduce(t), t
 
 
-def test_automorphism_count_matches_recursive_oracle():
+def test_automorphism_count_matches_recursive_oracle(monkeypatch):
+    monkeypatch.setattr(forms, "_EPS", {})  # every count searches
     for t in _scrambles():
         assert forms.automorphism_count.__wrapped__(t) == _recursive_automorphism_count(t), t
 
@@ -451,8 +452,9 @@ def test_python_int_path_matches_int64_path(monkeypatch):
     cases = _box(20)[::31] + _scrambles()[::20]
 
     def run():
+        monkeypatch.setattr(forms, "_EPS", {})  # every count searches, the lanes record
         return ([forms.minkowski_reduce(t) for t in cases], _lanes(cases),
-                [forms.automorphism_count.__wrapped__(t) for t in cases])
+                [forms.automorphism_count.__wrapped__(t) for t in cases], forms._EPS)
 
     expect = run()
     monkeypatch.setattr(forms, "_INT64_COORD", 1)  # every ball as Python ints
@@ -494,3 +496,64 @@ def test_reduced_classes_match_one_form_dedupe():
 def test_automorphism_count_rejects_indefinite_forms():
     with pytest.raises(NotPositiveDefinite, match="form is not positive definite"):
         forms.automorphism_count(forms.HalfIntegralForm(1, 1, -1, 0, 0, 0))
+
+
+def test_lanes_record_eps_where_the_key_is_their_own_form(monkeypatch):
+    # eps is the number of (minimizing basis, sign) rows whose key ties the least
+    huge = forms.minkowski_reduce(forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1,
+                                                         2**59)).form  # partial sums past int64
+    ts = _box(20) + _scrambles() + (huge,)
+    for coord in (forms._INT64_COORD, 1):  # and every ball as Python ints
+        monkeypatch.setattr(forms, "_INT64_COORD", coord)
+        monkeypatch.setattr(forms, "_EPS", {})
+        reds = _lanes(ts)
+        own = [t for t, red in zip(ts, reds) if red.form == t]
+        # a lane whose key differs from its form records nothing
+        assert sorted(forms._EPS) == sorted(t.key() for t in own)
+        assert len(own) == 420 + 1 and huge in own
+        for t in own[::12] + [huge]:
+            assert forms._EPS[t.key()] == _recursive_automorphism_count(t), t
+    monkeypatch.setattr(forms, "_EPS", {})
+    moved = [t for t in _scrambles() if forms.minkowski_reduce(t).form != t]
+    _lanes(moved)
+    assert forms._EPS == {}
+
+
+def test_recorded_eps_match_the_one_form_count():
+    forms._reduced_classes_cached.cache_clear()  # the lanes record into this _EPS
+    classes = forms.reduced_classes(20)
+    recorded = [forms._EPS[c.key()] for c in classes]
+    assert recorded == [forms.automorphism_count(c) for c in classes]
+    ball = il.unimodular_matrices(2)
+    moved = [forms.congruence_form(c, ball[(677 * i) % len(ball)]) for i, c in enumerate(classes)]
+    assert all(m.key() not in forms._EPS for m in moved if forms.minkowski_reduce(m).form != m)
+    assert [forms.automorphism_count.__wrapped__(m) for m in moved] == recorded
+    assert forms.reduce_keys([t.key() for t in _box(20)]) == {c.key() for c in classes}
+    # rows that are not pairwise reduced take their pairwise-reduced bases first
+    skewed = forms.congruence_form(classes[5], [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]])
+    rows = [t.key() for t in _scrambles()] + [skewed.key()]
+    assert forms.reduce_keys(rows) == {forms.minkowski_reduce(t).form.key() for t in
+                                       _scrambles() + (skewed,)}
+
+
+def test_eps_of_a_skewed_form_is_counted_on_its_pairwise_basis():
+    # the class of (1,1,2,0,-1,0) skewed by entries 2^21: its ball at max diag 2T
+    # is past MAX_WORK, the ball at max diag h holds 12 vectors
+    skewed = forms.HalfIntegralForm(1, 4398046511105, 4398048608258, 4194304, 0, 4194305)
+    h, _ = forms._pairwise_reduced(skewed.gram2())
+    assert len(forms.short_vectors_gram(skewed.gram2(), max(h[j][j] for j in range(3)))) == 12
+    rep = forms.minkowski_reduce(skewed).form
+    assert rep == forms.HalfIntegralForm(1, 1, 2, 0, -1, 0)
+    assert forms.automorphism_count.__wrapped__(skewed) == _recursive_automorphism_count(rep) == 4
+
+
+def test_exact_mass_identity():
+    # 24 sum_(4 det T = m) 1/eps_T = sum_(a c^2 = m) (a c - c^2) for every m <= 4 D
+    mass = {}
+    for t in forms.reduced_classes(75):
+        m = 4 * t.det()
+        assert m.denominator == 1
+        mass[m.numerator] = mass.get(m.numerator, 0) + Fraction(24, forms.automorphism_count(t))
+    for m in range(1, 4 * 75 + 1):
+        assert mass.get(m, 0) == sum(m // c - c * c for c in range(1, isqrt(m) + 1)
+                                     if m % (c * c) == 0), m

@@ -4,10 +4,11 @@ The bottom blocks (C, D) of an integer symplectic matrix satisfy C D^T
 symmetric with [C D] primitive; left association (C, D) ~ (UC, UD) is
 canonicalized by the row Hermite normal form of the 3x6 block.  Completion
 reads top rows off the row-HNF transform of [D^T; -C^T] and repairs their
-isotropy with a symmetric shear.  Single pairs go through the list HNF;
-stacks of pairs through exact arrays: left translates in ``canonical_pairs``
-(the HNF in closed form from the maximal minors, ``il.hnf_rows``) and the
-completions of a coset table.
+isotropy with a symmetric shear.  Single pairs go through the list HNF; stacks
+of pairs through exact arrays: left translates in ``canonical_pairs`` (the HNF
+in closed form from the maximal minors, ``il.hnf_rows``) and the completions
+of a coset table.  The Poincare sum takes one polar exp per distinct T[U] and
+pair; its box is refused in closed form, before any pair is enumerated.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from operator import mul
 
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import (MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, finite_exponents,
-                     require_finite)
+from .branch import _polar_exp
+from .errors import (MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, NotPositiveDefinite,
+                     finite_exponents, require_finite)
 from .eisenstein import TruncationSpec, selberg_E
 from .forms import HalfIntegralForm
 from .matrices import is_symplectic, mobius, siegel_point
@@ -117,7 +119,7 @@ def _hnf_structures(max_abs, nrows=3):
 
     Yields them as int64 arrays of at most _FILTER_CHUNK matrices, by
     pivot-column pattern; pivots positive, entries above a pivot reduced mod
-    the pivot, rows echeloned left to right.
+    the pivot, rows echeloned left to right, each chunk from flat indices.
     """
     cols = 2 * nrows
     for pivots in combinations(range(cols), nrows):
@@ -125,13 +127,14 @@ def _hnf_structures(max_abs, nrows=3):
         free_rows, free_cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
         for pvals in product(range(1, max_abs + 1), repeat=nrows):
             # an entry above a pivot is reduced into [0, pivot)
-            values = product(*(range(min(pvals[pivots.index(j)], max_abs + 1))
-                               if j in pivots[i + 1:] else range(-max_abs, max_abs + 1)
-                               for i, j in free))
-            while chunk := list(islice(values, _FILTER_CHUNK)):
-                h = np.zeros((len(chunk), nrows, cols), dtype=np.int64)
+            lo, hi = np.array([(0, pvals[pivots.index(j)]) if j in pivots[i + 1:]
+                               else (-max_abs, max_abs + 1) for i, j in free]).reshape(-1, 2).T
+            shape = (1, *(hi - lo))  # mixed radix; a leading 1 keeps a grid of no entry one point
+            for start in range(0, total := math.prod(shape), _FILTER_CHUNK):
+                idx = np.unravel_index(np.arange(start, min(start + _FILTER_CHUNK, total)), shape)
+                h = np.zeros((len(idx[0]), nrows, cols), dtype=np.int64)
                 h[:, range(nrows), pivots] = pvals
-                h[:, free_rows, free_cols] = chunk
+                h[:, free_rows, free_cols] = np.transpose(idx[1:]) + lo
                 yield h
 
 
@@ -213,15 +216,15 @@ _completions = lru_cache(maxsize=4)(_complete)
 @lru_cache(maxsize=4)
 def _coset_table(pairs, z_bytes, k):
     """The factors of P_{k,T}(Z) that do not depend on T, keyed on the pair
-    tuple, the bytes of Z and k: for the completion M0 of each pair, the
-    entries (11, 22, 33, 12, 13, 23) of M0 Z as a 6 x |pairs| array and
-    j(M0, Z)^(-k), both read-only."""
+    tuple, the bytes of Z and k: for the completion M0 of each pair, -2 pi Im
+    and 2 pi Re of the entries (11, 22, 33, 12, 13, 23) of M0 Z as a
+    2 x |pairs| x 6 array and j(M0, Z)^(-k), both read-only."""
     z = np.frombuffer(z_bytes, dtype=complex).reshape(3, 3)
     mz, jv = mobius(_completions(pairs), z)
-    entries = np.ascontiguousarray(mz[:, _ENTRY_ROWS, _ENTRY_COLS].T)
+    phases = np.stack([-mz.imag, mz.real])[..., _ENTRY_ROWS, _ENTRY_COLS] * (2 * np.pi)
     weights = jv ** (-k)
-    entries.flags.writeable = weights.flags.writeable = False
-    return entries, weights
+    phases.flags.writeable = weights.flags.writeable = False
+    return phases, weights
 
 
 def _coset_coefficients(t: HalfIntegralForm, gl_ball):
@@ -233,28 +236,44 @@ def _coset_coefficients(t: HalfIntegralForm, gl_ball):
     return np.asarray(g[:, _ENTRY_ROWS, _ENTRY_COLS] * (0.5, 0.5, 0.5, 1, 1, 1), dtype=float)
 
 
+def _coset_truncation(max_abs, gl_ball, pairs):
+    """The GL3(Z) ball and pair tuple of a coset sum, defaulting to the box of max_abs.  More
+    than MAX_WORK (U, pair) terms are refused before any pair is enumerated, by the closed-form
+    candidate count when the pairs are not given; an empty ball or pair list is refused."""
+    if gl_ball is None:
+        gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
+    count = _candidate_count(max_abs, 3) if pairs is None else len(pairs)
+    if len(gl_ball) * count > MAX_WORK:
+        raise DomainError("%d matrices x %d pairs or candidates at max_abs %d, above %d coset terms"
+                          % (len(gl_ball), count, max_abs, MAX_WORK))
+    pairs = enumerate_pairs(max_abs) if pairs is None else tuple(pairs)
+    if not len(gl_ball) or not pairs:
+        raise DomainError("empty truncation: %d matrices, %d pairs" % (len(gl_ball), len(pairs)))
+    return gl_ball, pairs
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None):
     """Truncated weight-k Poincare sum over translation cosets.
 
     (1/2) sum over U in a GL3(Z) column-norm ball and canonical pairs {C, D}
     of e^{2 pi i tr(T[U] M0 Z)} j(M0, Z)^(-k); M0 completes {C, D}.  The
-    per-coset factors come from a table cached per (pairs, Z, k); the sum is
-    one |ball| x |pairs| array summed over the ball, then weighted by j^(-k).
-    The truncation error is not certified; a Z outside the Siegel space or a
-    sum that overflows raises DomainError.
+    per-coset factors come from a table cached per (pairs, Z, k).  A term
+    depends on U through the float row T[U] alone (T[-U] = T[U]), so each
+    distinct row takes one polar exp per pair, weighted by its count.  The
+    truncation error is not certified; a T that is not positive definite
+    raises NotPositiveDefinite, a Z outside the Siegel space, more than
+    MAX_WORK terms or a sum that overflows DomainError.
     """
     _check_truncation(k, max_abs)
+    if not t.is_positive_definite():
+        raise NotPositiveDefinite("form is not positive definite")
     z = siegel_point(z)
-    if pairs is None:
-        pairs = enumerate_pairs(max_abs)
-    if gl_ball is None:
-        gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
-    if not len(gl_ball) or not len(pairs):
-        raise DomainError("empty truncation: %d matrices, %d pairs" % (len(gl_ball), len(pairs)))
-    entries, weights = _coset_table(tuple(pairs), z.tobytes(), k)
-    per_pair = np.exp(2j * np.pi * (_coset_coefficients(t, gl_ball) @ entries)).sum(axis=0)
-    value = require_finite(0.5 * (weights * per_pair).sum(), "the Poincare sum")
+    gl_ball, pairs = _coset_truncation(max_abs, gl_ball, pairs)
+    phases, weights = _coset_table(pairs, z.tobytes(), k)
+    rows, mult = np.unique(_coset_coefficients(t, gl_ball), axis=0, return_counts=True)
+    terms = _polar_exp(*phases @ rows.T, np.empty((len(pairs), len(rows)), complex))
+    value = require_finite(weights @ terms @ (0.5 * mult), "the Poincare sum")
     return complex(value), len(gl_ball) * len(pairs)
 
 
@@ -267,8 +286,7 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     s, w, u = finite_exponents(*exponents)
     z = siegel_point(z)
     pref = 2.0 * lipschitz_factor(s, w, u)
-    pairs = enumerate_pairs(max_abs)
-    gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
+    gl_ball, pairs = _coset_truncation(max_abs, None, None)
     poincare = CoefficientTable(
         k=k, provider=lambda t: poincare_trunc(k, t, z, max_abs, gl_ball=gl_ball, pairs=pairs)[0])
     sv = class_sum(poincare, det_bound,

@@ -289,6 +289,17 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", Z1, "--max-abs", "3"], "input error:"),
     (["eval-kernel", "--s", "2", "--w", "4", "--u", "5", "--z", Z1, "--max-abs", "3"],
      "input error:"),
+    # 6,960 matrices x 76,756,680 HNF candidates ~ 5.3e11 coset terms, counted before any pair
+    (["eval-poincare", "--form", "1,1,1,0,0,0", "--z", Z1, "--max-abs", "2"], "input error:"),
+    (["eval-kernel", "--s", "2", "--w", "4", "--u", "5", "--z", Z1, "--max-abs", "2"],
+     "input error:"),
+    # a semidefinite, an indefinite and a negative form, refused as reduce and eps refuse them
+    (["eval-poincare", "--k", "30", "--form=1,1,1,2,0,0", "--z", Z1],
+     "input error: form is not positive definite"),
+    (["eval-poincare", "--k", "30", "--form=1,1,1,3,0,0", "--z", Z1],
+     "input error: form is not positive definite"),
+    (["eval-poincare", "--k", "30", "--form=-1,1,1,0,0,0", "--z", Z1],
+     "input error: form is not positive definite"),
     # a class box above MAX_WORK candidate forms, counted before any reduction
     (["classes", "--det-bound", "1e9"], "input error:"),
     (["eval-km", "--s", "30", "--det-bound", "1e9"], "input error:"),

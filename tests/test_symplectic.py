@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import time
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import mpmath
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 
 from siegel3 import _intlinalg as il
 from siegel3 import acceptance, eisenstein as eis, forms, matrices as mx, symplectic as sp
-from siegel3.errors import CompletionFailure, DomainError, NotCoprimePair, SingularDenominator
+from siegel3.errors import (CompletionFailure, DomainError, NotCoprimePair, NotPositiveDefinite,
+                            SingularDenominator)
 from siegel3.specfun import lipschitz_factor
 
 I3 = il.identity(3)
@@ -294,6 +295,40 @@ def test_enumerate_pairs_refuses_work_above_the_ceiling():
     assert time.perf_counter() - start < 1.0
 
 
+def test_coset_box_is_refused_in_closed_form_before_enumerating(monkeypatch):
+    z, spec = 1j * np.eye(3), eis.TruncationSpec(4, 4)
+    start = time.perf_counter()
+    for call in (lambda: sp.poincare_trunc(24, I3F, z, 2),
+                 lambda: sp.kernel_trunc(24, (2.0, 4.0, 5.0), z, 1, spec, 2)):
+        with pytest.raises(DomainError, match="6960 matrices x 76756680 pairs or candidates"):
+            call()  # ~5.3e11 coset terms
+    assert time.perf_counter() - start < 1.0
+    # max_abs 1 is 48 x 33,880 = 1,626,240 (U, candidate) terms: accepted at that ceiling,
+    # and one below it refused before any pair is enumerated
+    pairs = sp.enumerate_pairs(1)[:10]
+    monkeypatch.setattr(sp, "MAX_WORK", 1_626_240)
+    assert sp.poincare_trunc(24, I3F, z, 1)[1] == 48 * 1096
+    monkeypatch.setattr(sp, "MAX_WORK", 1_626_239)
+    monkeypatch.setattr(sp, "enumerate_pairs", lambda *a: pytest.fail("pairs enumerated"))
+    for call in (lambda: sp.poincare_trunc(24, I3F, z, 1),
+                 lambda: sp.kernel_trunc(24, (2.0, 4.0, 5.0), z, 1, spec, 1)):
+        with pytest.raises(DomainError, match="48 matrices x 33880 .* above 1626239 coset terms"):
+            call()
+    # given pairs: |ball| x |pairs| terms
+    monkeypatch.setattr(sp, "MAX_WORK", 480)
+    assert sp.poincare_trunc(24, I3F, z, 1, pairs=pairs)[1] == 480
+    monkeypatch.setattr(sp, "MAX_WORK", 479)
+    with pytest.raises(DomainError, match="48 matrices x 10 pairs"):
+        sp.poincare_trunc(24, I3F, z, 1, pairs=pairs)
+
+
+def test_poincare_refuses_a_form_that_is_not_positive_definite(monkeypatch):
+    monkeypatch.setattr(sp, "_coset_truncation", lambda *a: pytest.fail("truncation built"))
+    for key in ((1, 1, 1, 2, 0, 0), (1, 1, 1, 3, 0, 0), (-1, 1, 1, 0, 0, 0)):  # semidefinite, indefinite
+        with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+            sp.poincare_trunc(30, forms.HalfIntegralForm(*key), 1j * np.eye(3), 1)
+
+
 def test_completion_examples():
     m = sp.complete_to_symplectic(sp.CoprimePair(tuple(map(tuple, Z3)),
                                                  tuple(map(tuple, I3))))
@@ -338,6 +373,67 @@ def test_poincare_table_matches_per_pair_loop(rng):
                 assert n == n_ref
                 assert abs(val - ref) <= 1e-12 * abs(ref)
                 assert sp.poincare_trunc(k, t, z, 1, **kw) == (val, n)  # cache hit, bit for bit
+
+
+def test_grouped_poincare_sum_matches_per_pair_loop():
+    # one term per distinct row T[U], weighted by its count, against the per-(U, pair) loop
+    full = il.unimodular_matrices(1, 1)
+    rows, mult = np.unique(sp._coset_coefficients(I3F, full), axis=0, return_counts=True)
+    assert rows.tolist() == [[1, 1, 1, 0, 0, 0]] and mult.tolist() == [48]
+    for k in (8, 30):
+        val, n = sp.poincare_trunc(k, I3F, Z_GENERIC, 1)
+        ref, n_ref = _poincare_per_pair(k, I3F, Z_GENERIC, 1)
+        assert n == n_ref and abs(val - ref) <= 1e-12 * abs(ref)
+    # a ball that is not closed under negation leaves odd counts
+    t, ball, pairs = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1), full[:21], sp.enumerate_pairs(1)[::9]
+    assert (np.unique(sp._coset_coefficients(t, ball), axis=0, return_counts=True)[1] % 2).any()
+    for k in (8, 30):
+        val, n = sp.poincare_trunc(k, t, Z_GENERIC, 1, gl_ball=ball, pairs=pairs)
+        ref, n_ref = _poincare_per_pair(k, t, Z_GENERIC, 1, gl_ball=ball, pairs=pairs)
+        assert n == n_ref and abs(val - ref) <= 1e-12 * abs(ref)
+    # entries past the int64 path (Python ints): 24 distinct rows, summed at the one pair
+    # with C = 0, whose M0 Z = Z is imaginary, so every phase is exactly 0 on both sides
+    big = forms.HalfIntegralForm(2**40 + 1, 2**40 + 3, 2**40 + 7, 1, 1, -1)
+    assert len(np.unique(sp._coset_coefficients(big, full), axis=0)) == 24
+    z = 1j * np.array([[1.0, 0.1, 0.0], [0.1, 1.2, 0.2], [0.0, 0.2, 0.9]]) * 2.0**-40
+    one = tuple(p for p in sp.enumerate_pairs(1) if not any(map(any, p.c)))
+    val, n = sp.poincare_trunc(24, big, z, 1, pairs=one)
+    ref, n_ref = _poincare_per_pair(24, big, z, 1, pairs=one)
+    assert n == n_ref == 48 and val != 0 and abs(val - ref) <= 1e-12 * abs(ref)
+
+
+def _product_structures(max_abs, nrows):
+    """The HNF candidate chunks from itertools.product over Python ints, as
+    lists (reference for the index grid of _hnf_structures)."""
+    cols = 2 * nrows
+    for pivots in combinations(range(cols), nrows):
+        free = [(i, j) for i in range(nrows) for j in range(pivots[i] + 1, cols)]
+        for pvals in product(range(1, max_abs + 1), repeat=nrows):
+            values = product(*(range(pvals[pivots.index(j)]) if j in pivots[i + 1:]
+                               else range(-max_abs, max_abs + 1) for i, j in free))
+            while chunk := list(islice(values, sp._FILTER_CHUNK)):
+                out = []
+                for vals in chunk:
+                    h = [[0] * cols for _ in range(nrows)]
+                    for i, j in enumerate(pivots):
+                        h[i][j] = pvals[i]
+                    for (i, j), v in zip(free, vals):
+                        h[i][j] = v
+                    out.append(h)
+                yield out
+
+
+def test_hnf_structures_match_the_product_reference():
+    for max_abs, nrows in product((1, 2), (1, 2, 3)):
+        got = sp._hnf_structures(max_abs, nrows)
+        ref = _product_structures(max_abs, nrows)
+        if (max_abs, nrows) == (2, 3):  # 76,756,680 candidates: the first chunks only
+            got, ref = islice(got, 16), islice(ref, 16)
+        got = [block.tolist() for block in got]
+        assert got == list(ref)
+        assert all(len(block) <= sp._FILTER_CHUNK for block in got)
+        if (max_abs, nrows) != (2, 3):
+            assert sum(map(len, got)) == sp._candidate_count(max_abs, nrows)
 
 
 def test_coset_coefficients_match_the_list_congruence():

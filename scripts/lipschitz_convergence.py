@@ -22,7 +22,7 @@ from siegel3 import lipschitz as lip
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    # complex exponents (e.g. --s 2+0.5j) time the non-integer bare path
+    # complex exponents (e.g. --s 2+0.5j); a u off the integers 2..16 has no exact f-sum
     ap.add_argument("--s", type=complex, default=2.0)
     ap.add_argument("--w", type=complex, default=4.0)
     ap.add_argument("--u", type=complex, default=5.0)

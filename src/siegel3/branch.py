@@ -6,7 +6,7 @@ det Z_j = p_1...p_j, the branches are h_j = h_(j-1) + Log p_j (h_0 = 0): each
 Schur complement of a Siegel matrix is again Siegel, so every pivot lies in
 the upper half-plane and each partial sum is a continuous log of det Z_j on the
 connected H3 that agrees with the principal branch at iI.  Hence
-p_{s,w,u}(Z) = p_1^(s+w+u) p_2^(w+u) p_3^u, algebraic for integer exponents.
+p_{s,w,u}(Z) = p_1^(s+w+u) p_2^(w+u) p_3^u, for every exponent one exp of the logs.
 
 All internals are numpy-vectorized over the six independent entries.  Each
 principal log is polar, log|z| + i atan2(Im z, Re z), far cheaper than a
@@ -17,8 +17,6 @@ complex exp and stays their oracle.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -88,37 +86,13 @@ def _logs(pivots):
     return h1, h2, h2 + l3
 
 
-def _is_small_int(x):
-    return abs(x.imag) == 0.0 and x.real == int(x.real) and abs(x.real) <= 64
-
-
-def _ipow(base, n):
-    """Integer power by squaring; exact branch-free power for n in Z."""
-    if n == 0:
-        return np.ones_like(base)
-    invert = n < 0
-    n = abs(n)
-    result = None
-    acc = base
-    while n:
-        if n & 1:
-            result = acc if result is None else result * acc
-        n >>= 1
-        if n:
-            acc = acc * acc
-    return 1.0 / result if invert else result
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite value is refused
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value is refused
 def _power(exponents, pivots):
-    """p_{s,w,u} = p1^(s+w+u) p2^(w+u) p3^u from the pivots: small integer exponents by
-    _ipow, all others by one exp of s h1 + w h2 + u h3; DomainError unless every value is finite."""
+    """p_{s,w,u} = exp(s h1 + w h2 + u h3) from the pivots, for integer exponents as for any
+    other; DomainError unless every value is finite."""
     s, w, u = exponents
-    if all(map(_is_small_int, exponents)):
-        out = math.prod(_ipow(p, int(n.real)) for p, n in zip(pivots, (s + w + u, w + u, u)))
-    else:
-        h1, h2, h3 = _logs(pivots)
-        out = np.exp(s * h1 + w * h2 + u * h3)
+    h1, h2, h3 = _logs(pivots)
+    out = np.exp(s * h1 + w * h2 + u * h3)
     bad = ~np.isfinite(out)
     if bad.any():
         require_finite(out[bad][0], "p_{s,w,u}")
@@ -154,6 +128,6 @@ def power_inversion_gap(exponents, z):
 
 
 def power_terms(exponents, tau1, z1, z2, tau2, z3, tau3):
-    """Vectorized p_{s,w,u} over arrays (or an open grid) of matrix entries: for small
-    integer exponents algebraic in the pivots, without a transcendental call."""
+    """Vectorized p_{s,w,u} over arrays (or an open grid) of matrix entries: one exp of
+    s h1 + w h2 + u h3 per point, integer exponents included."""
     return _power(finite_exponents(*exponents), _pivots(tau1, z1, z2, tau2, z3, tau3))

@@ -172,7 +172,7 @@ def build_parser():
     exponents(c, ("2", "4", "5"))
     c.add_argument("--z", type=_z, default=None)
     c.add_argument("--tail-correction", action="store_true",
-                   help="exact f-direction sum (integer exponents, 2 <= u <= 16)")
+                   help="exact f-direction sum (integer u, 2 <= u <= 16)")
 
     c = add("classical-lipschitz", help="one-variable summation formula")
     c.add_argument("--tol", type=_positive, default=1e-6)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import _ipow, _is_small_int, _pivots, _polar_exp, power_terms
+from .branch import _pivots, _polar_exp, power_terms
 from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
 from .forms import _CHUNK, _diagonal_runs, enumerate_J
 from .matrices import siegel_point
@@ -60,15 +60,15 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     axes (one power_terms call), x on a..e, and f moves only Re x.  Each index
     of the leading axes gives one block, x on an open grid over the trailing
     a..e axes; the f-kernel is summed over f before the prefactor multiplies
-    it, in a fixed order.  With tail_correction, integer exponents and 2 <= u
-    <= EXACT_F_MAX_U, f, where terms decay like f^(-u) alone, is summed exactly
-    (_f_direction_sum): then n_terms counts the (2 max_abs + 1)^5 a..e terms
-    and the tail estimate covers the a..e shell.
+    it, in a fixed order, each (x + f)^(-u) one polar exp.  With tail_correction
+    and an integer u, 2 <= u <= EXACT_F_MAX_U, whatever s and w, f, where terms
+    decay like f^(-u) alone, is summed exactly (_f_direction_sum): then n_terms
+    counts the (2 max_abs + 1)^5 a..e terms and the tail estimate the a..e shell.
     """
     if max_abs < 0:
         raise DomainError("max_abs must be >= 0, got %r" % (max_abs,))
     s, w, u = finite_exponents(*exponents)
-    exact_f = (tail_correction and all(map(_is_small_int, (s, w, u)))
+    exact_f = (tail_correction and not u.imag and u.real == int(u.real)
                and 2 <= u.real <= EXACT_F_MAX_U)
     n, axes = 2 * max_abs + 1, 5 if exact_f else 6
     if n**axes > MAX_WORK:
@@ -97,22 +97,18 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
         if exact_f:
             sums = _f_direction_sum(x, coef)
             all_f, edge_f = np.abs(sums), 0.0
-        else:
-            if _is_small_int(u):
-                terms = _ipow(f_axis + x, -int(u.real))
-                np.abs(terms, out=mag)
-            else:  # -u Log(x + f) = A + iB from L = log|x + f|^2 and theta = Arg(x + f)
-                np.add(f_axis, x.real, out=re)
-                np.add(np.multiply(re, re, out=mag), x.imag * x.imag, out=mag)
-                big_l, theta = np.log(mag, out=mag), np.arctan2(x.imag, re, out=re)
-                if u.imag:  # A = -(u_r/2) L + u_i theta, B = -(u_i/2) L - u_r theta
-                    b = (-0.5 * u.imag) * big_l - u.real * theta
-                    big_l *= -0.5 * u.real
-                    big_l += u.imag * theta
-                else:
-                    b = np.multiply(theta, -u.real, out=theta)
-                    big_l *= -0.5 * u.real
-                terms = _polar_exp(big_l, b, arg)  # mag now holds e^A = |term|
+        else:  # -u Log(x + f) = A + iB from L = log|x + f|^2 and theta = Arg(x + f)
+            np.add(f_axis, x.real, out=re)
+            np.add(np.multiply(re, re, out=mag), x.imag * x.imag, out=mag)
+            big_l, theta = np.log(mag, out=mag), np.arctan2(x.imag, re, out=re)
+            if u.imag:  # A = -(u_r/2) L + u_i theta, B = -(u_i/2) L - u_r theta
+                b = (-0.5 * u.imag) * big_l - u.real * theta
+                big_l *= -0.5 * u.real
+                big_l += u.imag * theta
+            else:
+                b = np.multiply(theta, -u.real, out=theta)
+                big_l *= -0.5 * u.real
+            terms = _polar_exp(big_l, b, arg)  # mag now holds e^A = |term|
             sums, all_f, edge_f = terms.sum(0), mag.sum(0), mag[0] + mag[-1]
         total += (pref[idx] * sums).sum()
         shell = all_f if on_edge[list(idx)].any() else np.where(edge, all_f, edge_f)

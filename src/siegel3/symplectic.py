@@ -236,12 +236,20 @@ def _coset_coefficients(t: HalfIntegralForm, gl_ball):
     return np.asarray(g[:, _ENTRY_ROWS, _ENTRY_COLS] * (0.5, 0.5, 0.5, 1, 1, 1), dtype=float)
 
 
+@lru_cache(maxsize=4)
+def _default_ball(max_abs):
+    """The GL3(Z) column-norm ball of max_abs, built once per max_abs, read-only."""
+    ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
+    ball.flags.writeable = False
+    return ball
+
+
 def _coset_truncation(max_abs, gl_ball, pairs):
     """The GL3(Z) ball and pair tuple of a coset sum, defaulting to the box of max_abs.  More
     than MAX_WORK (U, pair) terms are refused before any pair is enumerated, by the closed-form
     candidate count when the pairs are not given; an empty ball or pair list is refused."""
     if gl_ball is None:
-        gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
+        gl_ball = _default_ball(max_abs)
     count = _candidate_count(max_abs, 3) if pairs is None else len(pairs)
     if len(gl_ball) * count > MAX_WORK:
         raise DomainError("%d matrices x %d pairs or candidates at max_abs %d, above %d coset terms"

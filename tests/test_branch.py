@@ -3,7 +3,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from siegel3 import branch, lipschitz, matrices as mx
 from siegel3.errors import BranchCutError, DomainError, require_finite
@@ -218,12 +218,40 @@ def test_branch_cut_detection():
     branch._plog(-1.0 + 1e-8j)  # off the cut: fine
 
 
-def test_integer_power_fast_path_matches_logs(rng):
-    zs = np.array([mx.random_siegel(rng) for _ in range(64)])
-    args = (zs[:, 0, 0], zs[:, 0, 1], zs[:, 0, 2], zs[:, 1, 1], zs[:, 1, 2], zs[:, 2, 2])
-    fast = branch.power_terms((-2, -4, 5), *args)
-    slow = branch.power_terms((-2.0 + 0j, -4.0 + 1e-30j, 5.0 + 0j), *args)
-    assert np.max(np.abs(fast - slow) / np.abs(slow)) <= 1e-12
+def _mp_integer_power(exponents, entries):
+    """t1^s d2^w d3^u in mpmath, the integer powers of the leading minors: no branch."""
+    s, w, u = (int(x) for x in exponents)
+    t1, z1, z2, t2, z3, t3 = (mpmath.mpc(complex(x)) for x in entries)
+    d2 = t1 * t2 - z1**2
+    d3 = t1 * t2 * t3 + 2 * z1 * z2 * z3 - t1 * z3**2 - t2 * z2**2 - t3 * z1**2
+    return complex(t1**s * d2**w * d3**u)
+
+
+def _scaled_siegel(rng):
+    """D Z D for a random Siegel Z and a positive diagonal D with entries from 10^-0.75 to
+    10^0.75: cond Y ~5e2 to ~2e4, and pivots as exact as at Z."""
+    d = 10 ** rng.uniform(-0.75, 0.75, 3)
+    d[rng.permutation(3)[:2]] = 10 ** -0.75, 10 ** 0.75
+    return mx.random_siegel(rng) * np.outer(d, d)
+
+
+def test_integer_powers_match_mpmath(rng):
+    # integer exponents take the one exp of s h1 + w h2 + u h3, like all others: against the
+    # integer powers of the minors in mpmath, triples with entries up to 64 in absolute value
+    triples = [(2, 4, 5), (-2, -4, -5), (40, -64, 20), (64, 64, 64), (-64, 64, -64), (0, 0, 1)]
+    triples += [tuple(rng.integers(-64, 65, 3).tolist()) for _ in range(12)]
+    for make in (mx.random_siegel, _scaled_siegel):
+        zs = [make(rng) for _ in range(24)]
+        args = [np.array([z[i, j] for z in zs]) for i, j in _AXES]
+        for e in triples:
+            try:
+                got = branch.power_terms(e, *args)
+            except DomainError:  # past the double range at one of the points
+                continue
+            with mpmath.workdps(40):
+                ref = np.array([_mp_integer_power(e, col) for col in zip(*args)])
+            normal = (np.abs(ref) > 1e-290) & (np.abs(ref) < 1e290)
+            assert np.max(np.abs(got - ref)[normal] / np.abs(ref[normal]), initial=0.0) <= 2e-13, e
 
 
 def _mp_power(exponents, entries):
@@ -242,7 +270,6 @@ def _mp_power(exponents, entries):
        im=st.lists(st.floats(-2, 2), min_size=3, max_size=3))
 def test_power_terms_matches_mpmath_on_grids_and_flat(seed, re, im):
     exponents = tuple(complex(a, b) for a, b in zip(re, im))
-    assume(not all(branch._is_small_int(e) for e in exponents))
     rng = np.random.default_rng(seed)
     z = mx.random_siegel(rng)
     # an open grid of integer shifts, two per entry: 64 terms on six axes

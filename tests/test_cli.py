@@ -264,6 +264,9 @@ USAGE_ERRORS = [
 
 REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
     (["eval-gamma3", "--s", "200", "--w", "0", "--u", "2"], "input error:"),  # overflow
+    # a pivot within CUT_TOL of the cut: refused for integer exponents as for all others
+    (["eval-power", "--s", "2", "--w", "4", "--u", "5", "--z=-1e15+1j,0,0,1j,0,1j"],
+     "input error: pivot"),
     # the weight is checked by the library, also when no class is summed
     (["eval-poincare", "--k", "23", "--form", "1,1,1,0,0,0", "--z", Z1], "input error:"),
     (["eval-kernel", "--k", "6", "--s", "2", "--w", "4", "--u", "5", "--z", Z1,

@@ -89,18 +89,20 @@ def test_f_direction_sum_matches_mpmath():
 
 def test_exact_f_direction_matches_long_bare_sum():
     # the a..e box at max_abs 1 with f summed directly over |f| <= 4000,
-    # where the f^(-5) tail beyond it is far below the tolerance
-    z, e = _z0(), (2.0, 4.0, 5.0)
-    val, n, tail = lip.lattice_sum_lhs(e, z, 1, tail_correction=True)
-    assert n == 3**5 and tail > 0
+    # where the f^(-5) tail beyond it is far below the tolerance; u alone selects
+    # the exact f-sum, so s and w need not be integers
+    z = _z0()
     side = np.arange(-1, 2)
     fs = np.arange(-4000, 4001)
-    ref = 0.0 + 0.0j
-    for a, b, c, d, e_ in np.ndindex(3, 3, 3, 3, 3):
-        ref += branch.power_terms(
-            (-2, -4, -5), z[0, 0] + side[a], z[0, 1] + side[b], z[0, 2] + side[c],
-            z[1, 1] + side[d], z[1, 2] + side[e_], z[2, 2] + fs).sum()
-    assert abs(val - ref) <= 1e-12 * abs(ref)
+    for e in ((2.0, 4.0, 5.0), (2.5 + 0.3j, 4.2, 5.0)):
+        val, n, tail = lip.lattice_sum_lhs(e, z, 1, tail_correction=True)
+        assert n == 3**5 and tail > 0
+        ref = 0.0 + 0.0j
+        for a, b, c, d, e_ in np.ndindex(3, 3, 3, 3, 3):
+            ref += branch.power_terms(
+                tuple(-x for x in e), z[0, 0] + side[a], z[0, 1] + side[b], z[0, 2] + side[c],
+                z[1, 1] + side[d], z[1, 2] + side[e_], z[2, 2] + fs).sum()
+        assert abs(val - ref) <= 1e-12 * abs(ref), e
 
 
 def _point_with_y_inv_33(rng, y_inv_33):
@@ -113,8 +115,8 @@ def _point_with_y_inv_33(rng, y_inv_33):
 
 
 def _bare_f_sum_with_midpoint_tails(exponents, z, max_abs, f_max):
-    """The a..e box with f summed directly over |f| <= f_max (integer path of
-    power_terms), plus the two f tails per a..e term from the midpoint rule
+    """The a..e box with f summed directly over |f| <= f_max (power_terms, integer
+    exponents), plus the two f tails per a..e term from the midpoint rule
     with its first derivative correction: sum_(f > F) (x + f)^(-u) =
     (x + F + 1/2)^(1-u) / (u-1) - u/24 (x + F + 1/2)^(-u-1) + O(F^(-u-3))."""
     s, w, u = exponents

@@ -322,6 +322,19 @@ def test_coset_box_is_refused_in_closed_form_before_enumerating(monkeypatch):
         sp.poincare_trunc(24, I3F, z, 1, pairs=pairs)
 
 
+def test_default_ball_is_built_once_and_read_only(monkeypatch):
+    # poincare_trunc without gl_ball takes the column-norm ball of max_abs from a cache:
+    # the same read-only array on every call, equal to the ball it used to rebuild
+    value = sp.poincare_trunc(24, I3F, Z_GENERIC, 1)
+    ball = sp._default_ball(1)
+    assert ball is sp._default_ball(1) and not ball.flags.writeable
+    assert (ball == il.unimodular_matrices(1, 1)).all()
+    monkeypatch.setattr(il, "unimodular_matrices", lambda *a: pytest.fail("ball rebuilt"))
+    assert sp.poincare_trunc(24, I3F, Z_GENERIC, 1) == value
+    assert sp.kernel_trunc(24, (2.0, 4.0, 5.0), Z_GENERIC, 1, eis.TruncationSpec(4, 4),
+                           1)["gl3_ball_size"] == len(ball)
+
+
 def test_poincare_refuses_a_form_that_is_not_positive_definite(monkeypatch):
     monkeypatch.setattr(sp, "_coset_truncation", lambda *a: pytest.fail("truncation built"))
     for key in ((1, 1, 1, 2, 0, 0), (1, 1, 1, 3, 0, 0), (-1, 1, 1, 0, 0, 0)):  # semidefinite, indefinite

@@ -139,9 +139,9 @@ def build_parser():
 
     def add(name, **kw):
         sp_ = sub.add_parser(name, **kw)
-        sp_.add_argument("--threads", type=int, default=1,
+        sp_.add_argument("--threads", type=_int_at_least(1), default=1,
                          help="accepted for interface stability; results are "
-                              "bitwise identical for any value")
+                              "bitwise identical for any positive value")
         return sp_
 
     def exponents(c, defaults=(None, None, None)):

@@ -10,8 +10,8 @@ diagonal and doubled off-diagonals, i.e. the matrix
 All results in this module are exact: the doubled Gram matrix 2T has integer
 entries, (2T)[v] is an even integer, and dets/reductions use integers only
 (int64 arrays where no overflow can occur, Python ints and fractions else).
-eps_T is read off the reduction lanes for a listed class and searched for on a
-pairwise-reduced basis of T otherwise.
+eps_T is the tie count of a reduction lane, recorded under each lane's reduced
+key and a one-form reduction's input (acceptance holds the exhaustive oracle).
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def first_nonzero_positive(v):
 
 
 _SIGNS = np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
-_EPS = {}  # key() -> eps, recorded by each lane of _minkowski_lanes whose key is its T
+_EPS = {}  # key() -> eps, recorded under each lane's key and each one-form input
 
 
 def _is_reduced(t1, t2, t3, b12, b13, b23):
@@ -244,7 +244,7 @@ def _minkowski_lanes(g, h, u):
     h = u^T g u: one Fincke-Pohst pass enumerates every ball at R = max diag h
     (>= lambda3), and the pools, least members and keys are grouped by lane.  The
     (basis, sign) rows that tie a lane's least key are one per pair +-U of T[U] =
-    key, so they count eps(key); a lane whose key is its own T records it."""
+    key, so they count eps(key), a class invariant recorded under each key."""
     lane, ball = _fincke_pohst(h, u, h.diagonal(axis1=1, axis2=2).max(axis=1))
     sign = first_nonzero_positive(ball["v"])
     lane, q = lane[sign], ball["q"][sign]  # one sign, still sorted by (lane, q, v)
@@ -278,8 +278,7 @@ def _minkowski_lanes(g, h, u):
     if not _is_reduced(*keys[best].T).all():
         raise AssertionError("reduction produced a non-reduced form: %r" % (keys[best],))
     eps = np.bincount(by_lane[(keys[ok] == keys[best][by_lane]).all(axis=1)], minlength=len(g))
-    own = (keys[best] * [2, 2, 2, 1, 1, 1] == g[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]).all(1)
-    _EPS.update(zip(map(tuple, keys[best][own].tolist()), eps[own].tolist()))
+    _EPS.update(zip(map(tuple, keys[best].tolist()), eps.tolist()))
     return keys[best], v[idx[best // 4]].swapaxes(1, 2).astype(np.int64) * _SIGNS[best % 4, None]
 
 
@@ -292,12 +291,14 @@ def minkowski_reduce(t):
     In rank 3 these are the minima, so one ball (2T)[v] <= R >= lambda3 holds
     the pools (minimal v, then gcd(v1 x v) = 1, then |(v1 x v2) . v| = 1); keys
     come from bilinear products, the first least in (v1, v2, v3, sign) order
-    wins.  One lane of _minkowski_lanes."""
+    wins.  One lane of _minkowski_lanes, whose eps is recorded under T's key too."""
     if not t.is_positive_definite():
         raise NotPositiveDefinite("form is not positive definite")
     g = t.gram2()
     keys, reducer = _minkowski_lanes(*il.exact_array([g, *_pairwise_reduced(g)], 1 << 63)[:, None])
-    return ReducedForm(HalfIntegralForm(*keys[0].tolist()), tuple(map(tuple, reducer[0].tolist())))
+    key = tuple(keys[0].tolist())
+    _EPS[t.key()] = _EPS[key]
+    return ReducedForm(HalfIntegralForm(*key), tuple(map(tuple, reducer[0].tolist())))
 
 
 def reduce_keys(rows):
@@ -313,23 +314,11 @@ def reduce_keys(rows):
 
 @lru_cache(maxsize=None)
 def automorphism_count(t):
-    """eps_T = #{g in SL3(Z) : T[g] = T}, exact: the count that T's own lane of the
-    class box recorded, else a search on a pairwise-reduced basis h of 2T (eps_T =
-    eps(h)): the columns c_j of g have h[c_j] = h_jj, so they lie in one ball,
-    their bilinear products are the off-diagonal of h, and det g = 1."""
-    if not t.is_positive_definite():
-        raise NotPositiveDefinite("form is not positive definite")
-    if t.key() in _EPS:
-        return _EPS[t.key()]
-    h, _ = _pairwise_reduced(t.gram2())
-    ball = short_vectors_gram(h, max(h[0][0], h[1][1], h[2][2]))
-    q, v = ball["q"], _exact(ball["v"], max(t.t1, t.t2, t.t3))
-    gm = np.array(h, dtype=v.dtype)
-    c1, c2, c3 = (v[q == h[j][j]] for j in range(3))
-    i, j = np.nonzero(c1 @ gm @ c2.T == h[0][1])
-    ok = (c1[i] @ gm @ c3.T == h[0][2]) & (c2[j] @ gm @ c3.T == h[1][2])
-    det = np.stack(il.cross3(c1[i].T, c2[j].T), axis=1) @ c3.T
-    return int(np.count_nonzero(ok & (det == 1)))
+    """eps_T = #{g in SL3(Z) : T[g] = T}, exact: the count that a reduction lane
+    recorded for T, after minkowski_reduce(T) if none has."""
+    if t.key() not in _EPS:
+        minkowski_reduce(t)
+    return _EPS[t.key()]
 
 
 def _diagonal_runs(trace_bound, size=_CHUNK, stop=inf):
@@ -389,9 +378,9 @@ def reduced_classes(det_bound):
 
     Enumerates the reduced inequality box (with margin over the classical bound
     t1 t2 t3 <= 2 det T), whose forms are their own pairwise-reduced bases, and
-    dedupes reduce_keys of its definite forms, streamed: the lane of each class's
-    representative records eps_T; a box of more than MAX_WORK candidates is
-    refused before any reduction."""
+    dedupes reduce_keys of its definite forms, streamed: each lane records the
+    eps_T of its class; a box of more than MAX_WORK candidates is refused before
+    any reduction."""
     return list(_reduced_classes_cached(Fraction(det_bound)))
 
 

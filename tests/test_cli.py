@@ -259,6 +259,9 @@ USAGE_ERRORS = [
     ["fe-group", "--k", "24"],
     ["eps", "--form", "1,1,1,0,0,0", "--seed", "1"],
     ["reduce", "--form", "3,2,1,0,0,0", "--tol", "1e-3"],
+    # a thread count below one
+    ["reduce", "--form", "1,1,1,0,0,0", "--threads", "0"],
+    ["reduce", "--form", "1,1,1,0,0,0", "--threads", "-3"],
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from siegel3 import _intlinalg as il
 from siegel3 import forms
-from siegel3.acceptance import _canonical_sign
+from siegel3.acceptance import _canonical_sign, exhaustive_automorphism_count
 from siegel3.errors import MAX_BALL, DomainError, NotPositiveDefinite
 
 I3 = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
@@ -498,42 +498,73 @@ def test_automorphism_count_rejects_indefinite_forms():
         forms.automorphism_count(forms.HalfIntegralForm(1, 1, -1, 0, 0, 0))
 
 
-def test_lanes_record_eps_where_the_key_is_their_own_form(monkeypatch):
-    # eps is the number of (minimizing basis, sign) rows whose key ties the least
-    huge = forms.minkowski_reduce(forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1,
-                                                         2**59)).form  # partial sums past int64
+def test_lanes_record_eps_under_each_reduced_key(monkeypatch):
+    # eps is the number of (minimizing basis, sign) rows whose key ties the least,
+    # a class invariant: a stack records it under each lane's key, a one-form
+    # reduction under its input's key too
+    huge = forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1, 2**59)  # past int64
     ts = _box(20) + _scrambles() + (huge,)
+    moved = [t for t in _scrambles() if forms.minkowski_reduce(t).form != t]
     for coord in (forms._INT64_COORD, 1):  # and every ball as Python ints
         monkeypatch.setattr(forms, "_INT64_COORD", coord)
         monkeypatch.setattr(forms, "_EPS", {})
-        reds = _lanes(ts)
-        own = [t for t, red in zip(ts, reds) if red.form == t]
-        # a lane whose key differs from its form records nothing
-        assert sorted(forms._EPS) == sorted(t.key() for t in own)
-        assert len(own) == 420 + 1 and huge in own
-        for t in own[::12] + [huge]:
-            assert forms._EPS[t.key()] == _recursive_automorphism_count(t), t
+        keys = sorted({red.form.key() for red in _lanes(ts)})
+        assert sorted(forms._EPS) == keys and len(keys) == 420 + 1
+        for key in keys[::12] + [forms.minkowski_reduce(huge).form.key()]:
+            assert forms._EPS[key] == _recursive_automorphism_count(forms.HalfIntegralForm(*key))
+        monkeypatch.setattr(forms, "_EPS", {})
+        keys = sorted({red.form.key() for red in _lanes(moved)})
+        assert sorted(forms._EPS) == keys  # no moved input's key
+        for t in moved[::10] + [huge]:
+            monkeypatch.setattr(forms, "_EPS", {})
+            rep = forms.minkowski_reduce(t).form
+            eps = _recursive_automorphism_count(t)
+            assert forms._EPS == {t.key(): eps, rep.key(): eps}, t
+
+
+def test_eps_after_a_reduction_runs_no_search(monkeypatch):
+    calls = []
+    search = forms._fincke_pohst
+    monkeypatch.setattr(forms, "_fincke_pohst", lambda *args: calls.append(1) or search(*args))
     monkeypatch.setattr(forms, "_EPS", {})
-    moved = [t for t in _scrambles() if forms.minkowski_reduce(t).form != t]
-    _lanes(moved)
-    assert forms._EPS == {}
+    for t in _scrambles()[::10]:
+        forms.minkowski_reduce(t)
+        assert forms.automorphism_count.__wrapped__(t) == _recursive_automorphism_count(t)
+    assert len(calls) == 20  # one lane per reduction, none per count
+    monkeypatch.setattr(forms, "_EPS", {})
+    t = _scrambles()[1]
+    assert forms.automorphism_count.__wrapped__(t) == _recursive_automorphism_count(t)
+    assert len(calls) == 21  # a miss is one reduction
 
 
-def test_recorded_eps_match_the_one_form_count():
+def test_recorded_eps_match_the_one_form_count(monkeypatch):
+    monkeypatch.setattr(forms, "_EPS", {})
     forms._reduced_classes_cached.cache_clear()  # the lanes record into this _EPS
     classes = forms.reduced_classes(20)
+    assert sorted(forms._EPS) == sorted(c.key() for c in classes)  # the box's keys are classes
     recorded = [forms._EPS[c.key()] for c in classes]
     assert recorded == [forms.automorphism_count(c) for c in classes]
     ball = il.unimodular_matrices(2)
     moved = [forms.congruence_form(c, ball[(677 * i) % len(ball)]) for i, c in enumerate(classes)]
-    assert all(m.key() not in forms._EPS for m in moved if forms.minkowski_reduce(m).form != m)
     assert [forms.automorphism_count.__wrapped__(m) for m in moved] == recorded
+    assert [forms._EPS[m.key()] for m in moved] == recorded  # each reduction recorded its input
+    forms._reduced_classes_cached.cache_clear()  # its lanes recorded into the patched _EPS
     assert forms.reduce_keys([t.key() for t in _box(20)]) == {c.key() for c in classes}
     # rows that are not pairwise reduced take their pairwise-reduced bases first
     skewed = forms.congruence_form(classes[5], [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]])
     rows = [t.key() for t in _scrambles()] + [skewed.key()]
     assert forms.reduce_keys(rows) == {forms.minkowski_reduce(t).form.key() for t in
                                        _scrambles() + (skewed,)}
+
+
+def test_exhaustive_oracle_matches_recursive_count():
+    # acceptance's search on a pairwise-reduced basis, criterion 11's oracle
+    skewed = forms.HalfIntegralForm(1, 4398046511105, 4398048608258, 4194304, 0, 4194305)
+    huge = forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1, 2**59)
+    for t in _scrambles() + (huge,):
+        assert exhaustive_automorphism_count(t) == _recursive_automorphism_count(t), t
+    rep = forms.HalfIntegralForm(1, 1, 2, 0, -1, 0)  # the class of skewed
+    assert exhaustive_automorphism_count(skewed) == _recursive_automorphism_count(rep) == 4
 
 
 def test_eps_of_a_skewed_form_is_counted_on_its_pairwise_basis():

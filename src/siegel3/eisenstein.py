@@ -160,7 +160,8 @@ def epstein(y, s, bound):
     Accepts a 2x2 or 3x3 positive-definite Y, and refuses any other before a
     ball is built.  Terms are accumulated in ascending order of the form value,
     so two evaluations over term-wise bijective index sets produce identical
-    floating sums.  A sum that overflows raises DomainError.
+    floating sums.  A ball with no vector or a sum that overflows raises
+    DomainError.
     """
     (s,) = finite_exponents(s)
     arr = np.asarray(y)
@@ -168,6 +169,8 @@ def epstein(y, s, bound):
         raise NotPositiveDefinite("Y is not positive-definite, or not 2x2 or 3x3")
     n = arr.shape[0]
     vals = _form_values_in_ball(arr, bound)
+    if not vals.size:
+        raise DomainError("empty truncation: no vector v != 0 with Y[v] <= %g" % (bound,))
     value = require_finite(0.5 * np.sum(np.exp(-s * np.log(vals.astype(float)))), "the Epstein sum")
     det = float(np.linalg.det(arr.astype(float)))
     lam_max = float(np.max(np.linalg.eigvalsh(arr.astype(float))))

@@ -22,19 +22,19 @@ from .errors import (DomainError, DuplicateKey, NonReducedKey, ParseError, finit
 from .forms import HalfIntegralForm, automorphism_count, minkowski_reduce, reduced_classes
 
 
-@dataclass
 class CoefficientTable:
     """Fourier-coefficient source: table-backed or synthetic.
 
     ``data`` maps canonical reduced keys to complex values; ``provider`` (if
     set) computes a value from a reduced HalfIntegralForm instead, and never
-    misses.  Missing table keys contribute 0 and bump ``misses``.
+    misses.  Missing table keys contribute 0 and bump ``misses``.  A weight k
+    that is not a positive even integer raises DomainError.
     """
 
-    k: int
-    data: dict = field(default_factory=dict)
-    provider: object = None
-    misses: int = 0
+    def __init__(self, k, data=None, provider=None):
+        if k <= 0 or k % 2:
+            raise DomainError("weight k must be a positive even integer, got %r" % (k,))
+        self.k, self.data, self.provider, self.misses = k, {} if data is None else data, provider, 0
 
     def reduced_coefficient(self, red: HalfIntegralForm):
         """The coefficient of a canonical reduced representative, as it stands."""

@@ -208,19 +208,21 @@ def _check_truncation(k, max_abs):
         raise DomainError("need even k > 6 and max_abs >= 1, got k=%r, max_abs=%r" % (k, max_abs))
 
 
-# one completion stack per pair tuple; M0 depends on neither Z nor k, so
-# coset tables at other points and weights share it
-_completions = lru_cache(maxsize=4)(_complete)
+@lru_cache(maxsize=4)
+def _completions(max_abs):
+    """The completion stack of enumerate_pairs(max_abs); M0 depends on neither Z
+    nor k, so coset tables at other points and weights share it."""
+    return _complete(enumerate_pairs(max_abs))
 
 
 @lru_cache(maxsize=4)
-def _coset_table(pairs, z_bytes, k):
-    """The factors of P_{k,T}(Z) that do not depend on T, keyed on the pair
-    tuple, the bytes of Z and k: for the completion M0 of each pair, -2 pi Im
-    and 2 pi Re of the entries (11, 22, 33, 12, 13, 23) of M0 Z as a
+def _coset_table(max_abs, z_bytes, k):
+    """The factors of P_{k,T}(Z) that do not depend on T, keyed on max_abs, the
+    bytes of Z and k: for the completion M0 of each pair of enumerate_pairs(max_abs),
+    -2 pi Im and 2 pi Re of the entries (11, 22, 33, 12, 13, 23) of M0 Z as a
     2 x |pairs| x 6 array and j(M0, Z)^(-k), both read-only."""
     z = np.frombuffer(z_bytes, dtype=complex).reshape(3, 3)
-    mz, jv = mobius(_completions(pairs), z)
+    mz, jv = mobius(_completions(max_abs), z)
     phases = np.stack([-mz.imag, mz.real])[..., _ENTRY_ROWS, _ENTRY_COLS] * (2 * np.pi)
     weights = jv ** (-k)
     phases.flags.writeable = weights.flags.writeable = False
@@ -244,41 +246,36 @@ def _default_ball(max_abs):
     return ball
 
 
-def _coset_truncation(max_abs, gl_ball, pairs):
-    """The GL3(Z) ball and pair tuple of a coset sum, defaulting to the box of max_abs.  More
-    than MAX_WORK (U, pair) terms are refused before any pair is enumerated, by the closed-form
-    candidate count when the pairs are not given; an empty ball or pair list is refused."""
-    if gl_ball is None:
-        gl_ball = _default_ball(max_abs)
-    count = _candidate_count(max_abs, 3) if pairs is None else len(pairs)
+def _coset_truncation(max_abs):
+    """The GL3(Z) ball and pair tuple of the coset box of max_abs.  More than MAX_WORK
+    (U, candidate) terms, by the closed-form HNF candidate count, are refused before
+    any pair is enumerated."""
+    gl_ball, count = _default_ball(max_abs), _candidate_count(max_abs, 3)
     if len(gl_ball) * count > MAX_WORK:
         raise DomainError("%d matrices x %d pairs or candidates at max_abs %d, above %d coset terms"
                           % (len(gl_ball), count, max_abs, MAX_WORK))
-    pairs = enumerate_pairs(max_abs) if pairs is None else tuple(pairs)
-    if not len(gl_ball) or not pairs:
-        raise DomainError("empty truncation: %d matrices, %d pairs" % (len(gl_ball), len(pairs)))
-    return gl_ball, pairs
+    return gl_ball, enumerate_pairs(max_abs)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
-def poincare_trunc(k, t: HalfIntegralForm, z, max_abs, gl_ball=None, pairs=None):
+def poincare_trunc(k, t: HalfIntegralForm, z, max_abs):
     """Truncated weight-k Poincare sum over translation cosets.
 
-    (1/2) sum over U in a GL3(Z) column-norm ball and canonical pairs {C, D}
-    of e^{2 pi i tr(T[U] M0 Z)} j(M0, Z)^(-k); M0 completes {C, D}.  The
-    per-coset factors come from a table cached per (pairs, Z, k).  A term
-    depends on U through the float row T[U] alone (T[-U] = T[U]), so each
-    distinct row takes one polar exp per pair, weighted by its count.  The
-    truncation error is not certified; a T that is not positive definite
-    raises NotPositiveDefinite, a Z outside the Siegel space, more than
-    MAX_WORK terms or a sum that overflows DomainError.
+    (1/2) sum over U in the GL3(Z) column-norm ball of max_abs and the pairs
+    {C, D} of enumerate_pairs(max_abs) of e^{2 pi i tr(T[U] M0 Z)} j(M0, Z)^(-k);
+    M0 completes {C, D}.  The per-coset factors come from a table cached per
+    (max_abs, Z, k).  A term depends on U through the float row T[U] alone
+    (T[-U] = T[U]), so each distinct row takes one polar exp per pair, weighted
+    by its count.  The truncation error is not certified; a T that is not
+    positive definite raises NotPositiveDefinite, a Z outside the Siegel space,
+    more than MAX_WORK terms or a sum that overflows DomainError.
     """
     _check_truncation(k, max_abs)
     if not t.is_positive_definite():
         raise NotPositiveDefinite("form is not positive definite")
     z = siegel_point(z)
-    gl_ball, pairs = _coset_truncation(max_abs, gl_ball, pairs)
-    phases, weights = _coset_table(pairs, z.tobytes(), k)
+    gl_ball, pairs = _coset_truncation(max_abs)
+    phases, weights = _coset_table(max_abs, z.tobytes(), k)
     rows, mult = np.unique(_coset_coefficients(t, gl_ball), axis=0, return_counts=True)
     terms = _polar_exp(*phases @ rows.T, np.empty((len(pairs), len(rows)), complex))
     value = require_finite(weights @ terms @ (0.5 * mult), "the Poincare sum")
@@ -294,9 +291,8 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     s, w, u = finite_exponents(*exponents)
     z = siegel_point(z)
     pref = 2.0 * lipschitz_factor(s, w, u)
-    gl_ball, pairs = _coset_truncation(max_abs, None, None)
-    poincare = CoefficientTable(
-        k=k, provider=lambda t: poincare_trunc(k, t, z, max_abs, gl_ball=gl_ball, pairs=pairs)[0])
+    gl_ball, pairs = _coset_truncation(max_abs)
+    poincare = CoefficientTable(k=k, provider=lambda t: poincare_trunc(k, t, z, max_abs)[0])
     sv = class_sum(poincare, det_bound,
                    lambda t: selberg_E(t, (w, s, -s - w - u + 2.0), flag_spec).value)
     warnings = []

@@ -315,6 +315,13 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
      "input error: empty truncation"),
     (["eval-km-twisted", "--s", "3", "--w", "3", "--u", "20", "--det-bound", "1/4"],
      "input error: empty truncation"),
+    # a weight that is not a positive even integer: no convergence warning from a meaningless k
+    (["eval-km", "--s", "7", "--k", "-5"], "input error: weight k"),
+    (["eval-km", "--s", "7", "--k", "23"], "input error: weight k"),
+    (["eval-km-twisted", "--k", "0", "--s", "2", "--w", "2", "--u", "20"], "input error: weight k"),
+    # an Epstein ball with no vector: no vacuous value 0
+    (["eval-epstein", "--y", "1,0,1", "--s", "2", "--bound", "1e-300"],
+     "input error: empty truncation"),
     # a non-finite coefficient exponent: no NaN payload
     (["eval-km", "--coeffs", "det_power:nan", "--s", "16", "--det-bound", "2"], "input error:"),
     (["eval-km", "--coeffs", "det_power:inf", "--s", "16", "--det-bound", "2"], "input error:"),

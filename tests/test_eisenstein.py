@@ -165,6 +165,16 @@ def test_epstein_refuses_a_y_that_is_not_positive_definite():
             eis.epstein(np.array(y), 2.0, 100.0)
 
 
+def test_epstein_refuses_an_empty_ball():
+    # a tail estimate floored at radius 1 bounds no sum without a term: Z(I2, 2) = 3.0134
+    for y, bound in ((np.eye(2), 1e-300), (np.eye(2), 0.999), (2 * np.eye(3), 1.5)):
+        with pytest.raises(DomainError, match="empty truncation"):
+            eis.epstein(y, 2.0, bound)
+    with pytest.raises(DomainError, match="empty truncation"):
+        eis.zeta_Z2(2.0, 1j, 0.999)
+    assert eis.epstein(np.eye(2), 2.0, 1.0).terms_used == 4
+
+
 def test_epstein_dimension_three():
     z = eis.epstein(np.eye(3), 2.5, 900.0)
     assert z.terms_used > 0 and z.tail_estimate < 1e-2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from siegel3 import eisenstein as eis, forms, series
-from siegel3.errors import DuplicateKey, NonReducedKey, ParseError
+from siegel3.errors import DomainError, DuplicateKey, NonReducedKey, ParseError
 
 I3 = forms.HalfIntegralForm(1, 1, 1, 0, 0, 0)
 
@@ -20,6 +20,16 @@ def test_load_simple_table(tmp_path):
     assert table.k == 24
     assert table.reduced_coefficient(forms.minkowski_reduce(I3).form) == 1.0
     assert table.misses == 0
+
+
+@pytest.mark.parametrize("k", [-5, 0, 23, 7.5])
+def test_coefficient_tables_refuse_a_weight_that_is_not_positive_and_even(k):
+    # km_classic's and km_twisted's convergence regions are read off k
+    for make in (lambda: series.CoefficientTable(k=k), lambda: series.ones_provider(k=k),
+                 lambda: series.det_power_provider(0.5, k=k)):
+        with pytest.raises(DomainError, match="positive even integer"):
+            make()
+    assert series.CoefficientTable(k=2).k == 2
 
 
 def test_load_rejects_duplicates(tmp_path):

@@ -108,12 +108,11 @@ def _list_coefficients(t, gl_ball):
                     dtype=float)
 
 
-def _poincare_per_pair(k, t, z, max_abs, gl_ball=None, pairs=None):
-    """The per-pair loop that poincare_trunc's coset table replaced (oracle)."""
-    if gl_ball is None:
-        gl_ball = il.unimodular_matrices(max_abs, max_abs * max_abs)
-    pairs = pairs or sp.enumerate_pairs(max_abs)
-    coeffs = _list_coefficients(t, gl_ball)
+def _poincare_per_pair(k, t, z, max_abs):
+    """The per-pair loop that poincare_trunc's coset table replaced, over the full
+    ball and pair list of max_abs (oracle)."""
+    coeffs = _list_coefficients(t, il.unimodular_matrices(max_abs, max_abs * max_abs))
+    pairs = sp.enumerate_pairs(max_abs)
     total = 0.0 + 0.0j
     for pair in pairs:
         if pair not in _COMPLETIONS:
@@ -305,7 +304,6 @@ def test_coset_box_is_refused_in_closed_form_before_enumerating(monkeypatch):
     assert time.perf_counter() - start < 1.0
     # max_abs 1 is 48 x 33,880 = 1,626,240 (U, candidate) terms: accepted at that ceiling,
     # and one below it refused before any pair is enumerated
-    pairs = sp.enumerate_pairs(1)[:10]
     monkeypatch.setattr(sp, "MAX_WORK", 1_626_240)
     assert sp.poincare_trunc(24, I3F, z, 1)[1] == 48 * 1096
     monkeypatch.setattr(sp, "MAX_WORK", 1_626_239)
@@ -314,16 +312,10 @@ def test_coset_box_is_refused_in_closed_form_before_enumerating(monkeypatch):
                  lambda: sp.kernel_trunc(24, (2.0, 4.0, 5.0), z, 1, spec, 1)):
         with pytest.raises(DomainError, match="48 matrices x 33880 .* above 1626239 coset terms"):
             call()
-    # given pairs: |ball| x |pairs| terms
-    monkeypatch.setattr(sp, "MAX_WORK", 480)
-    assert sp.poincare_trunc(24, I3F, z, 1, pairs=pairs)[1] == 480
-    monkeypatch.setattr(sp, "MAX_WORK", 479)
-    with pytest.raises(DomainError, match="48 matrices x 10 pairs"):
-        sp.poincare_trunc(24, I3F, z, 1, pairs=pairs)
 
 
 def test_default_ball_is_built_once_and_read_only(monkeypatch):
-    # poincare_trunc without gl_ball takes the column-norm ball of max_abs from a cache:
+    # poincare_trunc takes the column-norm ball of max_abs from a cache:
     # the same read-only array on every call, equal to the ball it used to rebuild
     value = sp.poincare_trunc(24, I3F, Z_GENERIC, 1)
     ball = sp._default_ball(1)
@@ -376,16 +368,13 @@ def test_poincare_table_matches_per_pair_loop(rng):
     t = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1)
     points = [Z_GENERIC, mx.random_siegel(rng, min_im=0.8),
               _real_scaled(mx.random_siegel(rng, min_im=1.2), 0.5)]
-    ball = il.unimodular_matrices(1, 1)[::5]
-    pairs = sp.enumerate_pairs(1)[3::7]
     for z in points:
         for k in (8, 24, 30):
-            for kw in ({}, {"gl_ball": ball, "pairs": pairs}):
-                val, n = sp.poincare_trunc(k, t, z, 1, **kw)
-                ref, n_ref = _poincare_per_pair(k, t, z, 1, **kw)
-                assert n == n_ref
-                assert abs(val - ref) <= 1e-12 * abs(ref)
-                assert sp.poincare_trunc(k, t, z, 1, **kw) == (val, n)  # cache hit, bit for bit
+            val, n = sp.poincare_trunc(k, t, z, 1)
+            ref, n_ref = _poincare_per_pair(k, t, z, 1)
+            assert n == n_ref
+            assert abs(val - ref) <= 1e-12 * abs(ref)
+            assert sp.poincare_trunc(k, t, z, 1) == (val, n)  # cache hit, bit for bit
 
 
 def test_grouped_poincare_sum_matches_per_pair_loop():
@@ -397,22 +386,9 @@ def test_grouped_poincare_sum_matches_per_pair_loop():
         val, n = sp.poincare_trunc(k, I3F, Z_GENERIC, 1)
         ref, n_ref = _poincare_per_pair(k, I3F, Z_GENERIC, 1)
         assert n == n_ref and abs(val - ref) <= 1e-12 * abs(ref)
-    # a ball that is not closed under negation leaves odd counts
-    t, ball, pairs = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1), full[:21], sp.enumerate_pairs(1)[::9]
-    assert (np.unique(sp._coset_coefficients(t, ball), axis=0, return_counts=True)[1] % 2).any()
-    for k in (8, 30):
-        val, n = sp.poincare_trunc(k, t, Z_GENERIC, 1, gl_ball=ball, pairs=pairs)
-        ref, n_ref = _poincare_per_pair(k, t, Z_GENERIC, 1, gl_ball=ball, pairs=pairs)
-        assert n == n_ref and abs(val - ref) <= 1e-12 * abs(ref)
-    # entries past the int64 path (Python ints): 24 distinct rows, summed at the one pair
-    # with C = 0, whose M0 Z = Z is imaginary, so every phase is exactly 0 on both sides
+    # entries past the int64 path (Python ints) group the same way: 24 distinct rows
     big = forms.HalfIntegralForm(2**40 + 1, 2**40 + 3, 2**40 + 7, 1, 1, -1)
     assert len(np.unique(sp._coset_coefficients(big, full), axis=0)) == 24
-    z = 1j * np.array([[1.0, 0.1, 0.0], [0.1, 1.2, 0.2], [0.0, 0.2, 0.9]]) * 2.0**-40
-    one = tuple(p for p in sp.enumerate_pairs(1) if not any(map(any, p.c)))
-    val, n = sp.poincare_trunc(24, big, z, 1, pairs=one)
-    ref, n_ref = _poincare_per_pair(24, big, z, 1, pairs=one)
-    assert n == n_ref == 48 and val != 0 and abs(val - ref) <= 1e-12 * abs(ref)
 
 
 def _product_structures(max_abs, nrows):
@@ -472,15 +448,25 @@ def test_points_outside_the_siegel_space_are_refused():
 
 
 def test_coset_tables_share_completions():
-    pairs = sp.enumerate_pairs(1)[5::50]
     sp._completions.cache_clear()
     sp._coset_table.cache_clear()
     for z in (Z_GENERIC, 1.5j * np.eye(3)):
         for k in (8, 24):
-            sp.poincare_trunc(k, I3F, z, 1, pairs=pairs)
+            sp.poincare_trunc(k, I3F, z, 1)
     info = sp._completions.cache_info()
-    assert (info.misses, info.hits) == (1, 3)  # one stacked build of the pair tuple, 4 tables
-    assert sp._completions(pairs).tolist() == [sp.complete_to_symplectic(p) for p in pairs]
+    assert (info.misses, info.hits) == (1, 3)  # one stacked build per max_abs, 4 tables
+    assert sp._completions(1)[::37].tolist() == [sp.complete_to_symplectic(p)
+                                                 for p in sp.enumerate_pairs(1)[::37]]
+
+
+def test_warm_coset_sums_hash_no_pair(monkeypatch):
+    # the coset caches are keyed on max_abs, Z and k: a warm call hashes no CoprimePair
+    spec = eis.TruncationSpec(4, 4)
+    poincare = sp.poincare_trunc(24, I3F, Z_GENERIC, 1)
+    kernel = sp.kernel_trunc(30, (2.0, 4.0, 5.0), Z_GENERIC, 2, spec, 1)
+    monkeypatch.setattr(sp.CoprimePair, "__hash__", lambda self: pytest.fail("pair hashed"))
+    assert sp.poincare_trunc(24, I3F, Z_GENERIC, 1) == poincare
+    assert sp.kernel_trunc(30, (2.0, 4.0, 5.0), Z_GENERIC, 2, spec, 1) == kernel
 
 
 def _criterion_12_pairs():
@@ -549,7 +535,7 @@ def test_stacked_is_symplectic_matches_list_check(rng):
 
 
 def test_stacked_mobius_is_bitwise_the_single_call(rng):
-    stack = sp._completions(sp.enumerate_pairs(1))[::37]
+    stack = sp._completions(1)[::37]
     for z in (Z_GENERIC, mx.random_siegel(rng, min_im=0.8),
               _real_scaled(mx.random_siegel(rng, min_im=0.3), 2.0)):
         mz, jv = mx.mobius(stack, z)
@@ -638,23 +624,20 @@ def test_poincare_and_kernel_reject_bad_input():
     with pytest.raises(DomainError):
         sp.poincare_trunc(24, I3F, z, 0)
     with pytest.raises(DomainError):
-        sp.poincare_trunc(24, I3F, z, 1, pairs=[])
-    with pytest.raises(DomainError):
         sp.kernel_trunc(24, (2.0, 4.0, 5.0), z, 1, spec, 0)
     with pytest.raises(DomainError):
         sp.enumerate_pairs(0)
 
 
 def test_poincare_matched_congruence_bijection():
-    z = np.array([[0.2, 0.1, 0.0], [0.1, -0.1, 0.05], [0.0, 0.05, 0.3]]) + 1.1j * np.eye(3)
+    # (T[V])[U] = T[VU]: the coset rows of T[V] over a ball are bit for bit those of T
+    # over V times the ball, so both sums see identical terms in identical order
     v = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     t = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1)
     tv = forms.congruence_form(t, v)
     ball = il.unimodular_matrices(1, 1)
-    pairs = sp.enumerate_pairs(1)
-    a = sp.poincare_trunc(24, tv, z, 1, gl_ball=ball, pairs=pairs)
-    b = sp.poincare_trunc(24, t, z, 1, gl_ball=np.array(v) @ ball, pairs=pairs)
-    assert a[0] == b[0]  # identical term multiset in identical order
+    a = sp._coset_coefficients(tv, ball)
+    assert a.tobytes() == sp._coset_coefficients(t, np.array(v) @ ball).tobytes()
 
 
 def test_poincare_translation_approximate_invariance():
@@ -708,11 +691,9 @@ def test_kernel_degenerate_and_det_shift():
     out1 = sp.kernel_trunc(24, e, z, 1, spec, 1)
     s, w, u = e
     total = 0.0 + 0.0j
-    pairs = sp.enumerate_pairs(1)
-    ball = il.unimodular_matrices(1, 1)
     for t in forms.reduced_classes(1):
         ev = eis.selberg_E(t, (w, s, 0.0), spec).value * float(t.det()) ** (s + w + u - 2)
-        pk, _ = sp.poincare_trunc(24, t, z, 1, gl_ball=ball, pairs=pairs)
+        pk, _ = sp.poincare_trunc(24, t, z, 1)
         total += ev * pk / forms.automorphism_count(t)
     sigma = s + 2 * w + 3 * u
     with mpmath.workdps(30):
@@ -725,10 +706,9 @@ def _kernel_class_sum(k, exponents, z, det_bound, spec):
     """sum over classes of P_{k,T}(Z) / eps_T * E(T | w, s, -s-w-u+2), assembled
     from its layers in the class loop's order and arithmetic (oracle)."""
     s, w, u = (complex(e) for e in exponents)
-    pairs, ball = sp.enumerate_pairs(1), il.unimodular_matrices(1, 1)
     total = 0.0 + 0.0j
     for t in forms.reduced_classes(det_bound):
-        pk, _ = sp.poincare_trunc(k, t, z, 1, gl_ball=ball, pairs=pairs)
+        pk, _ = sp.poincare_trunc(k, t, z, 1)
         total += pk / forms.automorphism_count(t) * eis.selberg_E(t, (w, s, -s - w - u + 2.0),
                                                                   spec).value
     return total

@@ -6,8 +6,8 @@ Python ints (dtype=object) otherwise (``exact_array`` picks).  What numpy
 does not provide lives here: the 3x3 determinant, cross product, adjugate
 and bilinear value (on lists, arrays or floats alike), the maximal minors of
 a stack (``minors``), the row Hermite normal form (``hnf_row``, one Euclid in
-list code on Python ints; ``hnf_rows`` gives a stack in closed form from its
-minors where every pivot is 1 and passes the other lanes to ``hnf_row``),
+list code on Python ints, one scan of the column per step; ``hnf_rows`` gives a
+stack in closed form where every pivot is 1, the other lanes by ``hnf_row``),
 the Smith normal form, and the GL3(Z) enumeration.  No overflow and no
 tolerance anywhere.
 """
@@ -72,23 +72,24 @@ def hnf_row(mat):
     for col in range(ncols):
         if pivot_row >= nrows:
             break
-        # clear the column below pivot_row by gcd steps
+        # clear the column below pivot_row by gcd steps, each from one scan of it
         while True:
-            nz = [r for r in range(pivot_row + 1, nrows) if h[r][col] != 0]
-            if not nz:
+            r_min = last = -1
+            for r in range(pivot_row, nrows):
+                if a := abs(h[r][col]):
+                    if r_min < 0 or a < least:
+                        r_min, least = r, a
+                    last = r
+            if last <= pivot_row:
                 break
-            rows = [r for r in range(pivot_row, nrows) if h[r][col] != 0]
-            r_min = min(rows, key=lambda r: abs(h[r][col]))
             if r_min != pivot_row:
                 h[pivot_row], h[r_min] = h[r_min], h[pivot_row]
                 u[pivot_row], u[r_min] = u[r_min], u[pivot_row]
             p = h[pivot_row][col]
             for r in range(pivot_row + 1, nrows):
-                if h[r][col] != 0:
-                    q = h[r][col] // p
-                    if q:
-                        h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
-                        u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
+                if q := h[r][col] // p:
+                    h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
+                    u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
         if h[pivot_row][col] == 0:
             continue
         if h[pivot_row][col] < 0:

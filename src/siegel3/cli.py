@@ -370,8 +370,8 @@ def _dispatch(args):
         pairs = sp.enumerate_pairs(args.max_abs)
         payload = {"count": len(pairs), "max_abs": args.max_abs}
         if args.list:
-            payload["pairs"] = [{"c": [list(r) for r in p.c],
-                                 "d": [list(r) for r in p.d]} for p in pairs]
+            payload["pairs"] = [{"c": [r[:3] for r in h], "d": [r[3:] for r in h]}
+                                for h in pairs.tolist()]
         emit(payload)
         return 0
 

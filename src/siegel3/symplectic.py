@@ -4,11 +4,12 @@ The bottom blocks (C, D) of an integer symplectic matrix satisfy C D^T
 symmetric with [C D] primitive; left association (C, D) ~ (UC, UD) is
 canonicalized by the row Hermite normal form of the 3x6 block.  Completion
 reads top rows off the row-HNF transform of [D^T; -C^T] and repairs their
-isotropy with a symmetric shear.  Single pairs go through the list HNF; stacks
-of pairs through exact arrays: left translates in ``canonical_pairs`` (the HNF
-in closed form from the maximal minors, ``il.hnf_rows``) and the completions
-of a coset table.  The Poincare sum takes one polar exp per distinct T[U] and
-pair; its box is refused in closed form, before any pair is enumerated.
+isotropy with a symmetric shear.  A single pair goes through the list HNF; the
+pairs of a box are one int64 stack of blocks [C D], joined row by row from the
+pairwise isotropic HNF rows; left translates (``canonical_pairs``, the HNF in
+closed form from the maximal minors) and completions run on exact arrays.  The
+Poincare sum takes one polar exp per distinct T[U] and pair, contracted outside
+BLAS; its box is refused in closed form, before any pair is enumerated.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .series import CoefficientTable, class_sum
 from .specfun import lipschitz_factor
 
 
-# candidates per numpy symmetry test in enumerate_pairs
+# isotropic candidates per numpy coprimality test in enumerate_pairs
 _FILTER_CHUNK = 4096
 # positions (11, 22, 33, 12, 13, 23) of the entries of M0 Z paired with T's coefficients
 _ENTRY_ROWS, _ENTRY_COLS = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
@@ -98,10 +99,7 @@ def canonical_pair(c, d):
     h, _ = il.hnf_row(_stacked(c, d))
     if not _hnf_coprime(h):
         raise NotCoprimePair("pair is not coprime symmetric")
-    return CoprimePair(
-        c=tuple(tuple(row[:n]) for row in h),
-        d=tuple(tuple(row[n:]) for row in h),
-    )
+    return CoprimePair(c=tuple(tuple(row[:n]) for row in h), d=tuple(tuple(row[n:]) for row in h))
 
 
 def canonical_pairs(c, d):
@@ -114,66 +112,66 @@ def canonical_pairs(c, d):
     return h
 
 
-def _hnf_structures(max_abs, nrows=3):
-    """All row-HNF (nrows x 2 nrows) integer matrices with bounded entries.
-
-    Yields them as int64 arrays of at most _FILTER_CHUNK matrices, by
-    pivot-column pattern; pivots positive, entries above a pivot reduced mod
-    the pivot, rows echeloned left to right, each chunk from flat indices.
-    """
-    cols = 2 * nrows
-    for pivots in combinations(range(cols), nrows):
-        free = [(i, j) for i in range(nrows) for j in range(pivots[i] + 1, cols)]
-        free_rows, free_cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
-        for pvals in product(range(1, max_abs + 1), repeat=nrows):
-            # an entry above a pivot is reduced into [0, pivot)
-            lo, hi = np.array([(0, pvals[pivots.index(j)]) if j in pivots[i + 1:]
-                               else (-max_abs, max_abs + 1) for i, j in free]).reshape(-1, 2).T
-            shape = (1, *(hi - lo))  # mixed radix; a leading 1 keeps a grid of no entry one point
-            for start in range(0, total := math.prod(shape), _FILTER_CHUNK):
-                idx = np.unravel_index(np.arange(start, min(start + _FILTER_CHUNK, total)), shape)
-                h = np.zeros((len(idx[0]), nrows, cols), dtype=np.int64)
-                h[:, range(nrows), pivots] = pvals
-                h[:, free_rows, free_cols] = np.transpose(idx[1:]) + lo
-                yield h
-
-
+@lru_cache(maxsize=8)
 def _candidate_count(max_abs, nrows):
-    """How many matrices _hnf_structures yields: per pivot pattern, sum_p p^k
-    for pivot k = p and the k entries above it in [0, p), times 2 max_abs + 1
-    per other free entry."""
+    """How many row-HNF nrows x 2 nrows candidates the box holds: per pivot
+    pattern, sum_p p^k for pivot k = p and the k entries above it in [0, p),
+    times 2 max_abs + 1 per other free entry."""
     cols, side = 2 * nrows, 2 * max_abs + 1
     above = math.prod(sum(p**k for p in range(1, max_abs + 1)) for k in range(nrows))
     return above * sum(side ** (sum(cols - 1 - p for p in pivots) - nrows * (nrows - 1) // 2)
                        for pivots in combinations(range(cols), nrows))
 
 
+def _isotropic_candidates(max_abs, n):
+    """The row-HNF n x 2n candidates of the box whose rows are pairwise isotropic,
+    w(x, y) = x J y^T = 0 (C D^T = D C^T): an int64 stack per pivot pattern and set
+    of pivot values.  Row i ranges over a set R_i: pivot pvals[i], zeros before
+    it, an entry above a later pivot in [0, that pivot), others in [-max_abs,
+    max_abs].  Each R_j is joined to the tuples kept so far on the tables
+    w(R_i, R_j) = 0, so no candidate that fails them is built."""
+    for pivots, pvals in product(combinations(range(2 * n), n),
+                                 list(product(range(1, max_abs + 1), repeat=n))):
+        rows, picks = [], np.zeros((1, 0), dtype=np.intp)
+        for i, p in enumerate(pivots):
+            ranges = [range(pvals[pivots.index(j)]) if j in pivots[i + 1:]
+                      else range(-max_abs, max_abs + 1) for j in range(p + 1, 2 * n)]
+            r = np.zeros((math.prod(map(len, ranges)), 2 * n), dtype=np.int64)
+            r[:, p], r[:, p + 1:] = pvals[i], np.reshape(list(product(*ranges)), (len(r), -1))
+            ok = np.ones((len(picks), len(r)), dtype=bool)
+            for q, prev in enumerate(rows):
+                ok &= (prev[:, :n] @ r[:, n:].T == prev[:, n:] @ r[:, :n].T)[picks[:, q]]
+            left, right = np.nonzero(ok)
+            picks = np.column_stack([picks[left], right])
+            rows.append(r)
+        yield np.stack([r[picks[:, i]] for i, r in enumerate(rows)], axis=1)
+
+
 @lru_cache(maxsize=4)
 def enumerate_pairs(max_abs, nrows=3):
-    """All canonical coprime symmetric pairs with entries in the box.
+    """All canonical coprime symmetric pairs with entries in the box: the read-only
+    (N, nrows, 2 nrows) int64 stack of their blocks [C D], sorted by (c, d).
 
-    Enumerates row-HNF candidates directly (every canonical representative is
-    its own HNF) and tests them a chunk at a time; more than MAX_WORK
-    candidates are refused before any is built.  Memoized per
-    (max_abs, nrows); the result is an immutable tuple sorted by (c, d).
+    Each canonical pair is its own row HNF; the pairwise isotropic candidates
+    (``_isotropic_candidates``) are tested for coprimality _FILTER_CHUNK at a
+    time.  More than MAX_WORK candidates, by the closed-form count, are refused
+    before any is built.  Memoized per (max_abs, nrows).
     """
     if max_abs < 1:
         raise DomainError("max_abs must be >= 1, got %r" % (max_abs,))
     if (n := _candidate_count(max_abs, nrows)) > MAX_WORK:
         raise DomainError("%d HNF candidates at max_abs %d, above %d" % (n, max_abs, MAX_WORK))
-    out = []
-    for h in _hnf_structures(max_abs, nrows):
-        out += [CoprimePair(c=tuple(tuple(row[:nrows]) for row in cand),
-                            d=tuple(tuple(row[nrows:]) for row in cand))
-                for cand in h[_coprime_symmetric(h)].tolist()]
-    out.sort(key=lambda p: (p.c, p.d))
-    return tuple(out)
+    h = np.concatenate([b[_coprime_symmetric(b)] for c in _isotropic_candidates(max_abs, nrows)
+                        for b in np.split(c, range(_FILTER_CHUNK, len(c), _FILTER_CHUNK))])
+    h = h[np.lexsort(h.reshape(len(h), nrows, 2, nrows).swapaxes(1, 2).reshape(len(h), -1).T[::-1])]
+    h.flags.writeable = False
+    return h
 
 
-def _complete(pairs):
-    """The exact completions (A0 B0; C D) of the pairs, a read-only (N, 6, 6) stack.
+def _complete(blocks):
+    """The read-only (N, 6, 6) stack of exact completions (A0 B0; C D) of (N, 3, 6) blocks [C D].
 
-    Per pair, the list row HNF h = u N of N = [D^T; -C^T] (6 x 3) has h[:3] = I
+    Per lane, the list row HNF h = u N of N = [D^T; -C^T] (6 x 3) has h[:3] = I
     exactly when [C D] is primitive, and then u[:3] = (A0 B0) solves
     A0 D^T - B0 C^T = I; the stack then shears the top rows by a symmetric S to
     restore isotropy A0 B0^T = B0 A0^T and checks t(M) J M == J on every lane.
@@ -181,12 +179,12 @@ def _complete(pairs):
     larger ones run on Python ints.
     """
     rows = []
-    for pair in pairs:
-        h, u = il.hnf_row([list(col) for col in zip(*pair.d)]
-                          + [[-x for x in col] for col in zip(*pair.c)])
+    for cd in blocks.tolist():
+        h, u = il.hnf_row([[r[j] for r in cd] for j in range(3, 6)]
+                          + [[-r[j] for r in cd] for j in range(3)])
         if h[:3] != il.identity(3):
             raise CompletionFailure("no integer completion: [C D] is not primitive")
-        rows.append(u[:3] + _stacked(pair.c, pair.d))
+        rows.append(u[:3] + cd)
     m = il.exact_array(rows, 2**16)
     # gram defect of the top rows: G = A0 B0^T - B0 A0^T (antisymmetric)
     g = m[:, :3, :3] @ m[:, :3, 3:].swapaxes(1, 2)
@@ -200,7 +198,7 @@ def _complete(pairs):
 def complete_to_symplectic(pair: CoprimePair):
     """Integer (A0, B0) making (A0 B0; C D) exactly symplectic, as a 6 x 6
     list: the one-lane case of the stacked completion."""
-    return _complete((pair,))[0].tolist()
+    return _complete(np.array([_stacked(pair.c, pair.d)], dtype=object))[0].tolist()
 
 
 def _check_truncation(k, max_abs):
@@ -247,7 +245,7 @@ def _default_ball(max_abs):
 
 
 def _coset_truncation(max_abs):
-    """The GL3(Z) ball and pair tuple of the coset box of max_abs.  More than MAX_WORK
+    """The GL3(Z) ball and pair stack of the coset box of max_abs.  More than MAX_WORK
     (U, candidate) terms, by the closed-form HNF candidate count, are refused before
     any pair is enumerated."""
     gl_ball, count = _default_ball(max_abs), _candidate_count(max_abs, 3)
@@ -278,7 +276,8 @@ def poincare_trunc(k, t: HalfIntegralForm, z, max_abs):
     phases, weights = _coset_table(max_abs, z.tobytes(), k)
     rows, mult = np.unique(_coset_coefficients(t, gl_ball), axis=0, return_counts=True)
     terms = _polar_exp(*phases @ rows.T, np.empty((len(pairs), len(rows)), complex))
-    value = require_finite(weights @ terms @ (0.5 * mult), "the Poincare sum")
+    # a contraction outside BLAS: its sum order, and so its bits, do not depend on the thread count
+    value = require_finite(np.einsum("p,pr,r->", weights, terms, 0.5 * mult), "the Poincare sum")
     return complex(value), len(gl_ball) * len(pairs)
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import resource
 import shlex
 import subprocess
@@ -411,6 +412,20 @@ def test_huge_zeta_height_is_refused_before_the_sum_is_built():
     # the Epstein and zeta sums of verify-zetastar would ask for 11.9 GiB
     code, err = _run_capped("-m", "siegel3.cli", "verify-zetastar", "--s", "2+1e9j")
     assert code == 1 and err.startswith("input error:") and len(err.splitlines()) == 1
+
+
+def test_eval_kernel_stdout_does_not_depend_on_the_blas_thread_count():
+    # the Poincare sum contracts its 1,096 pairs outside BLAS: a threaded complex
+    # gemv there printed im ...797 with one OpenBLAS thread and ...799 with two
+    argv = [sys.executable, "-m", "siegel3.cli", "eval-kernel", "--k", "30", "--s", "2",
+            "--w", "4", "--u", "5", "--det-bound", "2", "--bound", "12",
+            "--z", "0.2+1.1j,0.1+0.2j,0,-0.1+1.3j,0.05-0.1j,0.3+0.9j"]
+    one, two = (subprocess.run(argv, capture_output=True, check=True,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=n)).stdout
+                for n in ("1", "2"))
+    assert one == two
+    value, expected = json.loads(one)["value"], complex(-10.601417566242038, 5.964616105180784)
+    assert abs(complex(value["re"], value["im"]) - expected) < 1e-12
 
 
 def test_cold_start_imports_no_scipy():

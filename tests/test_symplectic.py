@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import time
 from itertools import combinations, islice, permutations, product
 
@@ -101,6 +102,18 @@ def _sha(matrices):
     return hashlib.sha256(json.dumps(matrices).encode()).hexdigest()
 
 
+def _pairs(stack):
+    """The CoprimePairs of an (N, n, 2n) stack of blocks [C D], as a list."""
+    n = np.shape(stack)[1]
+    return [sp.CoprimePair(c=tuple(tuple(r[:n]) for r in h), d=tuple(tuple(r[n:]) for r in h))
+            for h in np.asarray(stack).tolist()]
+
+
+def _blocks(pairs):
+    """The exact (N, n, 2n) stack of blocks [C D] of a list of CoprimePairs."""
+    return np.array([sp._stacked(p.c, p.d) for p in pairs], dtype=object)
+
+
 def _list_coefficients(t, gl_ball):
     """(t1, t2, t3, b12, b13, b23) of T[U] per U by the list congruence_form (oracle)."""
     return np.array([[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23]
@@ -112,7 +125,7 @@ def _poincare_per_pair(k, t, z, max_abs):
     """The per-pair loop that poincare_trunc's coset table replaced, over the full
     ball and pair list of max_abs (oracle)."""
     coeffs = _list_coefficients(t, il.unimodular_matrices(max_abs, max_abs * max_abs))
-    pairs = sp.enumerate_pairs(max_abs)
+    pairs = _pairs(sp.enumerate_pairs(max_abs))
     total = 0.0 + 0.0j
     for pair in pairs:
         if pair not in _COMPLETIONS:
@@ -178,7 +191,7 @@ def test_left_associated_iff_equal_canonical(rng):
 def test_enumerate_pairs_rank2_exhaustive_oracle():
     # every canonical 2x2 pair with entries in [-1, 1] must arise from direct
     # filtering of all 3^8 raw pairs, and vice versa
-    target = {(p.c, p.d) for p in sp.enumerate_pairs(1, nrows=2)}
+    target = {(p.c, p.d) for p in _pairs(sp.enumerate_pairs(1, nrows=2))}
     oracle = set()
     vals = (-1, 0, 1)
     for entries in product(vals, repeat=8):
@@ -195,7 +208,7 @@ def test_enumerate_pairs_rank2_exhaustive_oracle():
 
 
 def test_enumerate_pairs_rank3_contents_and_consistency(rng):
-    pairs = sp.enumerate_pairs(1)
+    pairs = _pairs(sp.enumerate_pairs(1))
     keyset = {(p.c, p.d) for p in pairs}
     assert (tuple(map(tuple, Z3)), tuple(map(tuple, I3))) in keyset
     assert (tuple(map(tuple, I3)), tuple(map(tuple, Z3))) in keyset
@@ -217,10 +230,9 @@ def test_enumerate_pairs_rank3_contents_and_consistency(rng):
 
 def test_translation_closure_of_pairs():
     s = [[1, 0, 1], [0, -1, 0], [1, 0, 0]]
-    for p in sp.enumerate_pairs(1)[:100]:
-        c = [list(r) for r in p.c]
-        d = [list(r) for r in p.d]
-        assert is_coprime_symmetric(c, (np.array(d) + np.array(c) @ s).tolist())
+    for h in sp.enumerate_pairs(1)[:100]:
+        c, d = h[:, :3], h[:, 3:]
+        assert is_coprime_symmetric(c.tolist(), (d + c @ s).tolist())
 
 
 def _pivot_two_pair():
@@ -269,22 +281,76 @@ def test_stacked_minor_gcd_matches_loop(rng):
         assert sp._maximal_minor_gcd(st[0].tolist()) == got[0]  # one matrix
 
 
+def _hnf_structures(max_abs, nrows=3):
+    """All row-HNF (nrows x 2 nrows) integer matrices with bounded entries: the
+    candidates of the product filter that the isotropy join replaced (oracle).
+
+    Yields them as int64 arrays of at most _FILTER_CHUNK matrices, by
+    pivot-column pattern; pivots positive, entries above a pivot reduced mod
+    the pivot, rows echeloned left to right, each chunk from flat indices.
+    """
+    cols = 2 * nrows
+    for pivots in combinations(range(cols), nrows):
+        free = [(i, j) for i in range(nrows) for j in range(pivots[i] + 1, cols)]
+        free_rows, free_cols = np.array(free, dtype=np.intp).reshape(-1, 2).T
+        for pvals in product(range(1, max_abs + 1), repeat=nrows):
+            # an entry above a pivot is reduced into [0, pivot)
+            lo, hi = np.array([(0, pvals[pivots.index(j)]) if j in pivots[i + 1:]
+                               else (-max_abs, max_abs + 1) for i, j in free]).reshape(-1, 2).T
+            shape = (1, *(hi - lo))  # mixed radix; a leading 1 keeps a grid of no entry one point
+            for start in range(0, total := math.prod(shape), sp._FILTER_CHUNK):
+                stop = min(start + sp._FILTER_CHUNK, total)
+                idx = np.unravel_index(np.arange(start, stop), shape)
+                h = np.zeros((len(idx[0]), nrows, cols), dtype=np.int64)
+                h[:, range(nrows), pivots] = pvals
+                h[:, free_rows, free_cols] = np.transpose(idx[1:]) + lo
+                yield h
+
+
+def _product_filter(max_abs, nrows):
+    """The parent's enumerate_pairs: every HNF candidate through the stacked
+    coprime-symmetry test, sorted by (c, d), as a list of blocks (oracle)."""
+    out = [h for block in _hnf_structures(max_abs, nrows)
+           for h in block[sp._coprime_symmetric(block)].tolist()]
+    return sorted(out, key=lambda h: ([r[:nrows] for r in h], [r[nrows:] for r in h]))
+
+
 def test_enumerate_pairs_matches_scalar_filter():
     for max_abs, nrows in ((1, 3), (1, 2), (2, 2)):
-        blocks = list(sp._hnf_structures(max_abs, nrows))
+        blocks = list(_hnf_structures(max_abs, nrows))
         assert max(len(b) for b in blocks) <= sp._FILTER_CHUNK
         scalar = [sp.CoprimePair(c=tuple(tuple(r[:nrows]) for r in h),
                                  d=tuple(tuple(r[nrows:]) for r in h))
                   for block in blocks for h in block.tolist()
                   if is_coprime_symmetric([r[:nrows] for r in h], [r[nrows:] for r in h])]
         scalar.sort(key=lambda p: (p.c, p.d))
-        assert sp.enumerate_pairs(max_abs, nrows) == tuple(scalar)
+        got = sp.enumerate_pairs(max_abs, nrows)
+        assert got.shape == (len(scalar), nrows, 2 * nrows) and got.dtype == np.int64
+        assert _pairs(got) == scalar
+        assert got.tolist() == _product_filter(max_abs, nrows)
     assert sp.enumerate_pairs(1) is sp.enumerate_pairs(1)  # memoized
+    assert not sp.enumerate_pairs(1).flags.writeable
+
+
+def test_enumerate_pairs_at_max_abs_2_is_pinned():
+    # digest recorded from the product filter (76,756,680 candidates, ~24 s);
+    # the join lists the same 70,220 pairs in the same order
+    start = time.perf_counter()
+    pairs = sp.enumerate_pairs(2)
+    assert time.perf_counter() - start < 10.0
+    assert pairs.shape == (70_220, 3, 6)
+    assert _sha([[h[:, :3].tolist(), h[:, 3:].tolist()] for h in pairs]) == (
+        "75f467cd16b70c258349bf5e609f3d89d8780662d4312395d290fa22da574d3d")
+
+
+@pytest.mark.slow
+def test_enumerate_pairs_at_max_abs_2_matches_the_live_product_filter():
+    assert sp.enumerate_pairs(2).tolist() == _product_filter(2, 3)
 
 
 def test_enumerate_pairs_refuses_work_above_the_ceiling():
     for max_abs, nrows in ((1, 3), (1, 2), (2, 2), (3, 2)):
-        blocks = sp._hnf_structures(max_abs, nrows)
+        blocks = _hnf_structures(max_abs, nrows)
         assert sp._candidate_count(max_abs, nrows) == sum(map(len, blocks))
     assert sp._candidate_count(2, 3) == 76_756_680  # below MAX_WORK: enumerated
     assert sp._candidate_count(3, 3) == 12_140_654_400
@@ -414,7 +480,7 @@ def _product_structures(max_abs, nrows):
 
 def test_hnf_structures_match_the_product_reference():
     for max_abs, nrows in product((1, 2), (1, 2, 3)):
-        got = sp._hnf_structures(max_abs, nrows)
+        got = _hnf_structures(max_abs, nrows)
         ref = _product_structures(max_abs, nrows)
         if (max_abs, nrows) == (2, 3):  # 76,756,680 candidates: the first chunks only
             got, ref = islice(got, 16), islice(ref, 16)
@@ -456,7 +522,20 @@ def test_coset_tables_share_completions():
     info = sp._completions.cache_info()
     assert (info.misses, info.hits) == (1, 3)  # one stacked build per max_abs, 4 tables
     assert sp._completions(1)[::37].tolist() == [sp.complete_to_symplectic(p)
-                                                 for p in sp.enumerate_pairs(1)[::37]]
+                                                 for p in _pairs(sp.enumerate_pairs(1)[::37])]
+
+
+def test_warm_coset_sums_do_not_recount_the_candidates():
+    # the closed-form candidate count is cached per (max_abs, nrows); the refusal
+    # itself is not, so a patched MAX_WORK still refuses (see the coset-box test)
+    sp.poincare_trunc(24, I3F, Z_GENERIC, 1)
+    before = sp._candidate_count.cache_info()
+    sp.poincare_trunc(24, I3F, Z_GENERIC, 1)
+    out = sp.kernel_trunc(30, (2.0, 4.0, 5.0), Z_GENERIC, 1, eis.TruncationSpec(4, 4), 1)
+    after = sp._candidate_count.cache_info()
+    # one cache read per coset sum: this call, the kernel's own and one per class
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2 + out["classes_used"]
 
 
 def test_warm_coset_sums_hash_no_pair(monkeypatch):
@@ -475,10 +554,75 @@ def _criterion_12_pairs():
                  for _ in range(500))
 
 
+def _reference_hnf_row(mat):
+    """The row HNF loop as it was before its one-scan pivot search: the same
+    Euclid, with the pivot row found by min(key=abs) over rebuilt row lists (oracle)."""
+    h = [list(row) for row in mat]
+    nrows, ncols = len(h), len(h[0])
+    u = il.identity(nrows)
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        while True:
+            nz = [r for r in range(pivot_row + 1, nrows) if h[r][col] != 0]
+            if not nz:
+                break
+            rows = [r for r in range(pivot_row, nrows) if h[r][col] != 0]
+            r_min = min(rows, key=lambda r: abs(h[r][col]))
+            if r_min != pivot_row:
+                h[pivot_row], h[r_min] = h[r_min], h[pivot_row]
+                u[pivot_row], u[r_min] = u[r_min], u[pivot_row]
+            p = h[pivot_row][col]
+            for r in range(pivot_row + 1, nrows):
+                if h[r][col] != 0:
+                    q = h[r][col] // p
+                    if q:
+                        h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
+                        u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
+        if h[pivot_row][col] == 0:
+            continue
+        if h[pivot_row][col] < 0:
+            h[pivot_row] = [-x for x in h[pivot_row]]
+            u[pivot_row] = [-x for x in u[pivot_row]]
+        p = h[pivot_row][col]
+        for r in range(pivot_row):
+            q = h[r][col] // p
+            if q:
+                h[r] = [x - q * y for x, y in zip(h[r], h[pivot_row])]
+                u[r] = [x - q * y for x, y in zip(u[r], u[pivot_row])]
+        pivot_row += 1
+    return h, u
+
+
+def _completion_matrix(cd):
+    """[D^T; -C^T] of a 3 x 6 list block [C D], the matrix the completion reduces."""
+    return [[r[j] for r in cd] for j in range(3, 6)] + [[-r[j] for r in cd] for j in range(3)]
+
+
+def test_hnf_row_matches_the_reference_loop(rng):
+    rnd = random.Random(int(rng.integers(2**32)))
+    mats = []
+    for _ in range(3000):
+        nrows, ncols = rnd.randint(2, 6), rnd.randint(2, 6)
+        amp = rnd.choice((1, 3, 10, 2**31, 2**64, 10**20))
+        mats.append([[rnd.randint(-amp, amp) if rnd.random() < 0.7 else 0 for _ in range(ncols)]
+                     for _ in range(nrows)])
+    assert any(abs(x) >= 2**63 for m in mats for row in m for x in row)
+    # every completion matrix of enumerate_pairs(1); criterion 12's raw blocks [C D]
+    # (canonical_pair's input) and the completion matrices of their canonical pairs
+    mats += [_completion_matrix(cd) for cd in sp.enumerate_pairs(1).tolist()]
+    crng = acceptance._rng(acceptance.DEFAULT_SEED)
+    mats += [mx.random_symplectic(crng, max_entry=12, max_factors=8)[3:] for _ in range(500)]
+    mats += [_completion_matrix(sp._stacked(p.c, p.d)) for p in _criterion_12_pairs()]
+    for m in mats:
+        assert il.hnf_row(m) == _reference_hnf_row(m)
+
+
 def test_stacked_completion_matches_recorded_list_completions():
-    for name, pairs in (("enumerate_pairs(1)", sp.enumerate_pairs(1)),
+    for name, pairs in (("enumerate_pairs(1)", _pairs(sp.enumerate_pairs(1))),
                         ("criterion 12", _criterion_12_pairs())):
-        stack = sp._complete(pairs)
+        stack = sp._complete(_blocks(pairs))
         assert stack.shape == (len(pairs), 6, 6) and not stack.flags.writeable
         ref = [_snf_completion(p) for p in pairs]
         assert _sha(ref) == _COMPLETIONS_SHA256[name]
@@ -487,7 +631,7 @@ def test_stacked_completion_matches_recorded_list_completions():
             _assert_translate(m, m_ref)
         # the one-lane call is the same function
         assert [sp.complete_to_symplectic(p) for p in pairs[::50]] == stack[::50].tolist()
-    # the coset table's pairs pin the HNF completion itself
+    # the coset table's pair stack pins the HNF completion itself
     assert _sha(sp._complete(sp.enumerate_pairs(1)).tolist()) == (
         _COMPLETIONS_SHA256["enumerate_pairs(1)"])
 
@@ -495,11 +639,11 @@ def test_stacked_completion_matches_recorded_list_completions():
 def test_completion_stays_exact_past_the_int64_bounds():
     # entries of 2^16 and more run the shear on Python ints, and entries of
     # 2^30 and more the symplectic check; the results stay exact either way
-    small = sp.enumerate_pairs(1)[7]
+    small = _pairs(sp.enumerate_pairs(1)[7:8])[0]
     for big, dtype in ((2**15 - 1, np.int64), (2**16, object), (2**40, object),
                        (10**23, object)):
         pair = sp.canonical_pair(I3, [[big, 7, 0], [7, 0, 0], [0, 0, 0]])
-        stack = sp._complete((small, pair))
+        stack = sp._complete(_blocks((small, pair)))
         assert stack.dtype == dtype
         m = sp.complete_to_symplectic(pair)
         assert stack[1].tolist() == m and stack[0].tolist() == sp.complete_to_symplectic(small)

@@ -248,6 +248,6 @@ def unimodular_matrices(max_entry, max_norm2=None):
     out = []
     for v1 in v:
         # det [v1 v2 v3] for every (v2, v3), one (len, len) slab per v1
-        i2, i3 = np.nonzero(abs(np.cross(v1, v) @ v.T) == 1)
+        i2, i3 = np.nonzero(abs(np.transpose(cross3(v1, v.T)) @ v.T) == 1)
         out.append(np.stack([np.broadcast_to(v1, (len(i2), 3)), v[i2], v[i3]], axis=2))
     return np.concatenate(out) if out else np.zeros((0, 3, 3), dtype=np.int64)

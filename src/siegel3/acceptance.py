@@ -377,8 +377,7 @@ def criterion_11(seed=DEFAULT_SEED):
     # exact linearity in the coefficient table
     alpha, beta = 2.0 - 1.0j, 0.5 + 0.25j
     det2 = series.det_power_provider(0.5, k=24)
-    mixed = series.CoefficientTable(
-        k=24, provider=lambda red: alpha * 1.0 + beta * float(red.det()) ** 0.5)
+    mixed = series.CoefficientTable(24, lambda red: alpha * 1.0 + beta * float(red.det()) ** 0.5)
     va = series.km_classic(ones, s, 4).value
     vb = series.km_classic(det2, s, 4).value
     vm = series.km_classic(mixed, s, 4).value

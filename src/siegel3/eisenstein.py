@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import (MAX_WORK, DomainError, NotPositiveDefinite, PoleError, finite_exponents,
-                     require_finite)
+from .errors import (MAX_WORK, DomainError, NotPositiveDefinite, PoleError, finite_bound,
+                     finite_exponents, require_finite)
 from .forms import (_CHUNK, HalfIntegralForm, _short_vectors, first_nonzero_positive,
                     short_vectors_gram)
 from .matrices import is_positive_definite
@@ -66,7 +65,7 @@ def _flag_vectors(y: HalfIntegralForm, spec: TruncationSpec):
     the counted leaves of a ball bound its primitive vectors mod sign; above
     MAX_WORK pairs by that bound, the product is refused before a ball is built."""
     g2 = y.gram2()
-    balls = (g2, 2 * Fraction(spec.q_bound)), (il.adj3(g2), 4 * Fraction(spec.g_bound))
+    balls = (g2, 2 * finite_bound(spec.q_bound)), (il.adj3(g2), 4 * finite_bound(spec.g_bound))
     lv, ln = (_short_vectors(g, bound, count=True) // 2 for g, bound in balls)
     if lv * ln > MAX_WORK:
         raise DomainError("up to %d x %d flag candidates, above %d" % (lv, ln, MAX_WORK))
@@ -103,8 +102,8 @@ def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
 
     Returns the term-wise value (det Y)^(-u) * sum (Y[v])^(-s) (adjY[n])^(-w);
     outside the absolute-convergence region Re(s) > 1, Re(w) > 1 the result is
-    still the truncated sum but carries a warning flag.  A sum that overflows
-    raises DomainError.
+    still the truncated sum but carries a warning flag.  A truncation with no
+    flag, or a sum that overflows, raises DomainError.
     """
     s, w, u = finite_exponents(*exponents)
     vs, ns = _flag_vectors(y, spec)
@@ -115,6 +114,9 @@ def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
         i, j = np.nonzero(mask)
         total = np.cumsum(np.append(total, pv[start + i] * pn[j]))[-1]
         terms += len(i)
+    if not terms:
+        raise DomainError("empty truncation: no flag with Y[v] <= %s and adj(Y)[n] <= %s"
+                          % (spec.q_bound, spec.g_bound))
     dety = float(y.det())
     value = complex(require_finite(np.exp(-u * math.log(dety)) * total, "the flag sum"))
     warnings = []
@@ -126,14 +128,13 @@ def selberg_E(y: HalfIntegralForm, exponents, spec: TruncationSpec):
 def _form_values_in_ball(y, bound):
     """Values Y[v] for all integer v != 0 with Y[v] <= bound, sorted ascending.
 
-    Vectorized box enumeration; values are exact when Y has integer entries
-    (int64 arithmetic) so matched-truncation comparisons are exact, float
-    otherwise.  Works for 2x2 and 3x3 input; a box of more than MAX_WORK
-    points is refused before it is built.
+    Vectorized box enumeration in float arithmetic, exact for integer Y while
+    the values stay below 2^53, so matched-truncation comparisons are exact.
+    Works for 2x2 and 3x3 input; a box of more than MAX_WORK points is refused
+    before it is built.
     """
-    arr = np.asarray(y)
-    n = arr.shape[0]
-    yf = arr.astype(float)
+    yf = np.asarray(y, dtype=float)
+    n = yf.shape[0]
     inv_diag = np.diag(np.linalg.inv(yf))
     radii = np.floor(np.sqrt(np.abs(inv_diag) * float(bound)) + 1e-9) + 1
     if math.prod((2 * radii + 1).tolist()) > MAX_WORK:
@@ -141,12 +142,10 @@ def _form_values_in_ball(y, bound):
     axes = [np.arange(-r, r + 1) for r in radii.astype(int)]
     grids = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([g.ravel() for g in grids])
-    exact = np.issubdtype(arr.dtype, np.integer)
-    coeff = arr if exact else yf
-    vals = np.zeros(flat.shape[1], dtype=(np.int64 if exact else float))
+    vals = np.zeros(flat.shape[1])
     for i in range(n):
         for j in range(n):
-            vals += coeff[i, j] * flat[i] * flat[j]
+            vals += yf[i, j] * flat[i] * flat[j]
     nonzero = np.any(flat != 0, axis=0)
     keep = nonzero & (vals <= bound)
     out = np.sort(vals[keep])
@@ -171,7 +170,7 @@ def epstein(y, s, bound):
     vals = _form_values_in_ball(arr, bound)
     if not vals.size:
         raise DomainError("empty truncation: no vector v != 0 with Y[v] <= %g" % (bound,))
-    value = require_finite(0.5 * np.sum(np.exp(-s * np.log(vals.astype(float)))), "the Epstein sum")
+    value = require_finite(0.5 * np.sum(np.exp(-s * np.log(vals))), "the Epstein sum")
     det = float(np.linalg.det(arr.astype(float)))
     lam_max = float(np.max(np.linalg.eigvalsh(arr.astype(float))))
     sigma = s.real

@@ -1,7 +1,8 @@
 """Exception types, the work and ball ceilings, and the non-finite contract:
-one intake check of exponents and one refusal of a non-finite result."""
+one intake check of exponents, one of bounds and one refusal of a non-finite result."""
 
 import cmath
+from fractions import Fraction
 
 # Most lattice terms, candidate forms or candidate vectors one call may
 # evaluate; above it the call raises DomainError before it allocates.
@@ -69,6 +70,14 @@ def finite_exponents(*values):
     if not all(map(cmath.isfinite, out)):
         raise DomainError("exponents must be finite, got %r" % (values,))
     return out
+
+
+def finite_bound(bound):
+    """The bound as an exact Fraction; DomainError unless it is finite."""
+    try:
+        return Fraction(bound)
+    except (OverflowError, ValueError):
+        raise DomainError("bounds must be finite, got %r" % (bound,)) from None
 
 
 def require_finite(value, what):

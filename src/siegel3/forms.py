@@ -26,7 +26,7 @@ from operator import index
 import numpy as np
 
 from . import _intlinalg as il
-from .errors import MAX_BALL, MAX_WORK, DomainError, NotPositiveDefinite
+from .errors import MAX_BALL, MAX_WORK, DomainError, NotPositiveDefinite, finite_bound
 
 
 @dataclass(frozen=True, order=True)
@@ -131,7 +131,7 @@ def short_vectors_gram(g, bound):
 
 def _short_vectors(g, bound, count=False):
     """short_vectors_gram(g, bound), or (count) its counted leaves, none built."""
-    g, bound = [[index(x) for x in row] for row in g], floor(Fraction(bound))
+    g, bound = [[index(x) for x in row] for row in g], floor(finite_bound(bound))
     if bound <= 0:
         return 0 if count else np.empty(0, _BALL)
     if not _positive_definite(g):
@@ -381,7 +381,7 @@ def reduced_classes(det_bound):
     dedupes reduce_keys of its definite forms, streamed: each lane records the
     eps_T of its class; a box of more than MAX_WORK candidates is refused before
     any reduction."""
-    return list(_reduced_classes_cached(Fraction(det_bound)))
+    return list(_reduced_classes_cached(finite_bound(det_bound)))
 
 
 @lru_cache(maxsize=32)

@@ -1,11 +1,11 @@
 """Koecher-Maass series over classes of half-integral forms.
 
-Coefficient data comes either from a text file (one reduced form and one
-complex value per line) or from synthetic providers; genuine degree-3 cusp
-form coefficients are out of desk reach, so providers exercise the series
-machinery, and the kernel sums the class loop with Poincare series as its
-coefficients.  Coefficients are read at the canonical reduced representatives
-the class sums hold; for even weight the sign ambiguity is invisible.
+A coefficient table is a weight and one function of the class, read at the
+canonical reduced representatives the class sums hold (for even weight the sign
+ambiguity is invisible): a text file (one reduced form and one complex value per
+line; a class with no line is a miss) or a synthetic provider.  Genuine degree-3
+cusp form coefficients are out of desk reach, so providers exercise the series
+machinery, and the kernel is km_twisted with Poincare series as coefficients.
 """
 
 from __future__ import annotations
@@ -23,37 +23,25 @@ from .forms import HalfIntegralForm, automorphism_count, minkowski_reduce, reduc
 
 
 class CoefficientTable:
-    """Fourier-coefficient source: table-backed or synthetic.
-
-    ``data`` maps canonical reduced keys to complex values; ``provider`` (if
-    set) computes a value from a reduced HalfIntegralForm instead, and never
-    misses.  Missing table keys contribute 0 and bump ``misses``.  A weight k
+    """A weight k and one function of the class: ``coefficient(red)`` is A_T at
+    a canonical reduced representative, or None where a table file has no line
+    for the class (it then contributes 0 and counts as a miss).  A weight k
     that is not a positive even integer raises DomainError.
     """
 
-    def __init__(self, k, data=None, provider=None):
+    def __init__(self, k, coefficient):
         if k <= 0 or k % 2:
             raise DomainError("weight k must be a positive even integer, got %r" % (k,))
-        self.k, self.data, self.provider, self.misses = k, {} if data is None else data, provider, 0
-
-    def reduced_coefficient(self, red: HalfIntegralForm):
-        """The coefficient of a canonical reduced representative, as it stands."""
-        if self.provider is not None:
-            return complex(self.provider(red))
-        key = red.key()
-        if key in self.data:
-            return self.data[key]
-        self.misses += 1
-        return 0.0 + 0.0j
+        self.k, self.coefficient = k, coefficient
 
 
 def ones_provider(k=24):
-    return CoefficientTable(k=k, provider=lambda red: 1.0 + 0.0j)
+    return CoefficientTable(k, lambda red: 1.0 + 0.0j)
 
 
 def det_power_provider(alpha, k=24):
     finite_exponents(alpha)
-    return CoefficientTable(k=k, provider=lambda red: float(red.det()) ** alpha + 0.0j)
+    return CoefficientTable(k, lambda red: float(red.det()) ** alpha + 0.0j)
 
 
 def load_coefficients(path):
@@ -97,7 +85,7 @@ def load_coefficients(path):
             data[t.key()] = value
     if k is None:
         raise ParseError("missing 'k <even-int>' header")
-    return CoefficientTable(k=k, data=data)
+    return CoefficientTable(k, lambda red: data.get(red.key()))
 
 
 @dataclass
@@ -111,22 +99,21 @@ class SeriesValue:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite sum is refused instead
 def class_sum(table: CoefficientTable, det_bound, term):
-    """sum over classes (det <= bound) of (A_T / eps_T) term(T), no warnings yet;
-    a truncation with no class, or a sum that overflows, raises DomainError."""
+    """sum over classes (det <= bound) of (A_T / eps_T) term(T), misses counted, no
+    warnings yet; a truncation with no class, or a sum that overflows, raises DomainError."""
     classes = reduced_classes(det_bound)
     if not classes:
         raise DomainError("empty truncation: no class with det T <= %s" % (det_bound,))
-    misses0 = table.misses
-    total = 0.0 + 0.0j
+    total, misses = 0.0 + 0.0j, 0
     for t in classes:
-        a = table.reduced_coefficient(t)
-        eps = automorphism_count(t)
-        total += a / eps * term(t)
+        a = table.coefficient(t)
+        misses += a is None
+        total += (0j if a is None else a) / automorphism_count(t) * term(t)
     return SeriesValue(
         value=complex(require_finite(total, "the Koecher-Maass sum")),
         classes_used=len(classes),
         max_det=classes[-1].det(),  # the classes are sorted by det
-        misses=table.misses - misses0,
+        misses=misses,
     )
 
 

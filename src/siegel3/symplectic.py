@@ -9,7 +9,8 @@ pairs of a box are one int64 stack of blocks [C D], joined row by row from the
 pairwise isotropic HNF rows; left translates (``canonical_pairs``, the HNF in
 closed form from the maximal minors) and completions run on exact arrays.  The
 Poincare sum takes one polar exp per distinct T[U] and pair, contracted outside
-BLAS; its box is refused in closed form, before any pair is enumerated.
+BLAS; its box is refused in closed form, before any pair is enumerated.  The
+kernel is ``series.km_twisted`` with these Poincare series as its coefficients.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from . import _intlinalg as il
 from .branch import _polar_exp
 from .errors import (MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, NotPositiveDefinite,
                      finite_exponents, require_finite)
-from .eisenstein import TruncationSpec, selberg_E
+from .eisenstein import TruncationSpec
 from .forms import HalfIntegralForm
 from .matrices import is_symplectic, mobius, siegel_point
-from .series import CoefficientTable, class_sum
+from .series import CoefficientTable, km_twisted
 from .specfun import lipschitz_factor
 
 
@@ -282,18 +283,17 @@ def poincare_trunc(k, t: HalfIntegralForm, z, max_abs):
 
 
 def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs):
-    """Truncated kernel via the Poincare-series representation: 2 F(s, w, u)
-    times the twisted Koecher-Maass class sum of E(T | w, s, -s-w-u+2) with the
-    Poincare series P_{k,T}(Z) as coefficients, F = specfun.lipschitz_factor.
+    """Truncated kernel as a twisted Koecher-Maass series: 2 F(s, w, u) times
+    km_twisted at (w, s, -s-w-u+2) of the table T -> P_{k,T}(Z) of Poincare
+    series, F = specfun.lipschitz_factor; the region warning is the kernel's own.
     A Z outside the Siegel space or a value that overflows raises DomainError."""
     _check_truncation(k, max_abs)
     s, w, u = finite_exponents(*exponents)
     z = siegel_point(z)
     pref = 2.0 * lipschitz_factor(s, w, u)
     gl_ball, pairs = _coset_truncation(max_abs)
-    poincare = CoefficientTable(k=k, provider=lambda t: poincare_trunc(k, t, z, max_abs)[0])
-    sv = class_sum(poincare, det_bound,
-                   lambda t: selberg_E(t, (w, s, -s - w - u + 2.0), flag_spec).value)
+    poincare = CoefficientTable(k, lambda t: poincare_trunc(k, t, z, max_abs)[0])
+    sv = km_twisted(poincare, (w, s, -s - w - u + 2.0), det_bound, flag_spec)
     warnings = []
     if not (s.real > 1 and w.real > 3 and u.real > 4 and (2 * s + 4 * w + u).real < k - 4):
         warnings.append("outside Re(s)>1, Re(w)>3, Re(u)>4, Re(2s+4w+u)<k-4: the class sum "

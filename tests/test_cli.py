@@ -316,6 +316,11 @@ REJECTED = [(argv, "usage error:") for argv in USAGE_ERRORS] + [
      "input error: empty truncation"),
     (["eval-km-twisted", "--s", "3", "--w", "3", "--u", "20", "--det-bound", "1/4"],
      "input error: empty truncation"),
+    # a flag truncation with no flag, alone or in a class sum: no vacuous value 0
+    (["eval-eisenstein", "--form", "1,1,1,0,0,0", "--s", "2", "--w", "2", "--u", "2",
+      "--bound", "0.5"], "input error: empty truncation"),
+    (["eval-km-twisted", "--s", "2", "--w", "2", "--u", "14", "--det-bound", "1", "--bound", "0.5"],
+     "input error: empty truncation"),
     # a weight that is not a positive even integer: no convergence warning from a meaningless k
     (["eval-km", "--s", "7", "--k", "-5"], "input error: weight k"),
     (["eval-km", "--s", "7", "--k", "23"], "input error: weight k"),

@@ -175,6 +175,21 @@ def test_epstein_refuses_an_empty_ball():
     assert eis.epstein(np.eye(2), 2.0, 1.0).terms_used == 4
 
 
+def test_epstein_integer_y_does_not_wrap():
+    # Y22 v2^2 = 1.2e19 is past int64: an integer Y sums as the same Y in floats
+    y = np.array([[10**9, 0], [0, 3 * 10**18]])
+    a, b = eis.epstein(y, 2.0, 3e18), eis.epstein(y.astype(float), 2.0, 3e18)
+    assert (a.value, a.terms_used) == (b.value, b.terms_used) == (1.0823232337111382e-18, 109546)
+
+
+def test_flag_sum_refuses_an_empty_truncation():
+    # no v with I3[v] <= 0.5; enumerate_flags still answers with no flag
+    spec = eis.TruncationSpec(0.5, 0.5)
+    assert eis.enumerate_flags(I3, spec) == []
+    with pytest.raises(DomainError, match="empty truncation"):
+        eis.selberg_E(I3, (2.0, 2.0, 2.0), spec)
+
+
 def test_epstein_dimension_three():
     z = eis.epstein(np.eye(3), 2.5, 900.0)
     assert z.terms_used > 0 and z.tail_estimate < 1e-2

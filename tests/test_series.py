@@ -18,18 +18,19 @@ def test_load_simple_table(tmp_path):
     path = _write(tmp_path, "k 24\n1 1 1 0 0 0 1.0 0.0\n")
     table = series.load_coefficients(path)
     assert table.k == 24
-    assert table.reduced_coefficient(forms.minkowski_reduce(I3).form) == 1.0
-    assert table.misses == 0
+    assert table.coefficient(forms.minkowski_reduce(I3).form) == 1.0
+    # of the three classes with det <= 1, the sum reads the one the file holds (eps 24)
+    assert series.km_classic(table, 15.0, 1).value == 1.0 / 24.0
 
 
 @pytest.mark.parametrize("k", [-5, 0, 23, 7.5])
 def test_coefficient_tables_refuse_a_weight_that_is_not_positive_and_even(k):
     # km_classic's and km_twisted's convergence regions are read off k
-    for make in (lambda: series.CoefficientTable(k=k), lambda: series.ones_provider(k=k),
-                 lambda: series.det_power_provider(0.5, k=k)):
+    for make in (lambda: series.CoefficientTable(k, lambda red: 1.0 + 0.0j),
+                 lambda: series.ones_provider(k=k), lambda: series.det_power_provider(0.5, k=k)):
         with pytest.raises(DomainError, match="positive even integer"):
             make()
-    assert series.CoefficientTable(k=2).k == 2
+    assert series.CoefficientTable(2, lambda red: None).k == 2
 
 
 def test_load_rejects_duplicates(tmp_path):
@@ -67,8 +68,11 @@ def test_missing_class_counts_misses(tmp_path):
     path = _write(tmp_path, "k 24\n1 1 1 0 0 0 1.0 0.0\n")
     table = series.load_coefficients(path)
     other = forms.HalfIntegralForm(1, 1, 2, 0, 0, 0)
-    assert table.reduced_coefficient(forms.minkowski_reduce(other).form) == 0.0
-    assert table.misses == 1
+    assert table.coefficient(forms.minkowski_reduce(other).form) is None
+    # each sum counts its own misses: the det-1/2 and det-3/4 classes
+    for _ in range(2):
+        assert series.km_classic(table, 15.0, 1).misses == 2
+    assert series.km_classic(table, 15.0, Fraction(1, 2)).misses == 1
 
 
 def test_coefficient_is_class_function(rng, tmp_path):
@@ -78,16 +82,16 @@ def test_coefficient_is_class_function(rng, tmp_path):
     u = [[1, 1, 0], [0, 1, 0], [-1, 0, 1]]
     moved = forms.congruence_form(t0, u)
     assert moved != t0
-    assert (table.reduced_coefficient(forms.minkowski_reduce(moved).form)
-            == table.reduced_coefficient(forms.minkowski_reduce(t0).form) == 2.5 - 1.0j)
+    assert (table.coefficient(forms.minkowski_reduce(moved).form)
+            == table.coefficient(forms.minkowski_reduce(t0).form) == 2.5 - 1.0j)
 
 
 def test_class_sums_read_the_cached_representatives_without_reducing(monkeypatch):
     table = series.det_power_provider(-1.5)
     classes = forms.reduced_classes(4)  # builds and caches the class list
     # the representatives are canonical, so reading them as they stand changes no value
-    assert all(table.reduced_coefficient(t)
-               == table.reduced_coefficient(forms.minkowski_reduce(t).form) for t in classes)
+    assert all(table.coefficient(t)
+               == table.coefficient(forms.minkowski_reduce(t).form) for t in classes)
     calls, reduce = [], forms.minkowski_reduce
 
     def counting(*args, **kwargs):
@@ -142,7 +146,7 @@ def test_km_linearity_exact():
     alpha, beta = 1.5 - 2.0j, -0.75 + 0.5j
     ones = series.ones_provider(k=24)
     detp = series.det_power_provider(1.0, k=24)
-    mixed = series.CoefficientTable(k=24, provider=lambda red: alpha + beta * float(red.det()))
+    mixed = series.CoefficientTable(24, lambda red: alpha + beta * float(red.det()))
     for fn in (
         lambda t: series.km_classic(t, 9.0, 3).value,
         lambda t: series.km_twisted(t, (2.0, 2.0, 12.0), 2, eis.TruncationSpec(4, 4)).value,

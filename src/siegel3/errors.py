@@ -1,8 +1,9 @@
 """Exception types, the work and ball ceilings, and the non-finite contract:
-one intake check of exponents, one of bounds and one refusal of a non-finite result."""
+intake checks of exponents, real and integer bounds, and one refusal of a non-finite result."""
 
 import cmath
 from fractions import Fraction
+from operator import index
 
 # Most lattice terms, candidate forms or candidate vectors one call may
 # evaluate; above it the call raises DomainError before it allocates.
@@ -78,6 +79,16 @@ def finite_bound(bound):
         return Fraction(bound)
     except (OverflowError, ValueError):
         raise DomainError("bounds must be finite, got %r" % (bound,)) from None
+
+
+def integer_bound(bound, least, what):
+    """The truncation as a Python int; DomainError unless it is an integer >= least."""
+    try:
+        if (value := index(bound)) >= least:
+            return value
+    except TypeError:
+        raise DomainError("%s must be an integer, got %r" % (what, bound)) from None
+    raise DomainError("empty truncation: %s %d is below %d" % (what, value, least))
 
 
 def require_finite(value, what):

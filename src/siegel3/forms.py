@@ -9,9 +9,10 @@ diagonal and doubled off-diagonals, i.e. the matrix
 
 All results in this module are exact: the doubled Gram matrix 2T has integer
 entries, (2T)[v] is an even integer, and dets/reductions use integers only
-(int64 arrays where no overflow can occur, Python ints and fractions else).
-eps_T is the tie count of a reduction lane, recorded under each lane's reduced
-key and a one-form reduction's input (acceptance holds the exhaustive oracle).
+(int64 arrays where no overflow can occur, Python ints and fractions else);
+T[U] is read off t(U) 2T U for a stack of U at once (congruence_keys).  eps_T is
+the tie count of a reduction lane, recorded under each lane's reduced key and a
+one-form reduction's input (acceptance holds the exhaustive oracle).
 """
 
 from __future__ import annotations
@@ -65,18 +66,18 @@ def _positive_definite(g):
     return g[0][0] > 0 and g[0][0] * g[1][1] > g[0][1] ** 2 and il.det3(g) > 0
 
 
-def form_from_gram2(g):
-    if g[0][0] % 2 or g[1][1] % 2 or g[2][2] % 2:
-        raise ValueError("doubled matrix must have even diagonal")
-    return HalfIntegralForm(
-        g[0][0] // 2, g[1][1] // 2, g[2][2] // 2, g[0][1], g[0][2], g[1][2]
-    )
+def congruence_keys(t, us):
+    """The key() rows of T[U] = t(U) T U for each U of an (N, 3, 3) integer stack,
+    exact: the entries of t(U) 2T U, halved on the diagonal, int64 while an entry
+    (nine products) is below 9 * 2^16 * 2^16 * 2^26 < 2^63, Python ints past that."""
+    u = il.exact_array(us, 2**16)
+    g = u.swapaxes(1, 2) @ il.exact_array(t.gram2(), 2**26) @ u
+    return g[:, _KEY_ROWS, _KEY_COLS] // (2, 2, 2, 1, 1, 1)
 
 
 def congruence_form(t, u):
-    """T[U] = t(U) T U for integer U; exact on half-integral forms (Python ints)."""
-    u = np.asarray(u).astype(object)
-    return form_from_gram2((u.T @ np.array(t.gram2(), dtype=object) @ u).tolist())
+    """T[U] = t(U) T U for one integer U, exactly: a one-matrix congruence_keys."""
+    return HalfIntegralForm(*congruence_keys(t, [u])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ _INT64_COORD = 1 << 20
 _BALL = np.dtype([("q", np.int64), ("v", np.int64, (3,))])
 # A row of forms: the fields of key(), 48 B per row.
 _KEY = np.dtype([(name, np.int64) for name in ("t1", "t2", "t3", "b12", "b13", "b23")])
+# The entries (11, 22, 33, 12, 13, 23) that key() reads: tr(T Z) = key . Z[_KEY_ROWS, _KEY_COLS].
+_KEY_ROWS, _KEY_COLS = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
 
 
 def _pairwise_reduced(g):

@@ -9,8 +9,8 @@ form: the minors of i W T W are i t3, -m2 and -i det T, and the phase of p
 cancels the prefactor's (fourier_side_rhs).  Reports carry both truncations
 and a relative gap.  Every full-size complex exponential of both sides is one
 polar exp from real parts (branch._polar_exp).  Both sides refuse a Z outside
-the Siegel space, and a truncation whose work exceeds MAX_WORK before they
-allocate anything.
+the Siegel space, a truncation that is no integer or holds no term, and one
+whose work exceeds MAX_WORK, before they allocate anything.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branch import _pivots, _polar_exp, power_terms
-from .errors import MAX_WORK, DomainError, PoleError, finite_exponents, require_finite
-from .forms import _CHUNK, _diagonal_runs, enumerate_J
+from .errors import (MAX_WORK, DomainError, PoleError, finite_exponents, integer_bound,
+                     require_finite)
+from .forms import _CHUNK, _KEY_COLS, _KEY_ROWS, _diagonal_runs, enumerate_J
 from .matrices import siegel_point
 from .specfun import POLE_TOL, _exp_in_range, lipschitz_factor, log_gamma
 
@@ -65,8 +66,7 @@ def lattice_sum_lhs(exponents, z, max_abs, tail_correction=False):
     decay like f^(-u) alone, is summed exactly (_f_direction_sum): then n_terms
     counts the (2 max_abs + 1)^5 a..e terms and the tail estimate the a..e shell.
     """
-    if max_abs < 0:
-        raise DomainError("max_abs must be >= 0, got %r" % (max_abs,))
+    max_abs = integer_bound(max_abs, 0, "max_abs")
     s, w, u = finite_exponents(*exponents)
     exact_f = (tail_correction and not u.imag and u.real == int(u.real)
                and 2 <= u.real <= EXACT_F_MAX_U)
@@ -146,18 +146,19 @@ def _f_direction_sum(x, coef):
 
 
 def fourier_side_rhs(exponents, z, trace_bound):
-    """Prefactor times sum over T (trace <= bound) of p_{-w,-s,s+w+u-2}(i W T W)
+    """Prefactor times sum over T (trace <= bound >= 3) of p_{-w,-s,s+w+u-2}(i W T W)
     e(tr(T Z)), in closed form: p = e^{i pi (sigma-6)/2} t3^(-w) m2^(-s) det(T)^(s+w+u-2)
     (m2 = t2 t3 - b23^2/4, sigma = s+2w+3u), whose phase cancels the prefactor's, and
     the sum is (1/8) F(s,w,u) sum_T t3^(-w) m2^(-s) det(T)^(s+w+u-2) e(tr(T Z)), F the
     Lipschitz factor: logs of m2 and det T from the exact int64 minors 4 m2 and 8 det T,
     the real exp(-2 pi tr(T Y)) and six gathers from tables of e(k x_ij), |k| <= trace_bound."""
+    trace_bound = integer_bound(trace_bound, 3, "trace_bound")
     runs, candidates = _diagonal_runs(trace_bound, _CHUNK, MAX_WORK)
     if candidates > MAX_WORK:
         raise DomainError("the fast side at trace_bound %d tests more than %d candidate forms"
                           % (trace_bound, MAX_WORK))
     s, w, u = finite_exponents(*exponents)
-    zk = siegel_point(z)[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]  # tr(TZ) = key . zk
+    zk = siegel_point(z)[_KEY_ROWS, _KEY_COLS]  # tr(TZ) = key . zk
     powers = -w, -s, s + w + u - 2.0
     real = not any(e.imag for e in powers)  # then one real exp per form
     # The 1/8 is the coordinate covolume of the half-integral lattice in the
@@ -206,11 +207,11 @@ def classical_lipschitz(tau, s, n_bound):
     lhs = sum over |n| <= N of (tau + n)^(-s) plus its midpoint-rule integral
     tails on both ends, which always run,
     rhs = ((-2 pi i)^s / Gamma(s)) sum over 1 <= n <= N of n^(s-1) e(n tau).
-    The tails divide by s - 1: s within POLE_TOL of 1 raises PoleError, and
-    a side that overflows raises DomainError.  Both sides are summed _CHUNK
-    terms at a time; more than MAX_WORK terms are refused before any is built.
+    The tails divide by s - 1: s within POLE_TOL of 1 raises PoleError; N < 1
+    (no Fourier term) or a side that overflows raises DomainError.  Both sides
+    are summed _CHUNK terms at a time; more than MAX_WORK are refused first.
     """
-    tau = complex(tau)
+    tau, n_bound = complex(tau), integer_bound(n_bound, 1, "n_bound")
     (s,) = finite_exponents(s)
     if tau.imag <= 0:
         raise PoleError("tau must be in the upper half-plane")

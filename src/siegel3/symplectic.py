@@ -8,9 +8,9 @@ isotropy with a symmetric shear.  A single pair goes through the list HNF; the
 pairs of a box are one int64 stack of blocks [C D], joined row by row from the
 pairwise isotropic HNF rows; left translates (``canonical_pairs``, the HNF in
 closed form from the maximal minors) and completions run on exact arrays.  The
-Poincare sum takes one polar exp per distinct T[U] and pair, contracted outside
-BLAS; its box is refused in closed form, before any pair is enumerated.  The
-kernel is ``series.km_twisted`` with these Poincare series as its coefficients.
+Poincare sum takes one polar exp per distinct forms.congruence_keys row and pair,
+contracted outside BLAS; its box is refused in closed form, before any pair is
+enumerated.  The kernel is ``series.km_twisted`` of these Poincare series.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import numpy as np
 from . import _intlinalg as il
 from .branch import _polar_exp
 from .errors import (MAX_WORK, CompletionFailure, DomainError, NotCoprimePair, NotPositiveDefinite,
-                     finite_exponents, require_finite)
+                     finite_exponents, integer_bound, require_finite)
 from .eisenstein import TruncationSpec
-from .forms import HalfIntegralForm
+from .forms import _KEY_COLS, _KEY_ROWS, HalfIntegralForm, congruence_keys
 from .matrices import is_symplectic, mobius, siegel_point
 from .series import CoefficientTable, km_twisted
 from .specfun import lipschitz_factor
@@ -36,8 +36,6 @@ from .specfun import lipschitz_factor
 
 # isotropic candidates per numpy coprimality test in enumerate_pairs
 _FILTER_CHUNK = 4096
-# positions (11, 22, 33, 12, 13, 23) of the entries of M0 Z paired with T's coefficients
-_ENTRY_ROWS, _ENTRY_COLS = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
 
 
 @dataclass(frozen=True)
@@ -158,8 +156,7 @@ def enumerate_pairs(max_abs, nrows=3):
     time.  More than MAX_WORK candidates, by the closed-form count, are refused
     before any is built.  Memoized per (max_abs, nrows).
     """
-    if max_abs < 1:
-        raise DomainError("max_abs must be >= 1, got %r" % (max_abs,))
+    max_abs = integer_bound(max_abs, 1, "max_abs")
     if (n := _candidate_count(max_abs, nrows)) > MAX_WORK:
         raise DomainError("%d HNF candidates at max_abs %d, above %d" % (n, max_abs, MAX_WORK))
     h = np.concatenate([b[_coprime_symmetric(b)] for c in _isotropic_candidates(max_abs, nrows)
@@ -203,8 +200,9 @@ def complete_to_symplectic(pair: CoprimePair):
 
 
 def _check_truncation(k, max_abs):
-    if k <= 6 or k % 2 or max_abs < 1:
-        raise DomainError("need even k > 6 and max_abs >= 1, got k=%r, max_abs=%r" % (k, max_abs))
+    if k <= 6 or k % 2:
+        raise DomainError("need even k > 6, got k=%r" % (k,))
+    return integer_bound(max_abs, 1, "max_abs")
 
 
 @lru_cache(maxsize=4)
@@ -222,19 +220,10 @@ def _coset_table(max_abs, z_bytes, k):
     2 x |pairs| x 6 array and j(M0, Z)^(-k), both read-only."""
     z = np.frombuffer(z_bytes, dtype=complex).reshape(3, 3)
     mz, jv = mobius(_completions(max_abs), z)
-    phases = np.stack([-mz.imag, mz.real])[..., _ENTRY_ROWS, _ENTRY_COLS] * (2 * np.pi)
+    phases = np.stack([-mz.imag, mz.real])[..., _KEY_ROWS, _KEY_COLS] * (2 * np.pi)
     weights = jv ** (-k)
     phases.flags.writeable = weights.flags.writeable = False
     return phases, weights
-
-
-def _coset_coefficients(t: HalfIntegralForm, gl_ball):
-    """(t1, t2, t3, b12, b13, b23) of T[U] for each U of the ball, a float |ball| x 6
-    array, from the exact t(U) 2T U: int64 while an entry (nine products) is below
-    9 * 2^16 * 2^16 * 2^26 < 2^63, Python ints past that."""
-    u = il.exact_array(gl_ball, 2**16)
-    g = u.swapaxes(1, 2) @ il.exact_array(t.gram2(), 2**26) @ u
-    return np.asarray(g[:, _ENTRY_ROWS, _ENTRY_COLS] * (0.5, 0.5, 0.5, 1, 1, 1), dtype=float)
 
 
 @lru_cache(maxsize=4)
@@ -269,13 +258,13 @@ def poincare_trunc(k, t: HalfIntegralForm, z, max_abs):
     positive definite raises NotPositiveDefinite, a Z outside the Siegel space,
     more than MAX_WORK terms or a sum that overflows DomainError.
     """
-    _check_truncation(k, max_abs)
+    max_abs = _check_truncation(k, max_abs)
     if not t.is_positive_definite():
         raise NotPositiveDefinite("form is not positive definite")
     z = siegel_point(z)
     gl_ball, pairs = _coset_truncation(max_abs)
     phases, weights = _coset_table(max_abs, z.tobytes(), k)
-    rows, mult = np.unique(_coset_coefficients(t, gl_ball), axis=0, return_counts=True)
+    rows, mult = np.unique(congruence_keys(t, gl_ball).astype(float), axis=0, return_counts=True)
     terms = _polar_exp(*phases @ rows.T, np.empty((len(pairs), len(rows)), complex))
     # a contraction outside BLAS: its sum order, and so its bits, do not depend on the thread count
     value = require_finite(np.einsum("p,pr,r->", weights, terms, 0.5 * mult), "the Poincare sum")
@@ -287,7 +276,7 @@ def kernel_trunc(k, exponents, z, det_bound, flag_spec: TruncationSpec, max_abs)
     km_twisted at (w, s, -s-w-u+2) of the table T -> P_{k,T}(Z) of Poincare
     series, F = specfun.lipschitz_factor; the region warning is the kernel's own.
     A Z outside the Siegel space or a value that overflows raises DomainError."""
-    _check_truncation(k, max_abs)
+    max_abs = _check_truncation(k, max_abs)
     s, w, u = finite_exponents(*exponents)
     z = siegel_point(z)
     pref = 2.0 * lipschitz_factor(s, w, u)

@@ -1,5 +1,6 @@
 """The non-finite contract: every public numeric entry point refuses a NaN or
-infinite exponent or bound with DomainError, never ValueError, OverflowError or a NaN."""
+infinite exponent or bound, and an integer truncation anything but an integer,
+with DomainError, never TypeError, ValueError, OverflowError or a NaN."""
 
 import math
 
@@ -40,6 +41,29 @@ BOUNDS = {
     "reduced_classes": forms.reduced_classes,
     "short_vectors_gram": lambda x: forms.short_vectors_gram(I3.gram2(), x),
 }
+
+
+INTEGER_TRUNCATIONS = {
+    "lattice_sum_lhs": lambda x: lip.lattice_sum_lhs((2, 4, 5), 1j * np.eye(3), x),
+    "fourier_side_rhs": lambda x: lip.fourier_side_rhs((2, 4, 5), 1j * np.eye(3), x),
+    "classical_lipschitz": lambda x: lip.classical_lipschitz(1j, 2, x),
+    "enumerate_pairs": sp.enumerate_pairs,
+    "poincare_trunc": lambda x: sp.poincare_trunc(24, I3, 1j * np.eye(3), x),
+    "kernel_trunc": lambda x: sp.kernel_trunc(32, (3, 4, 5), 1j * np.eye(3), 1, SPEC, x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1.5])
+@pytest.mark.parametrize("name", sorted(INTEGER_TRUNCATIONS))
+def test_non_integer_truncations_raise_domain_error(name, x):
+    with pytest.raises(DomainError, match="must be an integer"):
+        INTEGER_TRUNCATIONS[name](x)
+
+
+def test_a_warm_pair_cache_still_refuses_a_float():
+    sp.enumerate_pairs(1)  # 1.0 == 1, but it is another cache key, so the intake runs
+    with pytest.raises(DomainError, match="must be an integer"):
+        sp.enumerate_pairs(1.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

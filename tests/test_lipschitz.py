@@ -232,8 +232,19 @@ def test_lhs_magnitude_bound_far_out():
 
 
 def test_rhs_empty_below_minimal_trace():
-    val, n = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), 2)
-    assert val == 0.0 and n == 0
+    # no positive form has trace below 3, and no Fourier term is summed below N = 1:
+    # both empty truncations are refused, as the class, flag and Epstein sums refuse theirs
+    z = _z0()
+    for trace_bound in (2, 0, -5):
+        with pytest.raises(DomainError, match="empty truncation"):
+            lip.fourier_side_rhs((2.0, 4.0, 5.0), z, trace_bound)
+    with pytest.raises(DomainError, match="empty truncation"):
+        lip.lipschitz_report((2.0, 4.0, 5.0), z, 1, 2)
+    for n_bound in (0, -1):
+        with pytest.raises(DomainError, match="empty truncation"):
+            lip.classical_lipschitz(1j, 2.0, n_bound)
+    assert lip.fourier_side_rhs((2.0, 4.0, 5.0), z, 3)[1] == len(forms.enumerate_J(3)) > 0
+    assert lip.classical_lipschitz(1j, 2.0, 1)[0].rhs_terms == 1
 
 
 def test_rhs_vectorization_matches_scalar_terms():
@@ -309,7 +320,7 @@ def test_rhs_reads_one_enumerate_J_per_run(monkeypatch):
         return rows
 
     monkeypatch.setattr(lip, "enumerate_J", recording)
-    for trace_bound in (2, 6, 12):
+    for trace_bound in (6, 12):
         calls.clear()
         _, n_forms = lip.fourier_side_rhs((2.0, 4.0, 5.0), _z0(), trace_bound)
         runs = forms._diagonal_runs(trace_bound)[0]

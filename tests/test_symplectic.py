@@ -114,17 +114,23 @@ def _blocks(pairs):
     return np.array([sp._stacked(p.c, p.d) for p in pairs], dtype=object)
 
 
+def _mat_mul(a, b):
+    """List product of Python ints (the oracles' own arithmetic)."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def _list_coefficients(t, gl_ball):
-    """(t1, t2, t3, b12, b13, b23) of T[U] per U by the list congruence_form (oracle)."""
-    return np.array([[f.t1, f.t2, f.t3, f.b12, f.b13, f.b23]
-                     for f in (forms.congruence_form(t, u) for u in np.asarray(gl_ball).tolist())],
-                    dtype=float)
+    """(t1, t2, t3, b12, b13, b23) of T[U] per U, read off t(U) 2T U by list
+    products of Python ints (oracle)."""
+    gs = (_mat_mul(_mat_mul(list(zip(*u)), t.gram2()), u) for u in np.asarray(gl_ball).tolist())
+    return [[g[0][0] // 2, g[1][1] // 2, g[2][2] // 2, g[0][1], g[0][2], g[1][2]] for g in gs]
 
 
 def _poincare_per_pair(k, t, z, max_abs):
     """The per-pair loop that poincare_trunc's coset table replaced, over the full
     ball and pair list of max_abs (oracle)."""
-    coeffs = _list_coefficients(t, il.unimodular_matrices(max_abs, max_abs * max_abs))
+    coeffs = np.array(_list_coefficients(t, il.unimodular_matrices(max_abs, max_abs * max_abs)),
+                      dtype=float)
     pairs = _pairs(sp.enumerate_pairs(max_abs))
     total = 0.0 + 0.0j
     for pair in pairs:
@@ -446,7 +452,7 @@ def test_poincare_table_matches_per_pair_loop(rng):
 def test_grouped_poincare_sum_matches_per_pair_loop():
     # one term per distinct row T[U], weighted by its count, against the per-(U, pair) loop
     full = il.unimodular_matrices(1, 1)
-    rows, mult = np.unique(sp._coset_coefficients(I3F, full), axis=0, return_counts=True)
+    rows, mult = np.unique(forms.congruence_keys(I3F, full), axis=0, return_counts=True)
     assert rows.tolist() == [[1, 1, 1, 0, 0, 0]] and mult.tolist() == [48]
     for k in (8, 30):
         val, n = sp.poincare_trunc(k, I3F, Z_GENERIC, 1)
@@ -454,7 +460,9 @@ def test_grouped_poincare_sum_matches_per_pair_loop():
         assert n == n_ref and abs(val - ref) <= 1e-12 * abs(ref)
     # entries past the int64 path (Python ints) group the same way: 24 distinct rows
     big = forms.HalfIntegralForm(2**40 + 1, 2**40 + 3, 2**40 + 7, 1, 1, -1)
-    assert len(np.unique(sp._coset_coefficients(big, full), axis=0)) == 24
+    keys = forms.congruence_keys(big, full)
+    assert keys.dtype == object and keys.tolist() == _list_coefficients(big, full)
+    assert len(np.unique(keys.astype(float), axis=0)) == 24
 
 
 def _product_structures(max_abs, nrows):
@@ -492,13 +500,16 @@ def test_hnf_structures_match_the_product_reference():
 
 
 def test_coset_coefficients_match_the_list_congruence():
-    # T[U] for the whole ball in one exact array expression, bit for bit the
-    # per-U list path; the last form's T[U] are past int64 (Python ints)
+    # T[U] for the whole ball in one exact array expression, equal to the per-U
+    # list products; the last form's T[U] are past int64 (Python ints)
     huge = forms.HalfIntegralForm(3, 2**62 + 5, 7, 1, -2, 3)
     for ball in (il.unimodular_matrices(1, 1), il.unimodular_matrices(2)[::61]):
         for t in forms.reduced_classes(2) + [huge]:
-            got = sp._coset_coefficients(t, ball)
-            assert got.tolist() == _list_coefficients(t, ball).tolist()
+            got = forms.congruence_keys(t, ball)
+            assert got.dtype == (object if t is huge else np.int64)
+            assert got.tolist() == _list_coefficients(t, ball)
+            assert [forms.congruence_form(t, u).key() for u in ball[:5]] == list(
+                map(tuple, got[:5].tolist()))
 
 
 def test_points_outside_the_siegel_space_are_refused():
@@ -780,8 +791,9 @@ def test_poincare_matched_congruence_bijection():
     t = forms.HalfIntegralForm(1, 1, 2, 1, 0, 1)
     tv = forms.congruence_form(t, v)
     ball = il.unimodular_matrices(1, 1)
-    a = sp._coset_coefficients(tv, ball)
-    assert a.tobytes() == sp._coset_coefficients(t, np.array(v) @ ball).tobytes()
+    a = forms.congruence_keys(tv, ball)
+    assert a.tobytes() == forms.congruence_keys(t, np.array(v) @ ball).tobytes()
+    assert a.tolist() == _list_coefficients(t, np.array(v) @ ball)
 
 
 def test_poincare_translation_approximate_invariance():

@@ -35,7 +35,8 @@ def cross3(a, b):
 
 def bilinear3(g, v, w):
     """The value v . g . w of a 3x3 matrix on two 3-vectors."""
-    return sum(v[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
+    gw = [r[0] * w[0] + r[1] * w[1] + r[2] * w[2] for r in g]
+    return v[0] * gw[0] + v[1] * gw[1] + v[2] * gw[2]
 
 
 def adj3(a):

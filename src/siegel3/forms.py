@@ -10,9 +10,11 @@ diagonal and doubled off-diagonals, i.e. the matrix
 All results in this module are exact: the doubled Gram matrix 2T has integer
 entries, (2T)[v] is an even integer, and dets/reductions use integers only
 (int64 arrays where no overflow can occur, Python ints and fractions else);
-T[U] is read off t(U) 2T U for a stack of U at once (congruence_keys).  eps_T is
-the tie count of a reduction lane, recorded under each lane's reduced key and a
-one-form reduction's input (acceptance holds the exhaustive oracle).
+T[U] is read off t(U) 2T U for a stack of U at once (congruence_keys).  A stack
+of forms is reduced by the numpy lanes, one form by the same lane in Python ints
+unless its ball is large.  eps_T is the tie count of a reduction lane, recorded
+under each lane's reduced key and a one-form reduction's input (acceptance holds
+the exhaustive oracle).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations
-from math import floor, inf, isqrt
+from math import floor, gcd, inf, isqrt, sqrt
 from operator import index
 
 import numpy as np
@@ -94,6 +96,7 @@ _CHUNK = 1 << 17
 # Lanes per stack when the class box is reduced: 32 keep its working set under 1 MB
 # at det T <= 20.
 _LANES = 32
+_ONE_FORM = 400  # candidates on a level past which a stack of one is faster (crossover ~450)
 # Largest coordinate for int64 kernels: |det(v1, v2, v3)| <= 6 * coord^3 < 2^63.
 _INT64_COORD = 1 << 20
 # A short-vector ball: the record array of q = g[v] and v, 32 B per row.
@@ -285,6 +288,68 @@ def _minkowski_lanes(g, h, u):
     return keys[best], v[idx[best // 4]].swapaxes(1, 2).astype(np.int64) * _SIGNS[best % 4, None]
 
 
+def _one_form_lane(g, h, u):
+    """(key, reducer) of one lane of _minkowski_lanes in Python ints, its eps
+    recorded, for lists g = 2T and h = u^T g u pairwise reduced: the same LDL,
+    ranges, slack and level counts, exact q <= R, pools and keys.  None where the
+    kernel would refuse, or once a level counts more than _ONE_FORM candidates."""
+    bound, limit = max(h[0][0], h[1][1], h[2][2]), min(_ONE_FORM, MAX_WORK, MAX_BALL)
+    if bound > 1 << 62:
+        return None
+    try:
+        ldl = np.linalg.cholesky(np.array(h, dtype=float)).tolist()
+    except np.linalg.LinAlgError:
+        return None
+    d = [row[k] * row[k] for k, row in enumerate(ldl)]  # d_k = L_kk^2, a_jk = L_jk / L_kk
+    a, slack = [[x / ldl[k][k] for k, x in enumerate(row)] for row in ldl], 1e-6 * (1.0 + bound)
+    nodes = [((), bound + slack)]  # (w_3 .. w_(k+2), remainder), as in _fincke_pohst
+    for k in (2, 1, 0):  # each level is counted before it is built
+        ranged = []
+        for cols, rem in nodes:
+            c, radius = 0.0, sqrt(max(rem, 0.0) / d[k])
+            for j, x in enumerate(cols):
+                c += x * a[2 - j][k]
+            ranged.append((cols, rem, c, int(-c - radius - 1.0), int(-c + radius + 1.0) + 1))
+        if sum(hi - lo for *_, lo, hi in ranged) > limit:
+            return None
+        nodes = [(cols + (x,), rem - term) for cols, rem, c, lo, hi in ranged for x in range(lo, hi)
+                 if k and (term := d[k] * ((x + c) * (x + c))) <= rem + slack]
+    rows, ((h11, h12, h13), (_, h22, h23), (_, _, h33)), (u1, u2, u3) = [], h, u
+    for (w3, w2), _, _, lo, hi in ranged:  # the leaves: q = h[w] and v = u w, exactly
+        l, r = 2 * (h12 * w2 + h13 * w3), (h22 * w2 + 2 * h23 * w3) * w2 + h33 * w3 * w3
+        p1, p2, p3 = u1[1] * w2 + u1[2] * w3, u2[1] * w2 + u2[2] * w3, u3[1] * w2 + u3[2] * w3
+        for w1 in range(lo, hi):
+            if (q := (h11 * w1 + l) * w1 + r) <= bound and (
+                    v := (u1[0] * w1 + p1, u2[0] * w1 + p2, u3[0] * w1 + p3)) > (0, 0, 0):
+                rows.append((q, v))  # one of +-v, v != 0
+    rows.sort()
+
+    def least(ok):  # the least-q rows with ok(v), in order
+        pool = []
+        for q, v in rows:
+            if pool and q > pool[0][0]:
+                break
+            if ok(v):
+                pool.append((q, v))
+        return pool
+
+    keys, signs = [], _SIGNS.tolist()  # (key, basis, sign) in (v1, v2, v3, sign) order
+    for q1, v1 in least(lambda v: True):
+        for q2, v2 in least(lambda v: gcd(*il.cross3(v1, v)) == 1):
+            n = il.cross3(v1, v2)
+            for q3, v3 in least(lambda v: abs(n[0] * v[0] + n[1] * v[1] + n[2] * v[2]) == 1):
+                b = il.bilinear3(g, v1, v2), il.bilinear3(g, v1, v3), il.bilinear3(g, v2, v3)
+                for s in signs:
+                    b12, b13, b23 = s[0] * s[1] * b[0], s[0] * s[2] * b[1], s[1] * s[2] * b[2]
+                    if b12 >= 0 <= b23:
+                        keys.append(((q1 // 2, q2 // 2, q3 // 2, b12, b13, b23), (v1, v2, v3), s))
+    key, basis, s = min(keys, key=lambda row: row[0])  # the first least
+    if not _is_reduced(*key):
+        raise AssertionError("reduction produced a non-reduced form: %r" % (key,))
+    _EPS[key] = sum(row[0] == key for row in keys)  # one row per pair +-U of T[U] = key
+    return key, tuple(tuple(x * y for x, y in zip(r, s)) for r in zip(*basis))
+
+
 def minkowski_reduce(t):
     """Canonical Minkowski-reduced representative of the class of T.
 
@@ -294,14 +359,16 @@ def minkowski_reduce(t):
     In rank 3 these are the minima, so one ball (2T)[v] <= R >= lambda3 holds
     the pools (minimal v, then gcd(v1 x v) = 1, then |(v1 x v2) . v| = 1); keys
     come from bilinear products, the first least in (v1, v2, v3, sign) order
-    wins.  One lane of _minkowski_lanes, whose eps is recorded under T's key too."""
+    wins.  One lane of _minkowski_lanes (_one_form_lane, or past its count a stack
+    of one, which raises every refusal); eps is recorded under T's key too."""
     if not t.is_positive_definite():
         raise NotPositiveDefinite("form is not positive definite")
-    g = t.gram2()
-    keys, reducer = _minkowski_lanes(*il.exact_array([g, *_pairwise_reduced(g)], 1 << 63)[:, None])
-    key = tuple(keys[0].tolist())
-    _EPS[t.key()] = _EPS[key]
-    return ReducedForm(HalfIntegralForm(*key), tuple(map(tuple, reducer[0].tolist())))
+    h, u = _pairwise_reduced(g := t.gram2())
+    if (lane := _one_form_lane(g, h, u)) is None:
+        keys, reducer = _minkowski_lanes(*il.exact_array([g, h, u], 1 << 63)[:, None])
+        lane = tuple(keys[0].tolist()), tuple(map(tuple, reducer[0].tolist()))
+    _EPS[t.key()] = _EPS[lane[0]]
+    return ReducedForm(HalfIntegralForm(*lane[0]), lane[1])
 
 
 def reduce_keys(rows):

@@ -146,7 +146,6 @@ def _isotropic_candidates(max_abs, n):
         yield np.stack([r[picks[:, i]] for i, r in enumerate(rows)], axis=1)
 
 
-@lru_cache(maxsize=4)
 def enumerate_pairs(max_abs, nrows=3):
     """All canonical coprime symmetric pairs with entries in the box: the read-only
     (N, nrows, 2 nrows) int64 stack of their blocks [C D], sorted by (c, d).
@@ -154,9 +153,14 @@ def enumerate_pairs(max_abs, nrows=3):
     Each canonical pair is its own row HNF; the pairwise isotropic candidates
     (``_isotropic_candidates``) are tested for coprimality _FILTER_CHUNK at a
     time.  More than MAX_WORK candidates, by the closed-form count, are refused
-    before any is built.  Memoized per (max_abs, nrows).
+    before any is built.  Memoized per (max_abs, nrows), max_abs taken in as a
+    Python int first, so that equal integers of any type share one entry.
     """
-    max_abs = integer_bound(max_abs, 1, "max_abs")
+    return _enumerate_pairs(integer_bound(max_abs, 1, "max_abs"), nrows)
+
+
+@lru_cache(maxsize=4)
+def _enumerate_pairs(max_abs, nrows):
     if (n := _candidate_count(max_abs, nrows)) > MAX_WORK:
         raise DomainError("%d HNF candidates at max_abs %d, above %d" % (n, max_abs, MAX_WORK))
     h = np.concatenate([b[_coprime_symmetric(b)] for c in _isotropic_candidates(max_abs, nrows)

@@ -61,7 +61,15 @@ def test_non_integer_truncations_raise_domain_error(name, x):
 
 
 def test_a_warm_pair_cache_still_refuses_a_float():
-    sp.enumerate_pairs(1)  # 1.0 == 1, but it is another cache key, so the intake runs
+    sp.enumerate_pairs(1)  # the intake runs before the cache, so 1.0 == 1 never reaches it
+    with pytest.raises(DomainError, match="must be an integer"):
+        sp.enumerate_pairs(1.0)
+
+
+def test_equal_integer_truncations_share_one_pair_cache_entry():
+    sp._enumerate_pairs.cache_clear()
+    assert sp.enumerate_pairs(np.int64(1)) is sp.enumerate_pairs(1)
+    assert sp._enumerate_pairs.cache_info().currsize == 1
     with pytest.raises(DomainError, match="must be an integer"):
         sp.enumerate_pairs(1.0)
 

@@ -336,9 +336,14 @@ def _box(det_bound):
 
 
 @lru_cache(maxsize=None)
+def _unimodular_ball():
+    return il.unimodular_matrices(2)
+
+
+@lru_cache(maxsize=None)
 def _scrambles():
     """200 box forms of det <= 20 moved by spread-out matrices with entries in [-2, 2]."""
-    ball = il.unimodular_matrices(2)
+    ball = _unimodular_ball()
     box = _box(20)
     return tuple(forms.congruence_form(box[(7 * i) % len(box)], ball[(677 * i) % len(ball)])
                  for i in range(200))
@@ -485,6 +490,61 @@ def test_a_refused_lane_refuses_its_stack_as_one_form(monkeypatch, ceiling, valu
     assert _lanes([I3, _box(20)[9]]) == [forms.minkowski_reduce(t) for t in (I3, _box(20)[9])]
 
 
+def test_a_small_ball_is_reduced_without_the_stacked_search(monkeypatch):
+    ts = _box(20)[::7] + _scrambles()[::5]
+    lanes = _lanes(ts)
+    monkeypatch.setattr(forms, "_fincke_pohst", lambda *args: pytest.fail("stacked search"))
+    for t, lane in zip(ts, lanes):
+        assert forms.minkowski_reduce(t) == lane == _recursive_minkowski_reduce(t), t
+
+
+def test_a_large_ball_takes_the_stacked_search(monkeypatch):
+    # diag(1, 1, 1000) counts thousands of candidates; the skewed and huge forms
+    # have small balls on their pairwise-reduced bases, and every form hands off
+    # when the one-form count is lowered to 0
+    t0 = forms.HalfIntegralForm(1, 1, 2, 0, 0, 1)
+    skewed = forms.congruence_form(t0, [[1, 2**21, 0], [0, 1, 2**21], [0, 0, 1]])
+    huge = forms.HalfIntegralForm(2**60, 2**60 + 1, 2**60 + 3, 2**60, 1, 2**59)
+    big = forms.HalfIntegralForm(1, 1, 1000, 0, 0, 0)
+    search, calls, runs = forms._fincke_pohst, [], []
+    monkeypatch.setattr(forms, "_fincke_pohst", lambda *args: calls.append(1) or search(*args))
+    for one_form in (forms._ONE_FORM, 0):
+        monkeypatch.setattr(forms, "_ONE_FORM", one_form)
+        monkeypatch.setattr(forms, "_EPS", {})
+        runs.append(([forms.minkowski_reduce(t) for t in (big, skewed, huge)], forms._EPS))
+        assert len(calls) == (1 if one_form else 4)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == _lanes([big, skewed, huge])
+    assert [runs[0][0][i] for i in (0, 2)] == [_recursive_minkowski_reduce(t) for t in (big, huge)]
+    assert runs[0][0][1].form == forms.minkowski_reduce(t0).form  # the oracle's ball of skewed is vast
+
+
+@pytest.mark.parametrize("ceiling", ["MAX_WORK", "MAX_BALL"])
+def test_a_small_ball_under_a_lowered_ceiling_is_refused_as_its_stack(monkeypatch, ceiling):
+    def outcome(reduce):
+        try:
+            return reduce()
+        except DomainError as e:
+            return str(e)
+
+    ts = _scrambles()[::40]
+    hs = [forms._pairwise_reduced(t.gram2())[0] for t in ts]
+    counts = [forms._short_vectors(h, max(h[0][0], h[1][1], h[2][2]), count=True) for h in hs]
+    for t, leaves in zip(ts, counts):  # the leaves of each one-form search, at its R
+        for value in (leaves - 1, leaves, leaves + 1):
+            monkeypatch.setattr(forms, ceiling, value)
+            got = outcome(lambda: forms.minkowski_reduce(t))
+            assert got == outcome(lambda: _lanes([t])[0]), (t, value)
+            if value < leaves or ceiling == "MAX_BALL":  # a level above the leaves may pass MAX_WORK
+                assert isinstance(got, str) == (value < leaves), (t, value)
+
+
+@given(st.integers(0, 1073), st.integers(0, 2**31))
+def test_one_form_reduction_matches_the_stacked_lane(i, j):
+    t = forms.congruence_form(_box(20)[i], _unimodular_ball()[j % len(_unimodular_ball())])
+    assert forms.minkowski_reduce(t) == _lanes([t])[0] == _recursive_minkowski_reduce(t)
+
+
 def test_reduced_classes_match_one_form_dedupe():
     box = _box(20)
     reps = {forms.minkowski_reduce(t).form for t in box}
@@ -524,8 +584,9 @@ def test_lanes_record_eps_under_each_reduced_key(monkeypatch):
 
 def test_eps_after_a_reduction_runs_no_search(monkeypatch):
     calls = []
-    search = forms._fincke_pohst
-    monkeypatch.setattr(forms, "_fincke_pohst", lambda *args: calls.append(1) or search(*args))
+    search = forms._one_form_lane
+    monkeypatch.setattr(forms, "_one_form_lane", lambda *args: calls.append(1) or search(*args))
+    monkeypatch.setattr(forms, "_fincke_pohst", lambda *args: pytest.fail("stacked search"))
     monkeypatch.setattr(forms, "_EPS", {})
     for t in _scrambles()[::10]:
         forms.minkowski_reduce(t)
